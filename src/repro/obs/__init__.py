@@ -14,9 +14,8 @@ layer shared by every subsystem:
 * :mod:`repro.obs.hist` — :class:`LogHistogram`, exact log-bucketed
   mergeable latency histograms whose quantiles come from bucket ranks,
   never sampling;
-* :mod:`repro.obs.metrics` — the Counter/Gauge/Histogram registry
-  promoted from ``repro.stream.metrics`` (which remains as a re-export
-  shim) so any layer can publish operational metrics;
+* :mod:`repro.obs.metrics` — the shared counter/gauge/histogram
+  registry any layer publishes operational metrics into;
 * :mod:`repro.obs.expo` — OpenMetrics text exposition and its parser,
   backing the gateway's ``GET /metrics`` side port and ``apollo-repro
   obs top``;
@@ -44,7 +43,6 @@ from repro.obs.hist import LogHistogram
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     default_registry,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "render_tree",
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "default_registry",

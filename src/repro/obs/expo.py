@@ -1,9 +1,9 @@
 """OpenMetrics text exposition for a :class:`MetricsRegistry`.
 
 :func:`render_openmetrics` turns a registry snapshot into the
-OpenMetrics/Prometheus text format — counters, gauges, and both
-histogram flavors (fixed-edge and :class:`LogHistogram`) with
-cumulative ``_bucket{le="..."}`` series plus ``_sum``/``_count`` — so
+OpenMetrics/Prometheus text format — counters, gauges, and
+:class:`~repro.obs.hist.LogHistogram` s with cumulative
+``_bucket{le="..."}`` series plus ``_sum``/``_count`` — so
 any scraper (or ``apollo-repro obs top``) can read live gateway state
 off the ``GET /metrics`` side port.
 
@@ -59,18 +59,6 @@ def render_openmetrics(registry) -> str:
         n = _sanitize(name)
         lines.append(f"# TYPE {n} gauge")
         lines.append(f"{n} {_fmt(value)}")
-
-    for name, h in snap.get("histograms", {}).items():
-        n = _sanitize(name)
-        lines.append(f"# TYPE {n} histogram")
-        cum = 0
-        for edge, cnt in zip(h["edges"], h["counts"]):
-            cum += cnt
-            lines.append(f'{n}_bucket{{le="{_fmt(edge)}"}} {cum}')
-        cum += h["counts"][-1]
-        lines.append(f'{n}_bucket{{le="+Inf"}} {cum}')
-        lines.append(f"{n}_sum {_fmt(h['sum'])}")
-        lines.append(f"{n}_count {h['count']}")
 
     for name, h in snap.get("hists", {}).items():
         n = _sanitize(name)

@@ -1,15 +1,13 @@
 """Shared operational metrics: counters, gauges, histograms.
 
-Promoted from ``repro.stream.metrics`` (kept there as a re-export shim)
-so *every* layer — the GA, the solvers, the flows, the streaming service
-— can publish into one registry.  The vocabulary stays deliberately
-small and Prometheus-flavored, and ``snapshot()`` is plain
-JSON-serializable data, so fleet tooling can scrape a run without
-touching NumPy objects.
+One registry every layer — the GA, the solvers, the flows, the
+streaming service, the serving gateway — publishes into.  The
+vocabulary stays deliberately small and Prometheus-flavored: counters,
+gauges, and exact mergeable :class:`~repro.obs.hist.LogHistogram` s.
+``snapshot()`` is plain JSON-serializable data, so fleet tooling can
+scrape a run without touching NumPy objects.
 
-Misuse keeps raising :class:`~repro.errors.StreamError` — the type the
-registry raised before the promotion — so existing callers' error
-handling is unchanged.
+Misuse raises :class:`~repro.errors.StreamError`.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.obs.hist import LogHistogram
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "LogHistogram",
     "MetricsRegistry",
     "default_registry",
@@ -55,45 +52,6 @@ class Gauge:
         self.value = float(v)
 
 
-class Histogram:
-    """Fixed-boundary histogram with sum/count for mean recovery.
-
-    ``edges`` are the upper bounds of each bucket; one overflow bucket
-    catches everything above the last edge (Prometheus ``le`` semantics,
-    cumulative form left to the consumer).
-    """
-
-    def __init__(self, name: str, edges: tuple[float, ...]) -> None:
-        if not edges or list(edges) != sorted(edges):
-            raise StreamError(
-                f"histogram {name!r} needs ascending bucket edges"
-            )
-        self.name = name
-        self.edges = tuple(float(e) for e in edges)
-        self.counts = [0] * (len(edges) + 1)
-        self.total = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        v = float(value)
-        for i, edge in enumerate(self.edges):
-            if v <= edge:
-                self.counts[i] += 1
-                break
-        else:
-            self.counts[-1] += 1
-        self.total += 1
-        self.sum += v
-
-    def observe_many(self, values) -> None:
-        for v in values:
-            self.observe(v)
-
-    @property
-    def mean(self) -> float:
-        return self.sum / self.total if self.total else 0.0
-
-
 @dataclass
 class MetricsRegistry:
     """Name -> metric container with one-call JSON snapshots.
@@ -107,7 +65,6 @@ class MetricsRegistry:
 
     counters: dict[str, Counter] = field(default_factory=dict)
     gauges: dict[str, Gauge] = field(default_factory=dict)
-    histograms: dict[str, Histogram] = field(default_factory=dict)
     hists: dict[str, LogHistogram] = field(default_factory=dict)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False,
@@ -124,12 +81,6 @@ class MetricsRegistry:
             if name not in self.gauges:
                 self.gauges[name] = Gauge(name)
             return self.gauges[name]
-
-    def histogram(self, name: str, edges: tuple[float, ...]) -> Histogram:
-        with self._lock:
-            if name not in self.histograms:
-                self.histograms[name] = Histogram(name, edges)
-            return self.histograms[name]
 
     def hist(
         self,
@@ -149,7 +100,6 @@ class MetricsRegistry:
         with self._lock:
             counters = dict(self.counters)
             gauges = dict(self.gauges)
-            histograms = dict(self.histograms)
             hists = dict(self.hists)
         return {
             "counters": {
@@ -157,16 +107,6 @@ class MetricsRegistry:
             },
             "gauges": {
                 n: g.value for n, g in sorted(gauges.items())
-            },
-            "histograms": {
-                n: {
-                    "edges": list(h.edges),
-                    "counts": list(h.counts),
-                    "count": h.total,
-                    "sum": h.sum,
-                    "mean": h.mean,
-                }
-                for n, h in sorted(histograms.items())
             },
             "hists": {
                 n: h.snapshot() for n, h in sorted(hists.items())

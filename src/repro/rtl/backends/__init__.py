@@ -1,9 +1,11 @@
 """Pluggable simulation backends.
 
-Importing this package registers the built-in engines — ``"packed"``
-(default), ``"uint8"`` (reference), and ``"compiled"`` (native kernel)
-— with the registry in :mod:`repro.rtl.backends.base`.  All backends
-are bit-identical by contract; they differ only in throughput.
+Importing this package registers the two built-in engines with the
+registry in :mod:`repro.rtl.backends.base`: ``"packed"`` (default; 64
+lanes per uint64 word, run by the C kernel in
+:mod:`repro.rtl.backends.cc` wherever it loads, else by a NumPy loop)
+and ``"uint8"`` (the one-lane-per-byte reference).  Both are
+bit-identical by contract; they differ only in throughput.
 """
 
 from repro.rtl.backends.base import (
@@ -20,16 +22,13 @@ from repro.rtl.backends.base import (
 # ENGINES order: packed first, as it is the default).
 from repro.rtl.backends.packed import PackedBackend
 from repro.rtl.backends.uint8 import Uint8Backend
-from repro.rtl.backends.compiled import CompiledBackend, compiled_impl
 
 __all__ = [
     "Backend",
-    "CompiledBackend",
     "PackedBackend",
     "Uint8Backend",
     "acc_reduce",
     "backend_names",
-    "compiled_impl",
     "eval_comb",
     "get_backend",
     "initial_values",

@@ -1,13 +1,41 @@
-"""Runtime-compiled C implementation of the compiled-backend kernel.
+"""The gate-simulation kernel: the packed engine's cycle loop in C.
 
-A line-for-line transliteration of :func:`repro.rtl.backends.kernel.
-run_cycles`, compiled once per host with the system C compiler and
-loaded via :mod:`ctypes`.  The shared object is cached under
+The packed engine (:mod:`repro.rtl.backends.packed`) lowers its
+micro-program once per netlist to flat op tables
+(:mod:`repro.rtl.backends.tables`); this kernel runs the whole cycle
+loop over them natively — program execution, toggle recording, trace
+packing, column capture and the accumulator reduction.  The source is
+compiled once per host with the system C compiler and loaded via
+:mod:`ctypes`.  The shared object is cached under
 ``~/.cache/repro-apollo`` keyed by a hash of the source, so the compile
 cost (a fraction of a second) is paid once per machine, not per
 process.  Every failure mode — no compiler, compile error, unwritable
-cache — degrades to ``None`` and the compiled backend falls back to
-the next implementation; nothing here may raise at import time.
+cache — makes :func:`load_kernel` return ``None``, and the packed engine
+runs its NumPy loop instead; nothing here may raise at import time.
+
+Float exactness
+---------------
+The accumulator loop must reproduce ``acc_reduce`` (NumPy's strided
+``sum(axis=0)``) bit for bit.  That reduction is plain sequential
+accumulation in net-id order starting from ``0.0``, so the kernel adds
+``w[t]`` for each set toggle bit in the same order.  Skipping all-zero
+words and adding ``w*0`` for clear bits is exact: the running sum
+starts at ``+0.0`` and can never become ``-0.0`` under
+round-to-nearest, so adding ``±0.0`` is always the identity.  The
+compile disables FMA contraction for the same reason.
+
+Layouts (all arrays flat, C-order)
+----------------------------------
+* ``par``: int64 scalars, in the order unpacked at the top of
+  ``repro_run_cycles``.
+* ``arena``: ``(arena_rows, W)`` uint64 — see
+  :mod:`repro.rtl.backends.tables` for the row map.
+* ``stim``: ``(cycles, n_in, W)`` uint64 lane words.
+* ``acc_w``: ``(n_acc, n_nets)`` float64; ``acc_out``:
+  ``(n_acc, batch, cycles)`` float64.
+* ``trace_out``: ``(cycles, nbytes, batch)`` uint8, bits MSB-first per
+  byte along the net axis (NumPy ``packbits`` convention).
+* ``cols_out``: ``(batch, cycles, n_cols)`` uint8.
 """
 
 from __future__ import annotations
@@ -22,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["load_kernel", "run_cycles_cc"]
+__all__ = ["load_kernel", "run_cycles"]
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -244,6 +272,8 @@ def load_kernel():
         fn = lib.repro_run_cycles
     except (OSError, AttributeError):
         return None
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    fn.argtypes = [ptr] * 4 + [i64, ptr, i64] + [ptr] * 11
     fn.restype = None
     _FN = fn
     return fn
@@ -255,12 +285,10 @@ def _ptr(arr: np.ndarray):
     return arr.ctypes.data_as(ctypes.c_void_p)
 
 
-def run_cycles_cc(par, arena, tog, prog0, prog1, idx_pool, mask_pool,
-                  stim, net_rows, alias_src, acc_w, acc_out, lane_sum,
-                  col_rows, cols_out, trace_out) -> None:
-    """Call the C kernel with the Python-kernel argument convention."""
-    fn = load_kernel()
-    assert fn is not None  # impl selection guarantees availability
+def run_cycles(fn, par, arena, tog, prog0, prog1, idx_pool, mask_pool,
+               stim, net_rows, alias_src, acc_w, acc_out, lane_sum,
+               col_rows, cols_out, trace_out) -> None:
+    """Call the loaded kernel ``fn`` on NumPy arrays."""
     fn(
         _ptr(par), _ptr(arena), _ptr(tog),
         _ptr(prog0), ctypes.c_int64(prog0.shape[0]),

@@ -4,34 +4,47 @@ Values live in renumbered storage rows (see
 :func:`repro.rtl.levelize.compile_packed`), polarity-folded
 (``true ^ pol[net]``), so NAND/OR/NOR collapse into the AND-run, XNOR
 into the XOR-run, and each MUX into two AND-run product rows plus one
-XOR.  Every write target is a contiguous row slice, so the loop contains
-no scatter indexing; the whole cycle is executed as a precompiled
-micro-program of prebound array views (two variants, one per buffer
-parity).  Toggle words are exact because both cycles carry the same
-polarity; each cycle they are gathered back into net-id order and
-appended to a block buffer, so the lane unpacking runs once per
-:data:`REC_BLOCK` cycles on one contiguous array, while the accumulator
-reduction (:func:`~repro.rtl.backends.base.acc_reduce`) keeps the
-reference engine's exact per-cycle call shape — making every recorded
-artifact bit-identical across engines.
+XOR.  Every write target is a contiguous row slice, so a cycle is one
+precompiled *micro-program* with no scatter indexing (two variants, one
+per buffer parity).  Toggle words are exact because both cycles carry
+the same polarity.
+
+The micro-program runs one of two ways, chosen once per simulator by
+whether the C kernel loads — never by an option:
+
+* **C kernel** (any host with a working C compiler): the program is
+  lowered to flat op tables (:mod:`repro.rtl.backends.tables`) and the
+  whole cycle loop — toggle recording and the accumulator reduction
+  included — runs natively in :mod:`repro.rtl.backends.cc`;
+* **NumPy loop** (fallback): one ufunc call per program entry over
+  prebound array views.  Toggle words are gathered back into net-id
+  order and appended to a block buffer, so the lane unpacking runs once
+  per :data:`REC_BLOCK` cycles on one contiguous array, while the
+  accumulator reduction (:func:`~repro.rtl.backends.base.acc_reduce`)
+  keeps the reference engine's exact per-cycle call shape.
+
+Both make every recorded artifact bit-identical to the uint8 reference
+engine.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.rtl.backends import cc as _cc
 from repro.rtl.backends.base import (
     WORD_ONES,
     Backend,
     acc_reduce,
     register_backend,
 )
+from repro.rtl.backends.tables import build_tables
 from repro.rtl.levelize import PackedSchedule, compile_packed
 from repro.rtl.trace import pack_lanes, unpack_lanes
 
 __all__ = ["PackedBackend", "REC_BLOCK"]
 
-#: Cycles buffered before the recording path unpacks a toggle block
+#: Cycles buffered before the NumPy loop unpacks a toggle block
 #: (amortizes the net-order gather and bit unpacking).
 REC_BLOCK = 32
 
@@ -48,6 +61,13 @@ class PackedBackend(Backend):
         self.packed_schedule: PackedSchedule = compile_packed(
             netlist, schedule
         )
+        #: The loaded C kernel, or ``None`` where none loads (the NumPy
+        #: loop runs instead).
+        self.kernel = _cc.load_kernel()
+        self._tables = (
+            build_tables(self.packed_schedule)
+            if self.kernel is not None else None
+        )
         self._plans: dict[int, _PackedPlan] = {}
 
     def run(
@@ -60,30 +80,107 @@ class PackedBackend(Backend):
         acc_out: dict[str, np.ndarray],
         init_values: np.ndarray | None,
     ) -> np.ndarray:
+        if self.kernel is None:
+            return self._run_numpy(
+                stim, cols, acc_weights, packed_out, cols_out, acc_out,
+                init_values,
+            )
+        psch = self.packed_schedule
+        tab = self._tables
+        batch, cycles, n_in = stim.shape
+        W = (batch + 63) // 64
+        nr = tab.n_rows
+        init_w, stim_w = self._lane_words(stim, init_values)
+        arena = np.zeros((tab.arena_rows, W), dtype=np.uint64)
+        arena[nr:2 * nr] = init_w  # v_prev of cycle 0
+        arena[:nr][psch.sl_const] = init_w[psch.sl_const]
+        acc_names = list(acc_weights)
+        n_acc = len(acc_names)
+        if n_acc:
+            acc_mat = np.stack([acc_weights[k] for k in acc_names])
+            acc_res = np.empty((n_acc, batch, cycles), dtype=np.float64)
+        else:
+            acc_mat = np.zeros((0, 0), dtype=np.float64)
+            acc_res = np.zeros(0, dtype=np.float64)
+        if cols is not None:
+            col_rows = tab.net_rows[cols]
+        else:
+            col_rows = np.zeros(0, dtype=np.int64)
+        n_cols = col_rows.size
+        has_trace = packed_out is not None
+        nbytes = packed_out.shape[1] if has_trace else 0
+        trace_buf = (
+            packed_out if has_trace else np.zeros(0, dtype=np.uint8)
+        )
+        cols_buf = (
+            cols_out if cols_out is not None else np.zeros(0, np.uint8)
+        )
+        need_tog = has_trace or n_acc > 0 or n_cols > 0
+        par = np.asarray(
+            [nr, W, cycles, batch, n_in, tab.in_row, psch.n_nets, n_acc,
+             int(has_trace), nbytes, n_cols, tab.alias_src.size,
+             tab.alias_start, tab.clk_free_start, tab.n_clk_free,
+             tab.clk_g_start, tab.n_clk_g, int(need_tog)],
+            dtype=np.int64,
+        )
+        if cycles:
+            _cc.run_cycles(
+                self.kernel, par, arena.ravel(),
+                np.zeros(nr * W, dtype=np.uint64),  # toggle words
+                tab.prog0, tab.prog1, tab.idx_pool, tab.mask_pool,
+                stim_w.ravel(), tab.net_rows, tab.alias_src,
+                acc_mat.ravel(), acc_res.ravel(),
+                np.zeros(W * 64, dtype=np.float64),  # per-lane sums
+                col_rows, cols_buf.ravel(), trace_buf.ravel(),
+            )
+        for a_i, name in enumerate(acc_names):
+            acc_out[name][:] = acc_res[a_i]
+        p_last = (cycles - 1) & 1 if cycles else 1
+        return self._final_values(arena[p_last * nr:(p_last + 1) * nr], batch)
+
+    def _lane_words(
+        self, stim: np.ndarray, init_values: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Initial stored words (storage-row order) and the stimulus as
+        cycle-major lane words ``(cycles, n_in, W)``."""
+        psch = self.packed_schedule
+        batch = stim.shape[0]
+        if init_values is not None:
+            v0 = np.asarray(init_values, dtype=np.uint8)
+        else:
+            v0 = self.initial_values(batch)
+        # Virtual MUX product rows and alias rows are recomputed before
+        # use, so zeros are fine there.
+        stored = np.zeros((psch.n_rows, batch), dtype=np.uint8)
+        stored[psch.row_of_net] = v0 ^ psch.pol[:, None]
+        stim_w = pack_lanes(
+            np.ascontiguousarray(np.transpose(stim, (1, 2, 0)))
+        )
+        return pack_lanes(stored), stim_w
+
+    def _final_values(self, fv: np.ndarray, batch: int) -> np.ndarray:
+        """Net-ordered true values from the last cycle's stored words."""
+        psch = self.packed_schedule
+        if psch.alias_src.size:
+            np.take(fv, psch.alias_src, axis=0, out=fv[psch.sl_alias])
+        final = unpack_lanes(np.take(fv, psch.row_of_net, axis=0), batch)
+        return final ^ psch.pol[:, None]
+
+    def _run_numpy(
+        self, stim, cols, acc_weights, packed_out, cols_out, acc_out,
+        init_values,
+    ) -> np.ndarray:
         psch = self.packed_schedule
         batch, cycles, n_in = stim.shape
         W = (batch + 63) // 64
         plan = self._plans.get(W)
         if plan is None:
             plan = self._plans[W] = _PackedPlan(psch, W)
-        if init_values is not None:
-            v0 = np.asarray(init_values, dtype=np.uint8)
-        else:
-            v0 = self.initial_values(batch)
-        pol_col = psch.pol[:, None]
+        init_w, stim_w = self._lane_words(stim, init_values)
         row_of = psch.row_of_net
-        # Stored words in storage-row order; virtual MUX product rows and
-        # alias rows are recomputed before use, so zeros are fine there.
-        stored = np.zeros((psch.n_rows, batch), dtype=np.uint8)
-        stored[row_of] = v0 ^ pol_col
-        init_w = pack_lanes(stored)
         bufs = plan.bufs
         np.copyto(bufs[1], init_w)  # v_prev of cycle 0
         bufs[0][psch.sl_const] = init_w[psch.sl_const]  # written once
-        # Stimulus as lane words, cycle-major: (cycles, n_in, W).
-        stim_w = pack_lanes(
-            np.ascontiguousarray(np.transpose(stim, (1, 2, 0)))
-        )
         progs = plan.progs
         in_views = plan.in_views
         tr = plan.tog_row
@@ -168,10 +265,7 @@ class PackedBackend(Backend):
                 j = 0
 
         fv = bufs[(cycles - 1) & 1] if cycles else bufs[1]
-        if has_alias:
-            np.take(fv, alias_src, axis=0, out=fv[sl_alias])
-        final = unpack_lanes(np.take(fv, row_of, axis=0), batch)
-        return final ^ pol_col
+        return self._final_values(fv, batch)
 
 
 class _PackedPlan:

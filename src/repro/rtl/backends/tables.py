@@ -1,10 +1,10 @@
-"""Flat op tables for the compiled backends.
+"""Flat op tables for the packed engine's C kernel.
 
-The packed engine's micro-program binds NumPy array views; a compiled
-kernel (C or Numba) wants plain integers instead.  This module lowers a
-:class:`~repro.rtl.levelize.PackedSchedule` into flat ``int64``/
-``uint64`` arrays that a tiny interpreter loop can execute over a single
-uint64 *arena*:
+The packed engine's NumPy loop binds array views; the C kernel
+(:mod:`repro.rtl.backends.cc`) wants plain integers instead.  This
+module lowers a :class:`~repro.rtl.levelize.PackedSchedule` into flat
+``int64``/``uint64`` arrays that the kernel's interpreter loop executes
+over a single uint64 *arena*:
 
 ``arena`` row layout (each row is ``W`` lane words)::
 
@@ -28,8 +28,8 @@ code  name       semantics
 Everything is independent of the word width ``W`` (rows are scaled by
 ``W`` at execution time), so the tables are built once per netlist.
 The op sequence mirrors ``_PackedPlan._build`` exactly — same order,
-same operands — which is what keeps the compiled kernels bit-identical
-to the packed engine (and therefore to the uint8 reference).
+same operands — which is what keeps the kernel bit-identical to the
+NumPy loop (and therefore to the uint8 reference).
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class CompiledTables:
     arena_rows: int  # total arena height
     n_rows: int  # storage rows per value buffer (psch.n_rows)
     in_row: int  # first input row (inside a value buffer)
-    n_in: int
     net_rows: np.ndarray  # (n_nets,) int64: net id -> storage row
     alias_src: np.ndarray  # int64 storage rows feeding the alias block
     alias_start: int
@@ -162,7 +161,6 @@ def build_tables(psch: PackedSchedule) -> CompiledTables:
         arena_rows=2 * nr + psch.max_gather + 2 * n_gated,
         n_rows=nr,
         in_row=psch.sl_inputs.start,
-        n_in=psch.sl_inputs.stop - psch.sl_inputs.start,
         net_rows=psch.row_of_net.astype(np.int64),
         alias_src=psch.alias_src.astype(np.int64),
         alias_start=psch.sl_alias.start,

@@ -55,11 +55,9 @@ __all__ = ["RecordSpec", "SimResult", "Simulator", "ENGINES"]
 
 #: Available simulation engines, in registry order.  ``"packed"``
 #: (default) packs 64 batch lanes per uint64 word and evaluates fused
-#: per-level micro-programs; ``"uint8"`` is the one-lane-per-byte
-#: reference implementation; ``"compiled"`` lowers the packed
-#: micro-program to a native kernel (Numba or runtime-compiled C) and
-#: falls back to the packed loop when neither is available.  All
-#: engines produce bit-identical results.
+#: per-level micro-programs, in the C kernel wherever one compiles and
+#: in a NumPy loop otherwise; ``"uint8"`` is the one-lane-per-byte
+#: reference implementation.  Both produce bit-identical results.
 ENGINES = _backends.backend_names()
 
 
@@ -107,7 +105,7 @@ class Simulator:
     """Compiled simulator for one netlist.
 
     Compilation (levelization, plus any engine-specific lowering such as
-    the packed layout or native op tables) happens once in the
+    the packed layout and the C kernel's op tables) happens once in the
     constructor; ``run`` may be called many times with different stimuli.
 
     Parameters

@@ -13,7 +13,8 @@ sessions — the high-volume deployment story of the APOLLO paper
 * :mod:`repro.serve.shard` — health-driven shard lifecycle
   (drain -> respawn) and stable sha256 session routing;
 * :mod:`repro.serve.protocol` — the length-prefixed JSON+binary frame
-  encoding shared by the TCP transport and the in-process client;
+  encoding shared by the TCP transport and the in-process client, with
+  every length prefix bounded before its bytes are read;
 * :mod:`repro.serve.gateway` — the front door: sessions, ticks,
   hot swap, fault injection, fleet snapshots;
 * :mod:`repro.serve.loadgen` — seeded open/closed-loop load driver;
@@ -54,6 +55,7 @@ from repro.serve.protocol import (
     decode_frame,
     encode_array,
     encode_frame,
+    read_frame,
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.report import FleetReport, build_report
@@ -78,6 +80,7 @@ __all__ = [
     "FrameBuffer",
     "encode_frame",
     "decode_frame",
+    "read_frame",
     "encode_array",
     "decode_array",
     "ModelRegistry",

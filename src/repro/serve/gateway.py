@@ -46,7 +46,13 @@ from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
 )
-from repro.serve.protocol import decode_array, decode_frame, encode_array, encode_frame
+from repro.serve.protocol import (
+    decode_array,
+    decode_frame,
+    encode_array,
+    encode_frame,
+    read_frame,
+)
 from repro.serve.registry import ModelRegistry
 from repro.serve.shard import Shard, ShardRouter, ShmGemvTask, serve_gemv_task
 from repro.stream.session import (
@@ -271,9 +277,6 @@ class SessionHandle:
 
 class Gateway:
     """Sharded, hot-swappable multiplexer of telemetry sessions."""
-
-    #: Bucket edges (seconds) for the per-tick latency histogram.
-    TICK_EDGES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
 
     def __init__(
         self,
@@ -693,9 +696,9 @@ class Gateway:
                 r = flat[i][0].rows
                 results[i] = arr[off:off + r]
                 off += r
-        self.metrics.histogram(
-            "serve.infer_seconds", self.TICK_EDGES
-        ).observe(time.perf_counter() - t_inf)
+        self.metrics.hist("serve.infer_seconds").observe(
+            time.perf_counter() - t_inf
+        )
         return results
 
     @staticmethod
@@ -976,11 +979,7 @@ class Gateway:
             self._force_pickle_ticks -= 1
         self._reap_idle()
         self.ticks += 1
-        latency = time.perf_counter() - t0
-        self.tick_hist.observe(latency)
-        self.metrics.histogram(
-            "serve.tick_seconds", self.TICK_EDGES
-        ).observe(latency)
+        self.tick_hist.observe(time.perf_counter() - t0)
         self._refresh_metrics()
         # Push sessions whose client has not closed stay live even with
         # an empty queue — the fleet is still serving them.
@@ -1396,19 +1395,6 @@ class GatewayServer:
             except (ConnectionError, OSError):
                 self._writers.pop(name, None)
 
-    async def _read_frame(self, reader):
-        import struct as _struct
-
-        head = await reader.readexactly(4)
-        (hlen,) = _struct.unpack(">I", head)
-        blob = await reader.readexactly(hlen)
-        (plen,) = _struct.unpack(">I", await reader.readexactly(4))
-        payload = await reader.readexactly(plen) if plen else b""
-        header, body, _n = decode_frame(
-            head + blob + _struct.pack(">I", plen) + payload
-        )
-        return header, body
-
     async def _handle(self, reader, writer) -> None:
         import asyncio
 
@@ -1416,8 +1402,19 @@ class GatewayServer:
         try:
             while True:
                 try:
-                    header, payload = await self._read_frame(reader)
+                    header, payload = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
+                    break
+                except ServeError as exc:
+                    # Oversized or malformed frame: the byte stream
+                    # cannot be resynchronised, so answer and hang up.
+                    writer.write(encode_frame(
+                        {"op": "error", "message": str(exc)}
+                    ))
+                    try:
+                        await writer.drain()
+                    except (ConnectionError, OSError):
+                        pass
                     break
                 try:
                     reply = self._dispatch(header, payload, writer, owned)
@@ -1505,18 +1502,6 @@ class AsyncTelemetryClient:
         reader, writer = await asyncio.open_connection(host, port)
         return cls(reader, writer)
 
-    async def _recv(self):
-        import struct as _struct
-
-        head = await self.reader.readexactly(4)
-        (hlen,) = _struct.unpack(">I", head)
-        blob = await self.reader.readexactly(hlen)
-        (plen,) = _struct.unpack(">I", await self.reader.readexactly(4))
-        payload = await self.reader.readexactly(plen) if plen else b""
-        return decode_frame(
-            head + blob + _struct.pack(">I", plen) + payload
-        )[:2]
-
     async def open(self, core_id: str, version: str | None = None,
                    t: int | None = None, priority: str | None = None,
                    deadline_ticks: int | None = None) -> str:
@@ -1525,7 +1510,7 @@ class AsyncTelemetryClient:
              "priority": priority, "deadline_ticks": deadline_ticks}
         ))
         await self.writer.drain()
-        header, _payload = await self._recv()
+        header, _payload = await read_frame(self.reader)
         if header["op"] == "error":
             raise ServeError(header["message"])
         self._seq[header["session"]] = 0
@@ -1546,7 +1531,7 @@ class AsyncTelemetryClient:
         """Keepalive round-trip; returns the pong header."""
         self.writer.write(encode_frame({"op": "ping", "session": session}))
         await self.writer.drain()
-        header, _payload = await self._recv()
+        header, _payload = await read_frame(self.reader)
         if header.get("op") == "error":
             raise ServeError(header["message"])
         return header
@@ -1566,7 +1551,7 @@ class AsyncTelemetryClient:
         chunks: list[np.ndarray] = []
         expect_seq = 0
         while True:
-            header, payload = await self._recv()
+            header, payload = await read_frame(self.reader)
             op = header.get("op")
             if op == "windows" and header.get("session") == session:
                 seq = header.get("seq")

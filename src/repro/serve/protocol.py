@@ -44,6 +44,7 @@ from repro.errors import ServeError
 __all__ = [
     "encode_frame",
     "decode_frame",
+    "read_frame",
     "encode_array",
     "decode_array",
     "FrameBuffer",
@@ -73,19 +74,27 @@ def encode_frame(header: dict, payload: bytes = b"") -> bytes:
     return _U32.pack(len(blob)) + blob + _U32.pack(len(payload)) + payload
 
 
+def _bounded(kind: str, n: int) -> int:
+    """``n`` if it is a legal frame part length, else :class:`ServeError`
+    — checked before any bytes that length announces are buffered."""
+    if n > MAX_FRAME_BYTES:
+        raise ServeError(f"frame {kind} length {n} exceeds bound")
+    return n
+
+
 def decode_frame(data: bytes) -> tuple[dict, bytes, int]:
-    """Decode one frame from ``data``.
+    """Decode one frame from the start of ``data``.
 
     Returns ``(header, payload, consumed)``; raises
-    :class:`~repro.errors.ServeError` on a malformed frame and
-    ``IndexError``-free ``(None, b"", 0)`` is *not* used — callers
-    wanting incremental parsing should use :class:`FrameBuffer`.
+    :class:`~repro.errors.ServeError` on a malformed, oversized or
+    truncated frame.  Incremental parsers (:class:`FrameBuffer`,
+    :func:`read_frame`) bound each length prefix first and hand over
+    only complete frames.
     """
     if len(data) < 4:
         raise ServeError("truncated frame: missing header length")
     (hlen,) = _U32.unpack_from(data, 0)
-    if hlen > MAX_FRAME_BYTES:
-        raise ServeError(f"frame header length {hlen} exceeds bound")
+    _bounded("header", hlen)
     if len(data) < 4 + hlen + 4:
         raise ServeError("truncated frame: incomplete header")
     try:
@@ -95,12 +104,28 @@ def decode_frame(data: bytes) -> tuple[dict, bytes, int]:
     if not isinstance(header, dict) or "op" not in header:
         raise ServeError(f"frame header must be an object with 'op'")
     (plen,) = _U32.unpack_from(data, 4 + hlen)
-    if plen > MAX_FRAME_BYTES:
-        raise ServeError(f"frame payload length {plen} exceeds bound")
-    end = 4 + hlen + 4 + plen
+    end = 4 + hlen + 4 + _bounded("payload", plen)
     if len(data) < end:
         raise ServeError("truncated frame: incomplete payload")
     return header, bytes(data[4 + hlen + 4 : end]), end
+
+
+async def read_frame(reader) -> tuple[dict, bytes]:
+    """Read one ``(header, payload)`` frame from an asyncio stream.
+
+    Each length prefix is bounded before the bytes it announces are
+    read, so a hostile prefix can never make the reader buffer more
+    than :data:`MAX_FRAME_BYTES`.  Raises
+    :class:`~repro.errors.ServeError` on a bad frame and
+    :class:`asyncio.IncompleteReadError` when the stream ends mid-frame.
+    """
+    head = await reader.readexactly(4)
+    hlen = _bounded("header", _U32.unpack(head)[0])
+    blob = await reader.readexactly(hlen + 4)
+    plen = _bounded("payload", _U32.unpack_from(blob, hlen)[0])
+    payload = await reader.readexactly(plen) if plen else b""
+    header, body, _n = decode_frame(head + blob + payload)
+    return header, body
 
 
 def encode_array(arr: np.ndarray) -> tuple[dict, bytes]:
@@ -144,21 +169,20 @@ class FrameBuffer:
         self._buf = bytearray()
 
     def feed(self, data: bytes) -> list[tuple[dict, bytes]]:
-        """Append bytes; return every complete frame now available."""
+        """Append bytes; return every complete frame now available.
+
+        Raises :class:`~repro.errors.ServeError` as soon as a length
+        prefix exceeds :data:`MAX_FRAME_BYTES`, before buffering the
+        bytes it announces.
+        """
         self._buf.extend(data)
         frames = []
-        while True:
-            if len(self._buf) < 4:
-                break
+        while len(self._buf) >= 4:
             (hlen,) = _U32.unpack_from(self._buf, 0)
-            if hlen > MAX_FRAME_BYTES:
-                raise ServeError(
-                    f"frame header length {hlen} exceeds bound"
-                )
-            if len(self._buf) < 4 + hlen + 4:
+            if len(self._buf) < 4 + _bounded("header", hlen) + 4:
                 break
             (plen,) = _U32.unpack_from(self._buf, 4 + hlen)
-            if len(self._buf) < 4 + hlen + 4 + plen:
+            if len(self._buf) < 4 + hlen + 4 + _bounded("payload", plen):
                 break
             header, payload, consumed = decode_frame(bytes(self._buf))
             del self._buf[:consumed]

@@ -13,10 +13,10 @@ a stream of millions of cycles needs memory for one chunk per session:
   through batched OPM inference by :class:`StreamService`;
 * :mod:`repro.stream.aggregate` — rolling/EMA aggregation, droop
   precursor alerts with hysteresis, power-budget checks feeding the
-  :class:`~repro.flow.dvfs.DvfsGovernor`;
-* :mod:`repro.stream.metrics` — back-compat shim over
-  :mod:`repro.obs.metrics` (counters/gauges/histograms with JSON
-  snapshots now live in the shared observability layer).
+  :class:`~repro.flow.dvfs.DvfsGovernor`.
+
+Sessions publish counters, gauges and latency histograms into the
+shared :class:`~repro.obs.metrics.MetricsRegistry`.
 
 The streamed per-cycle and T-window readings are bit-identical to
 :class:`~repro.opm.meter.OpmMeter` on the whole trace (property-tested
@@ -32,7 +32,7 @@ from repro.stream.aggregate import (
     EmaTracker,
     RingBuffer,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.stream.session import (
     SessionHooks,
     StreamConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "BudgetWatcher",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "service_for_programs",
 ]

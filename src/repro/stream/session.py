@@ -433,10 +433,6 @@ class StreamService:
     every session (the common library case) the behaviour is unchanged.
     """
 
-    #: Bucket edges (seconds) for the per-drain inference-latency
-    #: histogram.
-    LATENCY_EDGES = (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1, 1.0)
-
     def __init__(
         self,
         meter: OpmMeter | None,
@@ -516,9 +512,7 @@ class StreamService:
 
     def observe_inference(self, seconds: float) -> None:
         """Record one drain's inference latency."""
-        self.metrics.histogram(
-            "inference_seconds", self.LATENCY_EDGES
-        ).observe(seconds)
+        self.metrics.hist("inference_seconds").observe(seconds)
 
     def finish_step(self, t0: float) -> bool:
         """Close one step: bookkeeping, metrics, done notifications."""

@@ -64,8 +64,8 @@ class SimulatorSource:
         Cycles per emitted block (the final block may be shorter).
     engine:
         Simulator engine; any name in
-        :data:`repro.rtl.simulator.ENGINES` (``"packed"``, ``"uint8"``,
-        ``"compiled"``).
+        :data:`repro.rtl.simulator.ENGINES` (``"packed"``, the default,
+        or the ``"uint8"`` reference).
     simulator:
         Optionally share one compiled :class:`Simulator` across many
         sources of the same design (compilation is the expensive part).

@@ -1,4 +1,5 @@
-"""Shared fixtures: a small core with a trained APOLLO model.
+"""Shared fixtures: a small core with a trained APOLLO model, and the
+``engine`` fixture that runs a test on each simulator code path.
 
 Building a core, generating training data, and fitting a model is the
 expensive common setup for flow/experiment tests; it happens once per
@@ -18,7 +19,22 @@ from repro.genbench import (
     build_testing_dataset,
     build_training_dataset,
 )
+from repro.rtl.backends import cc
 from repro.uarch import CoreParams
+
+
+@pytest.fixture
+def engine(request, monkeypatch) -> str:
+    """Engine name for one of ``helpers.SIM_PATHS`` (indirect param),
+    with the packed engine's kernel state set to match."""
+    path = request.param
+    if path == "packed":
+        monkeypatch.setattr(cc, "load_kernel", lambda: None)
+    elif path == "compiled":
+        if cc.load_kernel() is None:
+            pytest.skip("no C kernel loads on this host")
+        return "packed"
+    return path
 
 
 @pytest.fixture(scope="session")

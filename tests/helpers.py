@@ -6,6 +6,15 @@ import numpy as np
 
 from repro.rtl import Netlist, Op, Simulator
 
+#: The simulator's three code paths, for
+#: ``@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)`` (the
+#: ``engine`` fixture in ``conftest.py`` turns each into an engine
+#: name): ``"packed"`` is the packed engine with the C-kernel loader
+#: patched to ``None``, so its NumPy loop runs; ``"compiled"`` is the
+#: packed engine on the C kernel (skipped where none loads); ``"uint8"``
+#: is the reference engine.
+SIM_PATHS = ("packed", "compiled", "uint8")
+
 
 def bus_value(vals: np.ndarray, bus: list[int], batch: int = 0) -> int:
     """Interpret a bus (LSB first) as an unsigned integer."""

@@ -2,7 +2,7 @@
 
 Covers the exporter round-trip contract (JSONL and Chrome trace-event
 JSON reproduce the exact span forest), the zero-entry no-op tracer
-property, the ``repro.stream.metrics`` shim, manifest save/load/render,
+property, the shared metrics registry, manifest save/load/render,
 and the GA per-generation span stats' parity with
 :meth:`GaResult.generation_stats` on both simulation engines.
 
@@ -244,18 +244,9 @@ def _walk(span):
 
 
 # --------------------------------------------------------------------- #
-# Metrics shim (satellite 4) and shared registry
+# Shared metrics registry
 # --------------------------------------------------------------------- #
 class TestMetricsShim:
-    def test_stream_metrics_reexports_obs_objects(self):
-        import repro.obs.metrics as obs_metrics
-        import repro.stream.metrics as stream_metrics
-
-        for name in ("Counter", "Gauge", "Histogram", "MetricsRegistry"):
-            assert getattr(stream_metrics, name) is getattr(
-                obs_metrics, name
-            )
-
     def test_stream_package_uses_shared_registry_class(self):
         from repro.obs.metrics import MetricsRegistry
         from repro.stream import MetricsRegistry as StreamRegistry
@@ -268,8 +259,6 @@ class TestMetricsShim:
         reg = MetricsRegistry()
         with pytest.raises(StreamError):
             reg.counter("c").inc(-1)
-        with pytest.raises(StreamError):
-            reg.histogram("bad", (3.0, 1.0))
 
     def test_default_registry_is_singleton(self):
         from repro.obs.metrics import default_registry
@@ -766,8 +755,8 @@ class TestExposition:
         reg = MetricsRegistry()
         reg.counter("serve.ticks").inc(41)
         reg.gauge("serve.shard.0.queue_depth").set(3.5)
-        fixed = reg.histogram("serve.tick.fixed", (0.1, 1.0))
-        fixed.observe_many([0.05, 0.5, 5.0])
+        ipc = reg.hist("serve.ipc.bytes", lo=1.0, hi=2.0 ** 41, growth=2.0)
+        ipc.observe_many([100.0, 4096.0, 5e6])
         reg.hist("serve.tick.latency").observe_many(
             [0.001, 0.002, 0.004, 0.5]
         )
@@ -780,11 +769,11 @@ class TestExposition:
         samples = parse_openmetrics(text)
         assert samples["serve_ticks_total"] == 41
         assert samples["serve_shard_0_queue_depth"] == 3.5
-        assert samples["serve_tick_fixed_count"] == 3
+        assert samples["serve_ipc_bytes_count"] == 3
         assert samples["serve_tick_latency_count"] == 4
         assert samples["serve_tick_latency_sum"] == pytest.approx(0.507)
         # +Inf bucket is cumulative over everything observed
-        assert samples['serve_tick_fixed_bucket{le="+Inf"}'] == 3
+        assert samples['serve_ipc_bytes_bucket{le="+Inf"}'] == 3
         assert samples['serve_tick_latency_bucket{le="+Inf"}'] == 4
 
     def test_quantile_samples_match_the_histogram(self):
@@ -797,7 +786,7 @@ class TestExposition:
 
     def test_cumulative_buckets_are_monotone(self):
         samples = parse_openmetrics(render_openmetrics(self._registry()))
-        for base in ("serve_tick_fixed", "serve_tick_latency"):
+        for base in ("serve_ipc_bytes", "serve_tick_latency"):
             counts = [
                 v for k, v in samples.items()
                 if k.startswith(f"{base}_bucket")

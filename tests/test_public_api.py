@@ -48,7 +48,6 @@ def test_top_level_exports_resolve():
         "repro.obs.trace",
         "repro.obs.metrics",
         "repro.obs.provenance",
-        "repro.stream.metrics",
         "repro.resilience",
         "repro.resilience.atomic",
         "repro.resilience.checkpoint",

@@ -1,15 +1,17 @@
-"""Backend-registry, implementation-selection, and sharding tests.
+"""Backend-registry, kernel-fallback, and sharding tests.
 
 The simulator's engines live behind :class:`repro.rtl.backends.Backend`.
 Everything here is about the seams of that abstraction: engine lookup
-errors, the compiled engine's implementation fallback chain (numba ->
-cc -> numpy), forcing an implementation via ``REPRO_COMPILED_IMPL``,
-the CLI round-trip of ``--engine``, engine-agnostic checkpoint resume,
-the :func:`acc_reduce` batch-width contract, and lane-sharding across a
+errors, the packed engine's choice between its C kernel and its NumPy
+fallback loop (made only by whether the kernel loads), the CLI
+round-trip of ``--engine``, engine-agnostic checkpoint resume, the
+:func:`acc_reduce` batch-width contract, and lane-sharding across a
 worker pool.
 """
 
 from __future__ import annotations
+
+import shutil
 
 import numpy as np
 import pytest
@@ -26,20 +28,15 @@ from repro.resilience import (
     FaultSpec,
 )
 from repro.rtl import ENGINES, RecordSpec, Simulator
-from repro.rtl.backends import backend_names, get_backend
+from repro.rtl.backends import PackedBackend, backend_names, cc, get_backend
 from repro.rtl.backends.base import acc_reduce
-from repro.rtl.backends import compiled as compiled_mod
 
-from helpers import random_netlist
+from helpers import SIM_PATHS, random_netlist
 
 
-def _reset_impl(monkeypatch, value=None):
-    """Clear the compiled-impl memo (and optionally force a selection)."""
-    monkeypatch.setattr(compiled_mod, "_SELECTED", None)
-    if value is None:
-        monkeypatch.delenv("REPRO_COMPILED_IMPL", raising=False)
-    else:
-        monkeypatch.setenv("REPRO_COMPILED_IMPL", value)
+def _no_kernel(monkeypatch):
+    """Make the packed engine's kernel loader report no compiler."""
+    monkeypatch.setattr(cc, "load_kernel", lambda: None)
 
 
 def _full_record(nl):
@@ -61,7 +58,7 @@ def _full_record(nl):
 class TestRegistry:
     def test_engine_names(self):
         assert tuple(backend_names()) == ENGINES
-        assert set(ENGINES) == {"packed", "uint8", "compiled"}
+        assert set(ENGINES) == {"packed", "uint8"}
 
     def test_unknown_engine_message_lists_engines(self):
         nl = random_netlist(0)
@@ -78,55 +75,54 @@ class TestRegistry:
 
 
 # --------------------------------------------------------------------- #
-# compiled-impl selection / fallback
+# C kernel / NumPy-loop fallback
 # --------------------------------------------------------------------- #
-class TestImplSelection:
-    def test_auto_selection_never_fails(self, monkeypatch):
-        # Whatever this host has (numba, a C compiler, or neither),
-        # auto-selection must settle on a working implementation.
-        _reset_impl(monkeypatch)
-        assert compiled_mod.compiled_impl() in ("numba", "cc", "numpy")
+def _assert_same(ref, got):
+    np.testing.assert_array_equal(ref.trace.packed, got.trace.packed)
+    np.testing.assert_array_equal(ref.columns, got.columns)
+    for name in ref.accum:
+        np.testing.assert_array_equal(
+            ref.accum[name].view(np.uint8),
+            got.accum[name].view(np.uint8),
+        )
+    np.testing.assert_array_equal(ref.final_values, got.final_values)
 
-    def test_numba_missing_falls_back(self, monkeypatch):
-        # Simulate a host without numba: the chain must degrade to cc
-        # or numpy, never raise.
-        _reset_impl(monkeypatch)
-        monkeypatch.setattr(compiled_mod, "_NUMBA_FN", False)
-        assert compiled_mod.compiled_impl() in ("cc", "numpy")
 
-    def test_invalid_forced_impl_raises(self, monkeypatch):
-        _reset_impl(monkeypatch, "fortran")
-        with pytest.raises(SimulationError, match="REPRO_COMPILED_IMPL"):
-            compiled_mod.compiled_impl()
+def _fallback_case():
+    nl = random_netlist(11, n_gates=60)
+    rng = np.random.default_rng(3)
+    stim = rng.integers(0, 2, size=(5, 40, 4)).astype(np.uint8)
+    return nl, stim, _full_record(nl)
 
-    def test_forced_numba_without_numba_raises(self, monkeypatch):
-        _reset_impl(monkeypatch, "numba")
-        monkeypatch.setattr(compiled_mod, "_NUMBA_FN", False)
-        with pytest.raises(SimulationError, match="numba"):
-            compiled_mod.compiled_impl()
 
-    @pytest.mark.parametrize("impl", ["python", "numpy"])
-    def test_forced_impl_bit_identical(self, impl, monkeypatch):
-        # "python" interprets the njit kernel un-jitted; "numpy" falls
-        # back to the packed loop.  Both must match the uint8 reference
-        # exactly.
-        nl = random_netlist(11, n_gates=60)
-        rng = np.random.default_rng(3)
-        stim = rng.integers(0, 2, size=(5, 40, 4)).astype(np.uint8)
-        record = _full_record(nl)
+class TestKernelFallback:
+    def test_numpy_loop_bit_identical(self, monkeypatch):
+        # A host without a working C compiler: the default engine runs
+        # its NumPy loop and still matches the uint8 reference exactly.
+        nl, stim, record = _fallback_case()
         ref = Simulator(nl, engine="uint8").run(stim, record)
-        _reset_impl(monkeypatch, impl)
-        sim = Simulator(nl, engine="compiled")
-        assert sim.backend.impl == impl
-        got = sim.run(stim, record)
-        np.testing.assert_array_equal(ref.trace.packed, got.trace.packed)
-        np.testing.assert_array_equal(ref.columns, got.columns)
-        for name in ref.accum:
-            np.testing.assert_array_equal(
-                ref.accum[name].view(np.uint8),
-                got.accum[name].view(np.uint8),
-            )
-        np.testing.assert_array_equal(ref.final_values, got.final_values)
+        _no_kernel(monkeypatch)
+        sim = Simulator(nl)
+        assert sim.backend.kernel is None
+        _assert_same(ref, sim.run(stim, record))
+
+    @pytest.mark.skipif(
+        shutil.which("cc") is None, reason="no C compiler on this host"
+    )
+    def test_default_engine_uses_kernel(self, monkeypatch):
+        # Where a compiler exists the kernel must load: a C compile
+        # error would otherwise fall back silently to the NumPy loop,
+        # 2-14x slower (benchmarks/engine_race.py).
+        nl, stim, record = _fallback_case()
+        ref = Simulator(nl, engine="uint8").run(stim, record)
+        sim = Simulator(nl)
+        assert sim.backend.kernel is not None
+
+        def no_numpy_loop(*_args):
+            raise AssertionError("NumPy loop ran despite a loaded kernel")
+
+        monkeypatch.setattr(PackedBackend, "_run_numpy", no_numpy_loop)
+        _assert_same(ref, sim.run(stim, record))
 
 
 # --------------------------------------------------------------------- #
@@ -172,29 +168,44 @@ def _ga_signature(result):
     ]
 
 
-def test_ga_resume_under_different_backend(small_core, tmp_path):
-    # All engines are bit-identical, so checkpoint identity excludes
-    # the engine: a run interrupted under "packed" resumes under
-    # "compiled" (or any other engine) and still reproduces the
-    # uninterrupted result exactly.
+def test_ga_resume_under_different_backend(
+    small_core, tmp_path, monkeypatch
+):
+    # All engines and kernel states are bit-identical, so checkpoint
+    # identity excludes them: a run interrupted under uint8 resumes on
+    # the packed NumPy loop, is interrupted again, resumes on the C
+    # kernel, and still reproduces the uninterrupted result exactly.
     with BenchmarkEvolver(small_core, _ga_cfg(), engine="uint8") as ev:
         baseline = _ga_signature(ev.run())
     store = CheckpointStore(tmp_path / "ck", metrics=MetricsRegistry())
-    inj = FaultInjector(
-        FaultPlan(
-            seed=0,
-            faults=(FaultSpec("ga.generation", "interrupt", at=2),),
-        ),
-        metrics=MetricsRegistry(),
-    )
+
+    def interrupt_at(n):
+        return FaultInjector(
+            FaultPlan(
+                seed=0,
+                faults=(FaultSpec("ga.generation", "interrupt", at=n),),
+            ),
+            metrics=MetricsRegistry(),
+        )
+
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="packed",
-        checkpoints=store, faults=inj,
+        small_core, _ga_cfg(), engine="uint8",
+        checkpoints=store, faults=interrupt_at(2),
     ) as ev:
         with pytest.raises(TransientFault):
             ev.run()
+    with monkeypatch.context() as m:
+        _no_kernel(m)
+        with BenchmarkEvolver(
+            small_core, _ga_cfg(), engine="packed",
+            checkpoints=store, faults=interrupt_at(2),
+        ) as ev:
+            assert ev.simulator.backend.kernel is None
+            with pytest.raises(TransientFault):
+                ev.run(resume=True)
+            assert ev.n_simulated > 0  # really ran a generation
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="compiled", checkpoints=store
+        small_core, _ga_cfg(), engine="packed", checkpoints=store
     ) as ev:
         resumed = ev.run(resume=True)
         assert ev.n_simulated > 0  # really resumed mid-run
@@ -250,7 +261,7 @@ class TestLaneShards:
         assert lane_shards(500, 1) == [slice(0, 500)]
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
+@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)
 def test_run_sharded_bit_identical(engine):
     nl = random_netlist(21, n_gates=60)
     rng = np.random.default_rng(9)
@@ -260,14 +271,7 @@ def test_run_sharded_bit_identical(engine):
     mono = Simulator(nl, engine=engine).run(stim, record)
     with WorkerPool(workers=2, metrics=MetricsRegistry()) as pool:
         sharded = run_sharded(nl, stim, record, pool, engine=engine)
-    np.testing.assert_array_equal(mono.trace.packed, sharded.trace.packed)
-    np.testing.assert_array_equal(mono.columns, sharded.columns)
-    for name in mono.accum:
-        np.testing.assert_array_equal(
-            mono.accum[name].view(np.uint8),
-            sharded.accum[name].view(np.uint8),
-        )
-    np.testing.assert_array_equal(mono.final_values, sharded.final_values)
+    _assert_same(mono, sharded)
     assert sharded.batch == batch
 
 

@@ -4,12 +4,14 @@ The packed engine renumbers storage rows, folds inverting gates into
 polarities, aliases BUF/NOT chains, and records toggles in 64-lane words
 — none of which may be observable: every `SimResult` artifact (packed
 trace, column records, accumulator traces, final values) must be
-*bit-identical* to the uint8 reference engine's.
+*bit-identical* to the uint8 reference engine's.  Each property runs in
+both of the packed engine's kernel states (``helpers.SIM_PATHS``): on
+the C kernel and on the NumPy fallback loop.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
@@ -23,7 +25,10 @@ from repro.rtl import (
     unpack_lanes,
 )
 
-from helpers import random_netlist, simple_counter_design
+from helpers import SIM_PATHS, random_netlist, simple_counter_design
+
+#: The packed engine's two kernel states (NumPy loop, C kernel).
+PACKED_PATHS = [p for p in SIM_PATHS if p != "uint8"]
 
 
 def _run_both(nl, stim, record, engine="packed"):
@@ -54,15 +59,19 @@ def _assert_identical(r8, rp):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize(
-    "engine", [e for e in ENGINES if e != "uint8"]
-)
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 @given(
     seed=st.integers(0, 100_000),
     batch=st.sampled_from([1, 3, 16, 64, 70]),
     cycles=st.integers(1, 40),
 )
-@settings(max_examples=25, deadline=None)
+# The engine fixture only sets the kernel state, which is the same for
+# every example.
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 def test_engines_bit_identical_on_random_netlists(engine, seed, batch, cycles):
     nl = random_netlist(seed, n_gates=60)
     rng = np.random.default_rng(seed + 1)
@@ -79,7 +88,7 @@ def test_engines_bit_identical_on_random_netlists(engine, seed, batch, cycles):
     _assert_identical(*_run_both(nl, stim, record, engine))
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 def test_engines_identical_columns_only_path(engine):
     """Column recording without a dense trace takes a separate fast path."""
     nl = random_netlist(11, n_gates=60)
@@ -90,7 +99,7 @@ def test_engines_identical_columns_only_path(engine):
     np.testing.assert_array_equal(r8.columns, rp.columns)
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 def test_engines_identical_on_clock_fanout(engine):
     """BUF/NOT driven by CLK nets must see the previous-cycle clock.
 
@@ -120,7 +129,7 @@ def test_engines_identical_on_clock_fanout(engine):
     _assert_identical(*_run_both(nl, stim, record, engine))
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 def test_engines_identical_on_counter_design(engine):
     for gated in (False, True):
         nl, _ = simple_counter_design(width=5, gated=gated)
@@ -133,7 +142,7 @@ def test_engines_identical_on_counter_design(engine):
         )
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 def test_engines_identical_on_small_core(small_core, engine):
     """A real (cut-down) core design agrees across engines."""
     rng = np.random.default_rng(9)
@@ -151,7 +160,7 @@ def test_engines_identical_on_small_core(small_core, engine):
 # ---------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)
 def test_chunked_run_matches_unchunked(engine):
     nl = random_netlist(21, n_gates=60)
     rng = np.random.default_rng(22)
@@ -189,7 +198,7 @@ def test_chunked_run_matches_unchunked(engine):
         )
 
 
-@pytest.mark.parametrize("engine", [e for e in ENGINES if e != "uint8"])
+@pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 def test_chunked_runs_agree_across_engines(engine):
     """Chunk boundary state transfers between engines, either direction."""
     nl = random_netlist(31, n_gates=50)
@@ -219,7 +228,7 @@ def test_unknown_engine_rejected():
     # The error names every registered engine so the fix is obvious.
     for name in ENGINES:
         assert name in str(exc.value)
-    assert set(ENGINES) == {"packed", "uint8", "compiled"}
+    assert set(ENGINES) == {"packed", "uint8"}
 
 
 def test_engine_attribute_and_schedule():
@@ -230,9 +239,6 @@ def test_engine_attribute_and_schedule():
     ref = Simulator(nl, engine="uint8")
     assert ref.engine == "uint8"
     assert ref.packed_schedule is None
-    comp = Simulator(nl, engine="compiled")
-    assert comp.engine == "compiled"
-    assert comp.packed_schedule is not None
 
 
 @given(
@@ -259,7 +265,7 @@ def test_pack_lanes_bit_order():
     assert words[0, 1] == np.uint64(2)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)
 def test_stream_source_extends_chunked_run(engine):
     """The stream source layer inherits the chunked-run guarantee:
     concatenated SimulatorSource blocks equal the whole-trace proxy

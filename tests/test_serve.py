@@ -9,6 +9,7 @@ simulator engine.
 
 import asyncio
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.opm import OpmMeter, QuantizedModel
-from repro.rtl import ENGINES, RecordSpec, Simulator
+from repro.rtl import RecordSpec, Simulator
 from repro.serve import (
     AsyncTelemetryClient,
     FleetReport,
@@ -35,12 +36,14 @@ from repro.serve import (
     encode_array,
     encode_frame,
     plan,
+    read_frame,
     run_load,
 )
 from repro.serve.loadgen import SessionPlan  # noqa: F401  (API surface)
+from repro.serve.protocol import MAX_FRAME_BYTES
 from repro.stream import SimulatorSource
 
-from helpers import random_netlist
+from helpers import SIM_PATHS, random_netlist
 
 
 def _qmodel(q=6, seed=0, nl=None):
@@ -145,6 +148,18 @@ def test_malformed_frames_raise_serve_error():
         decode_array({"dtype": "float16", "shape": [2]}, b"\x00" * 4)
     with pytest.raises(ServeError):
         decode_array({"dtype": "uint8", "shape": [9]}, b"\x00" * 4)
+
+
+def test_frame_buffer_bounds_payload_length_at_once():
+    # The payload prefix alone is enough to refuse the frame: nothing
+    # waits for (or buffers) the 64 MiB+ it announces.
+    blob = json.dumps({"op": "data"}).encode()
+    prefix = (
+        struct.pack(">I", len(blob)) + blob
+        + struct.pack(">I", MAX_FRAME_BYTES + 1)
+    )
+    with pytest.raises(ServeError, match="payload length"):
+        FrameBuffer().feed(prefix)
 
 
 # --------------------------------------------------------------------- #
@@ -303,7 +318,7 @@ def _offline_windows(nl, qmodel, stim, t):
     return OpmMeter(qmodel, t=t).read(res.columns[0])
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)
 def test_gateway_bit_identical_through_swap_and_shard_death(engine):
     nl = random_netlist(11, n_gates=50)
     reg = ModelRegistry()
@@ -685,6 +700,51 @@ def test_tcp_gateway_rejects_unknown_version():
             await server.close()
 
     asyncio.run(scenario())
+
+
+def test_tcp_gateway_rejects_hostile_length_prefix():
+    # A 4 GiB header-length prefix is refused before any body is read:
+    # the sender gets an error frame and a closed connection, while a
+    # well-behaved client of the same server keeps being served.
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=2, t=4)
+    stim = _toggles(4, 40, seed=9)
+
+    async def scenario():
+        server = GatewayServer(gw)
+        await server.start()
+        try:
+            client = await AsyncTelemetryClient.connect(
+                "127.0.0.1", server.port
+            )
+            session = await client.open("good-core")
+            await client.send(session, stim[:16])
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(b"\xff\xff\xff\xff")
+            await writer.drain()
+            header, _payload = await asyncio.wait_for(
+                read_frame(reader), timeout=10
+            )
+            assert header["op"] == "error"
+            assert "exceeds bound" in header["message"]
+            # ... and the server hung up on the offender.
+            assert await asyncio.wait_for(reader.read(), timeout=10) == b""
+            writer.close()
+            await client.send(session, stim[16:], last=True)
+            windows, stats = await client.collect(session)
+            await client.aclose()
+            return windows, stats
+        finally:
+            await server.close()
+
+    windows, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(
+        windows.view(np.uint8),
+        reg.meter("v1", 4).read(stim).view(np.uint8),
+    )
+    assert stats["cycles"] == 40 and stats["done"]
 
 
 # --------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ from repro.stream import (
     TraceSource,
 )
 
-from helpers import random_netlist
+from helpers import SIM_PATHS, random_netlist
 
 
 def _qmodel(nl, q=6, seed=0):
@@ -106,7 +106,7 @@ def test_stream_bit_identical_to_offline_meter(
     assert sess.opm_stream.pending_cycles == cycles % t
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)
 def test_source_chunks_bit_identical_to_whole_trace(engine):
     """Stream-source extension of the chunked-simulation guarantees:
 
@@ -304,17 +304,17 @@ def test_metrics_registry_snapshot_roundtrip():
     reg = MetricsRegistry()
     reg.counter("c").inc(3)
     reg.gauge("g").set(1.5)
-    h = reg.histogram("h", (1.0, 10.0))
+    h = reg.hist("h", lo=1.0, hi=100.0, growth=10.0)
     h.observe_many([0.5, 5.0, 50.0])
     snap = json.loads(json.dumps(reg.snapshot()))
     assert snap["counters"]["c"] == 3
     assert snap["gauges"]["g"] == 1.5
-    assert snap["histograms"]["h"]["counts"] == [1, 1, 1]
-    assert snap["histograms"]["h"]["mean"] == pytest.approx(18.5)
+    # Bucket k holds (edge(k-1), edge(k)]; bucket 0 everything <= lo.
+    assert snap["hists"]["h"]["buckets"] == {"0": 1, "1": 1, "2": 1}
+    assert snap["hists"]["h"]["count"] == 3
+    assert snap["hists"]["h"]["sum"] == pytest.approx(55.5)
     with pytest.raises(StreamError):
         reg.counter("c").inc(-1)
-    with pytest.raises(StreamError):
-        reg.histogram("bad", (3.0, 1.0))
 
 
 def test_service_rejects_empty_and_duplicate_sessions():
