@@ -51,11 +51,11 @@ bench-resilience:
 		--benchmark-json=BENCH_resilience.raw.json
 
 # Serving-layer benchmarks: the same seeded load through a direct
-# StreamService vs the gateway (1 shard and 4 shards), plus a
-# pickle-vs-shm WorkerPool transport race on a large-block fleet,
-# asserting bit-identical readings and appending sessions/sec, p99
-# tick latency, and IPC bytes-per-tick to BENCH_serve.json so
-# bench-check gates data-plane regressions.
+# StreamService vs the gateway (1 shard and 4 shards), plus an
+# inline-vs-shm-pool placement race on a large-block fleet, asserting
+# bit-identical readings and appending sessions/sec, p99 tick latency,
+# and the pool's speedup over inline to BENCH_serve.json so
+# bench-check gates serving regressions.
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_serve_perf.py \
 		--benchmark-only \

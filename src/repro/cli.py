@@ -259,10 +259,8 @@ def _serve_pool(args):
         return None
     from repro.parallel import WorkerPool
 
-    transport = getattr(args, "transport", None) or "pickle"
-    if transport == "both":  # long-running serve: pick the fast plane
-        transport = "shm"
-    return WorkerPool(workers=args.workers, transport=transport)
+    # The gateway dispatches to a pool only over its shared-memory plane.
+    return WorkerPool(workers=args.workers, transport="shm")
 
 
 def _cmd_serve(args) -> int:
@@ -276,8 +274,7 @@ def _cmd_serve(args) -> int:
         from repro.serve.demo import main as demo_main
 
         demo_argv = ["--out", args.out or "results/serve-demo",
-                     "--seed", str(args.seed),
-                     "--transport", args.transport or "both"]
+                     "--seed", str(args.seed)]
         return demo_main(demo_argv)
 
     import asyncio
@@ -521,7 +518,6 @@ def _cmd_chaos_serve(args) -> int:
         seed=args.seed,
         shards=args.shards,
         workers=args.workers,
-        transport=args.transport,
         out_dir=args.out,
         plan=plan,
         n_faults=args.faults,
@@ -699,16 +695,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--workers", type=int, default=1,
-            help="inference worker processes (1 = inline; results are "
+            help="inference worker processes (1 = inline; more run the "
+            "GEMV on a pool over shared memory; results are "
             "bit-identical for any value)",
-        )
-        p.add_argument(
-            "--transport", choices=["pickle", "shm", "both"],
-            default=None,
-            help="pool data plane: pickle (portable) or shm (zero-copy "
-            "shared-memory descriptors); results are bit-identical. "
-            "Defaults to pickle for servers and 'both' for --demo "
-            "(run twice, compare fleet reports)",
         )
 
     p_serve = sub.add_parser(
@@ -840,11 +829,8 @@ def main(argv: list[str] | None = None) -> int:
     p_cserve.add_argument("--shards", type=int, default=2)
     p_cserve.add_argument(
         "--workers", type=int, default=2,
-        help="worker pool size (both runs use the same pool shape)",
-    )
-    p_cserve.add_argument(
-        "--transport", choices=["pickle", "shm"], default="pickle",
-        help="pool data plane under test",
+        help="worker pool size (both runs use the same pool shape; "
+        "more than 1 dispatches over shared memory)",
     )
     p_cserve.add_argument(
         "--faults", type=int, default=8,

@@ -199,14 +199,15 @@ class WorkerPool:
         ``"pickle"`` (default, fully portable) ships task payloads
         through the executor pipes; ``"shm"`` additionally owns a
         :class:`~repro.parallel.shm.ShmDataPlane` (``pool.plane``) so
-        shm-aware callers — the serve gateway — can pass ~100-byte
-        descriptors instead of arrays.  ``transport="shm"`` on a
-        platform without ``multiprocessing.shared_memory`` warns once
-        and behaves exactly like ``"pickle"``.
-    slab_bytes, lanes:
-        Sizing for the shm request arena (per-lane slab capacity and
-        lane count); the result arena gets ``slab_bytes // 4`` per
-        lane.  Ignored for the pickle transport.
+        shm-aware callers can pass ~100-byte descriptors instead of
+        arrays.  The serve gateway dispatches to a pool only through
+        that plane.  ``transport="shm"`` on a platform without
+        ``multiprocessing.shared_memory`` warns once and behaves
+        exactly like ``"pickle"``.
+    slab_bytes:
+        Per-lane capacity of the shm request arena's two slabs; the
+        result arena gets ``slab_bytes // 4`` per lane.  Ignored for
+        the pickle transport.
     """
 
     def __init__(
@@ -219,7 +220,6 @@ class WorkerPool:
         faults=None,
         transport: str = "pickle",
         slab_bytes: int = 8 << 20,
-        lanes: int = 2,
     ) -> None:
         if workers < 0:
             raise ParallelError(f"workers must be >= 0, got {workers}")
@@ -238,7 +238,6 @@ class WorkerPool:
         self.workers = default_workers() if workers == 0 else workers
         self.transport = transport
         self._slab_bytes = slab_bytes
-        self._lanes = lanes
         self._plane: _shm.ShmDataPlane | None = None
         self._initializer = initializer
         self._initargs = initargs
@@ -290,9 +289,7 @@ class WorkerPool:
         if self.transport != "shm" or self._closed:
             return None
         if self._plane is None or self._plane.closed:
-            self._plane = _shm.ShmDataPlane(
-                lanes=self._lanes, slab_bytes=self._slab_bytes
-            )
+            self._plane = _shm.ShmDataPlane(slab_bytes=self._slab_bytes)
         return self._plane
 
     @property
@@ -375,16 +372,8 @@ class WorkerPool:
         label: str = "map",
         span_ctx=None,
         timings: list | None = None,
-        deadline_s: float | None = None,
     ) -> list:
         """``[fn(x) for x in items]``, possibly across processes.
-
-        ``deadline_s`` attaches a latency budget to the batch envelope:
-        the work always completes (correctness never depends on the
-        clock), but a batch that outlives its budget counts a
-        ``parallel.pool.deadline_overruns`` and flags the ``parallel.map``
-        span, so the serving layer above can see *which* dispatches blew
-        their tick budget.
 
         Results come back in item order.  Exceptions raised by ``fn``
         propagate.  Pool-level failures (dead worker, broken pipe) get
@@ -444,22 +433,6 @@ class WorkerPool:
                     )
             return out
 
-        t_map = time.perf_counter()
-
-        def _budget(sp, out: list) -> list:
-            # Deadline budgets are observational: late work still lands
-            # (dropping it would break bit-identity), it just gets
-            # counted and flagged for the layer above to downgrade.
-            if deadline_s is not None:
-                overrun = time.perf_counter() - t_map - deadline_s
-                if overrun > 0:
-                    self.metrics.counter(
-                        "parallel.pool.deadline_overruns"
-                    ).inc()
-                    if sp:
-                        sp.set(deadline_overrun_s=round(overrun, 6))
-            return out
-
         with self.tracer.span(
             "parallel.map",
             label=label,
@@ -469,7 +442,7 @@ class WorkerPool:
         ) as sp:
             if serial:
                 self.metrics.counter("parallel.pool.serial_maps").inc()
-                return _budget(sp, [fn(x) for x in items])
+                return [fn(x) for x in items]
             try:
                 results = dispatch()
             except _POOL_FAILURES as exc:
@@ -503,10 +476,10 @@ class WorkerPool:
                     )
                     if sp:
                         sp.set(fallback=str(exc))
-                    return _budget(sp, [fn(x) for x in items])
+                    return [fn(x) for x in items]
             self.metrics.counter("parallel.pool.parallel_maps").inc()
             self.metrics.counter("parallel.pool.tasks").inc(len(items))
-            return _budget(sp, results)
+            return results
 
     def shard(self, n_items: int) -> list[slice]:
         """Contiguous near-even slices covering ``range(n_items)``.

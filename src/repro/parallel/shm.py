@@ -1,11 +1,10 @@
 """Zero-copy shared-memory data plane for process-pool hot paths.
 
-The serve layer's tick used to pickle every shard group's stacked
-toggle matrix *and* the model's integer weights through the
-``ProcessPoolExecutor`` pipes — per-tick IPC grew with the fleet while
-the GEMV it shipped stayed cheap.  This module replaces those megabyte
-task envelopes with ~100-byte descriptors over three parent-owned
-shared-memory structures:
+Pickling a serve tick's stacked toggle matrices *and* the model's
+integer weights through the ``ProcessPoolExecutor`` pipes makes
+per-tick IPC grow with the fleet while the GEMV it ships stays cheap.
+This module ships ~100-byte descriptors instead, over three
+parent-owned shared-memory structures:
 
 * :class:`ShmArena` — ring-buffer slabs (``multiprocessing.shared_memory``)
   the parent writes request payloads into.  Each slab carries a tiny
@@ -34,8 +33,8 @@ hook over every live plane, and :func:`install_signal_cleanup` for
 SIGTERM.  :func:`leaked_segments` lets tests assert the invariant.
 
 When ``multiprocessing.shared_memory`` is unavailable (``HAVE_SHM`` is
-False) or a slab runs out of room, callers fall back to the portable
-pickle transport per payload — the data plane degrades, it never
+False) the serve gateway infers inline; when a slab runs out of room
+it runs that payload inline — the data plane degrades, it never
 breaks.
 """
 
@@ -74,7 +73,6 @@ __all__ = [
     "qmodel_digest",
     "attach_view",
     "resident_weights",
-    "weight_cache_stats",
     "leaked_segments",
     "install_signal_cleanup",
 ]
@@ -245,8 +243,6 @@ def attach_view(ref: ShmRef, check_generation: bool = True) -> np.ndarray:
 #: digest -> weights array (worker-resident, LRU-bounded).
 _WEIGHTS: dict = {}
 _WEIGHT_CACHE_CAP = 64
-_WEIGHT_HITS = 0
-_WEIGHT_MISSES = 0
 
 
 def resident_weights(wref: WeightRef) -> tuple[np.ndarray, int, bool]:
@@ -257,13 +253,9 @@ def resident_weights(wref: WeightRef) -> tuple[np.ndarray, int, bool]:
     dictionary lookup.  The cache is LRU-bounded so a long-lived worker
     serving many model generations cannot grow without bound.
     """
-    global _WEIGHT_HITS, _WEIGHT_MISSES
     w = _WEIGHTS.pop(wref.digest, None)
     hit = w is not None
-    if hit:
-        _WEIGHT_HITS += 1
-    else:
-        _WEIGHT_MISSES += 1
+    if not hit:
         view = attach_view(
             ShmRef(wref.seg, _HEADER.size, wref.dtype, wref.shape, 0),
             check_generation=False,
@@ -274,11 +266,6 @@ def resident_weights(wref: WeightRef) -> tuple[np.ndarray, int, bool]:
             del _WEIGHTS[next(iter(_WEIGHTS))]  # dicts keep insert order
     _WEIGHTS[wref.digest] = w  # re-insert == most recently used
     return w, int(wref.int_intercept), hit
-
-
-def weight_cache_stats() -> tuple[int, int]:
-    """(hits, misses) of this process's resident-weight cache."""
-    return _WEIGHT_HITS, _WEIGHT_MISSES
 
 
 # --------------------------------------------------------------------- #
@@ -334,8 +321,8 @@ class ShmArena:
     result of the previous tick before starting the next, so the ring
     is a bump allocator with a generation fence rather than a free
     list.  Allocation round-robins lanes and falls through to any lane
-    with room; a full arena returns ``None`` and the caller ships that
-    payload over pickle instead.
+    with room; a full arena returns ``None`` and the caller runs that
+    payload without the plane.
     """
 
     def __init__(
@@ -344,7 +331,7 @@ class ShmArena:
         if not HAVE_SHM:
             raise ShmError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the pickle transport"
+                "platform"
             )
         if lanes < 1 or slab_bytes < _ALIGN:
             raise ShmError(
@@ -365,8 +352,8 @@ class ShmArena:
     def alloc(self, shape: tuple, dtype) -> tuple[ShmRef, np.ndarray] | None:
         """Reserve an array region; ``(descriptor, parent view)``.
 
-        ``None`` when no lane has room — the caller's cue to fall back
-        to the pickle path for this payload.
+        ``None`` when no lane has room — the caller's cue to run this
+        payload without the plane.
         """
         dt = np.dtype(dtype)
         nbytes = int(dt.itemsize * int(np.prod(shape)))
@@ -466,7 +453,7 @@ class WeightVault:
         if not HAVE_SHM:
             raise ShmError(
                 "multiprocessing.shared_memory is unavailable on this "
-                "platform; use the pickle transport"
+                "platform"
             )
         self._segments: dict[str, tuple] = {}  # digest -> (shm, WeightRef)
         self.published = 0
@@ -544,19 +531,13 @@ class ShmDataPlane:
     goes down.
     """
 
-    def __init__(
-        self, lanes: int = 2, slab_bytes: int = 8 << 20,
-        result_slab_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, lanes: int = 2, slab_bytes: int = 8 << 20) -> None:
         self.requests = ShmArena(lanes, slab_bytes, kind="q")
         self.results = ShmArena(
-            lanes,
-            result_slab_bytes if result_slab_bytes is not None
-            else max(slab_bytes // 4, _ALIGN),
-            kind="r",
+            lanes, max(slab_bytes // 4, _ALIGN), kind="r"
         )
         self.vault = WeightVault()
-        self.fallbacks = 0  # payloads that had to ship over pickle
+        self.fallbacks = 0  # payloads that could not be staged
         self._closed = False
         _LIVE_PLANES.add(self)
 

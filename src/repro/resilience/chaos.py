@@ -429,7 +429,6 @@ class ServeChaosReport:
     plan: dict
     shards: int
     workers: int
-    transport: str
     sessions: int
     floods_attempted: int
     floods_shed: int
@@ -451,7 +450,6 @@ class ServeChaosReport:
             "plan": self.plan,
             "shards": self.shards,
             "workers": self.workers,
-            "transport": self.transport,
             "sessions": self.sessions,
             "floods_attempted": self.floods_attempted,
             "floods_shed": self.floods_shed,
@@ -471,7 +469,7 @@ class ServeChaosReport:
             + ("MATCH — faulted fleet is bit-identical" if self.match
                else "MISMATCH — faulted fleet diverged"),
             f"  shards {self.shards} · workers {self.workers} · "
-            f"transport {self.transport} · sessions {self.sessions}",
+            f"sessions {self.sessions}",
             f"  faults injected: {len(self.injected)}  "
             f"requeued blocks: {self.requeued_blocks}  "
             f"seq gaps: {self.seq_gaps}",
@@ -530,7 +528,6 @@ def _drive_serve(
     pull_plans,
     shards: int,
     workers: int,
-    transport: str,
     admission_cfg,
     injector,
     tracer,
@@ -538,7 +535,9 @@ def _drive_serve(
     """Drive one gateway over the shared plans; return everything the
     comparison needs.  ``injector=None`` is the fault-free baseline;
     with an injector the gateway, pool, and pull sources all pass
-    through it and the driver floods admission on schedule."""
+    through it and the driver floods admission on schedule.  With
+    ``workers > 1`` the pool owns a shared-memory plane, so inference
+    dispatches over it (the gateway's only pool placement)."""
     from repro.parallel.pool import WorkerPool
     from repro.parallel.shm import leaked_segments
     from repro.serve.gateway import Gateway
@@ -549,8 +548,7 @@ def _drive_serve(
 
     floods_attempted = floods_shed = floods_admitted = 0
     pool = WorkerPool(
-        workers=workers, tracer=tracer, transport=transport,
-        faults=injector,
+        workers=workers, tracer=tracer, transport="shm", faults=injector,
     )
     gateway = Gateway(
         registry,
@@ -614,7 +612,7 @@ def _drive_serve(
         if stats.get("take_seq") != stats.get("ingest_seq"):
             seq_gaps += 1
     gateway.close()
-    leaked = leaked_segments() if transport == "shm" else []
+    leaked = leaked_segments()
     return {
         "report": fleet,
         "windows": windows,
@@ -654,7 +652,6 @@ def run_chaos_serve(
     seed: int = 0,
     shards: int = 2,
     workers: int = 2,
-    transport: str = "pickle",
     out_dir: str | Path | None = None,
     plan: FaultPlan | None = None,
     n_faults: int = 8,
@@ -729,16 +726,14 @@ def run_chaos_serve(
     try:
         t0 = time.perf_counter()
         baseline = _drive_serve(
-            seed, push_plans, pull_plans, shards, workers, transport,
-            admission_cfg, injector=None, tracer=tracer,
+            seed, push_plans, pull_plans, shards, workers, admission_cfg, injector=None, tracer=tracer,
         )
         baseline_s = time.perf_counter() - t0
 
         injector = FaultInjector(plan)
         t0 = time.perf_counter()
         faulted = _drive_serve(
-            seed, push_plans, pull_plans, shards, workers, transport,
-            admission_cfg, injector=injector, tracer=tracer,
+            seed, push_plans, pull_plans, shards, workers, admission_cfg, injector=injector, tracer=tracer,
         )
         faulted_s = time.perf_counter() - t0
 
@@ -798,7 +793,6 @@ def run_chaos_serve(
             plan=plan.to_dict(),
             shards=shards,
             workers=workers,
-            transport=transport,
             sessions=len(faulted["handles"]),
             floods_attempted=faulted["floods_attempted"],
             floods_shed=faulted["floods_shed"],
@@ -817,7 +811,6 @@ def run_chaos_serve(
             design="synthetic",
             scale="serve",
             seed=seed,
-            engine=transport,
             config={
                 "shards": shards,
                 "workers": workers,

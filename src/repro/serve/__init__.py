@@ -59,7 +59,7 @@ from repro.serve.protocol import (
 )
 from repro.serve.registry import ModelRegistry
 from repro.serve.report import FleetReport, build_report
-from repro.serve.shard import Shard, ShardRouter, infer_task
+from repro.serve.shard import Shard, ShardRouter
 
 __all__ = [
     "AdmissionConfig",
@@ -88,5 +88,4 @@ __all__ = [
     "build_report",
     "Shard",
     "ShardRouter",
-    "infer_task",
 ]

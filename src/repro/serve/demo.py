@@ -23,7 +23,8 @@ Runs the whole serving story at tiny scale, in-process, in seconds:
 
 The run is fully observed: a real :class:`~repro.obs.trace.Tracer`
 (the Chrome export lands next to the reports), a two-process
-:class:`~repro.parallel.pool.WorkerPool` for the batched GEMV, and a
+:class:`~repro.parallel.pool.WorkerPool` running the batched GEMV over
+its shared-memory plane, and a
 :class:`~repro.obs.flightrec.FlightRecorder` whose post-mortem fires at
 the injected shard death.  Two extra self-checks ride on that:
 
@@ -75,17 +76,8 @@ def _make_model(seed: int, bits: int = 8) -> QuantizedModel:
     )
 
 
-def run_demo(
-    out_dir: str | Path, seed: int = 7, transport: str = "pickle"
-) -> dict:
-    """Run the serving demo; returns the report dict after self-checks.
-
-    ``transport`` selects the pool's data plane (``"pickle"`` or
-    ``"shm"``); every self-check is transport-independent, so a caller
-    running both and comparing the returned dicts proves the zero-copy
-    path bit-identical to the portable one — hot swap and shard death
-    included (:func:`main` does exactly that).
-    """
+def run_demo(out_dir: str | Path, seed: int = 7) -> dict:
+    """Run the serving demo; returns the report dict after self-checks."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -95,7 +87,7 @@ def run_demo(
 
     tracer = Tracer()
     recorder = FlightRecorder(capacity=512)
-    pool = WorkerPool(workers=2, tracer=tracer, transport=transport)
+    pool = WorkerPool(workers=2, tracer=tracer, transport="shm")
     try:
         gateway = Gateway(
             registry,
@@ -124,7 +116,7 @@ def run_demo(
         report2 = run_load(gateway, wave2)
     finally:
         pool.close()
-    if transport == "shm" and leaked_segments():
+    if leaked_segments():
         raise AssertionError(
             f"leaked shared-memory segments after pool close: "
             f"{leaked_segments()}"
@@ -273,6 +265,8 @@ def _check_trace_chain(trace_path: Path) -> None:
 
     chain = ("client.tick", "serve.tick", "serve.shard.gather",
              "serve.gemv.task")
+    if not HAVE_SHM:  # no shared-memory plane: the gateway infers inline
+        chain = chain[:-1]
     for span in by_id.values():
         if span.name != chain[-1]:
             continue
@@ -316,38 +310,8 @@ def main(argv: list[str] | None = None) -> int:
         help="output directory for fleet-report.json / fleet-report.md",
     )
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--transport", choices=("pickle", "shm", "both"), default="both",
-        help="pool data plane; 'both' runs the demo twice and asserts "
-        "the fleet reports are identical across transports",
-    )
     args = parser.parse_args(argv)
-    if args.transport != "both":
-        run_demo(args.out, seed=args.seed, transport=args.transport)
-        return 0
-    # The full contract: the same seeded run on both data planes —
-    # through the hot swap and the injected shard death — must produce
-    # the same fleet report, field for field.  (Each run has already
-    # proven itself bit-identical to the offline meter; this comparison
-    # pins the two transports to each other as well.)
-    fleet_pickle = run_demo(args.out, seed=args.seed, transport="pickle")
-    if not HAVE_SHM:
-        print(
-            "# shm transport unavailable on this platform; pickle-only "
-            "demo passed",
-            file=sys.stderr,
-        )
-        return 0
-    fleet_shm = run_demo(args.out, seed=args.seed, transport="shm")
-    if fleet_pickle != fleet_shm:
-        raise AssertionError(
-            "fleet reports diverge between pickle and shm transports"
-        )
-    print(
-        "# transport check passed: pickle and shm fleet reports are "
-        "identical (swap + shard death included)",
-        file=sys.stderr,
-    )
+    run_demo(args.out, seed=args.seed)
     return 0
 
 

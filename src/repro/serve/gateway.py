@@ -37,7 +37,6 @@ from repro.errors import AdmissionError, BreakerOpenError, ServeError
 from repro.obs.expo import render_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanContext
-from repro.parallel.pool import payload_nbytes
 from repro.parallel.shm import qmodel_digest
 from repro.resilience.breaker import CircuitBreaker
 from repro.serve.admission import (
@@ -54,7 +53,13 @@ from repro.serve.protocol import (
     read_frame,
 )
 from repro.serve.registry import ModelRegistry
-from repro.serve.shard import Shard, ShardRouter, ShmGemvTask, serve_gemv_task
+from repro.serve.shard import (
+    Shard,
+    ShardRouter,
+    ShmGemvTask,
+    _gemv,
+    serve_gemv_task,
+)
 from repro.stream.session import (
     SessionHooks,
     StreamConfig,
@@ -290,32 +295,20 @@ class Gateway:
         push_buffer_blocks: int = 4096,
         flight_recorder=None,
         postmortem_dir: str | Path | None = None,
-        coalesce: bool | str = "auto",
         admission: AdmissionConfig | AdmissionController | None = None,
         idle_timeout_ticks: int | None = None,
-        tick_deadline_s: float | None = None,
         dispatch_breaker: CircuitBreaker | None = None,
         faults=None,
     ) -> None:
         if n_shards < 1:
             raise ServeError("gateway needs at least one shard")
-        if coalesce not in (True, False, "auto"):
-            raise ServeError(
-                f"coalesce must be True, False, or 'auto', got {coalesce!r}"
-            )
         self.registry = registry
         self.t = int(t)
         self.config = config or StreamConfig()
+        #: Where each tick's GEMV runs: on this pool when it is parallel
+        #: and owns a shared-memory plane (``WorkerPool(transport=
+        #: "shm")``), inline otherwise (see :meth:`_dispatch_plane`).
         self.pool = pool
-        #: Cross-group GEMV coalescing: groups (possibly on different
-        #: shards) whose models share a weights digest fuse into one
-        #: stacked GEMV, scattered back by row ranges — bit-identical
-        #: because each output row is an independent integer dot
-        #: product.  "auto" enables it exactly when the pool ships
-        #: descriptors (shm transport), where fewer/larger tasks are a
-        #: pure win; the pickle transport keeps its historical
-        #: one-task-per-group shape.
-        self.coalesce = coalesce
         self.metrics = metrics or MetricsRegistry()
         self.tracer = tracer or NULL_TRACER
         self.push_buffer_blocks = int(push_buffer_blocks)
@@ -347,16 +340,12 @@ class Gateway:
             int(idle_timeout_ticks) if idle_timeout_ticks is not None
             else None
         )
-        #: Per-tick inference latency budget, threaded into the worker
-        #: pool's task envelopes (observational — late work still
-        #: lands, but is counted and flagged in the trace).
-        self.tick_deadline_s = tick_deadline_s
         #: Deterministic fault injector; the tick fires the
         #: ``serve.tick`` site once per tick (kinds: ``kill_shard``,
         #: ``slab_overflow``) so chaos plans can kill shards mid-tick
         #: and overflow the shm slabs on schedule.
         self.faults = faults
-        self._force_pickle_ticks = 0
+        self._overflow_ticks = 0
         #: Breaker around pool dispatch: while open, inference runs
         #: inline (slower, still bit-identical) instead of hammering a
         #: failing pool; closes again via a half-open probe.
@@ -602,8 +591,8 @@ class Gateway:
     def swap_model(self, version: str) -> None:
         """Hot swap: new sessions pin ``version``; in-flight unaffected.
 
-        On the shm transport, resident weights whose digest no live
-        session references any more are retired from the vault —
+        With a shared-memory plane, resident weights whose digest no
+        live session references any more are retired from the vault —
         workers re-publish lazily if the digest ever comes back.
         """
         self.registry.activate(version)
@@ -622,73 +611,68 @@ class Gateway:
         return any(not h.done for h in self.handles.values())
 
     # -------------------------------------------------------------- #
-    # Inference: gathered groups -> (coalesced) units -> GEMV results
+    # Inference: gathered groups -> fused units -> GEMV results
     # -------------------------------------------------------------- #
-    @property
-    def _shm_transport(self) -> bool:
-        return (
-            self.pool is not None
-            and getattr(self.pool, "transport", "pickle") == "shm"
-        )
+    def _dispatch_plane(self):
+        """The shm plane pool dispatch stages into; None means inline.
 
-    @property
-    def _coalesce_on(self) -> bool:
-        if self.coalesce == "auto":
-            return self._shm_transport
-        return bool(self.coalesce)
+        The placement rule: a tick's units go to the pool only when it
+        is parallel and owns a shared-memory plane (``WorkerPool(
+        transport="shm")``).  No pool, a serial, degraded or closed
+        pool, or a pool without a plane all serve inline.
+        """
+        pool = self.pool
+        if pool is None or not pool.parallel or pool.transport != "shm":
+            return None
+        return pool.plane
 
     def _infer(self, flat: list, sp) -> list:
         """Run every gathered group's GEMV; returns per-group results.
 
         ``flat`` is ``(group, version, gather_ctx)`` per drain group in
-        shard order.  Groups sharing a weights digest optionally fuse
-        into one inference unit (:attr:`coalesce`); units go to the
-        worker pool — as ~100-byte shared-memory descriptors on the shm
-        transport, as pickled arrays otherwise — or run inline when the
-        pool cannot help.  Unit results are sliced back to group order
-        by row ranges, which is bit-identical to per-group inference
-        because every output row is an independent integer dot product.
+        shard order.  Groups sharing a weights digest (possibly on
+        different shards) fuse into one inference unit.  With a
+        dispatch plane the units ship to the pool as ~100-byte
+        shared-memory descriptors; otherwise they run inline.  Unit
+        results are sliced back to group order by row ranges, which is
+        bit-identical to per-group inference because every output row
+        is an independent integer dot product.
         """
         if not flat:
             return []
         t_inf = time.perf_counter()
-        if self._coalesce_on:
-            by_digest: dict[str, list[int]] = {}
-            for i, (group, _v, _c) in enumerate(flat):
-                by_digest.setdefault(
-                    qmodel_digest(group.meter.qmodel), []
-                ).append(i)
-            unit_indices = list(by_digest.values())
-            # Coalescing must amortize, not serialize: a homogeneous
-            # fleet would fuse to a single unit and starve the pool, so
-            # fused units are split back up to the worker count (at
-            # group granularity, balanced by rows).  Weight dedup is
-            # kept — sibling units share the digest.
-            if self.pool is not None and self.pool.parallel:
-                unit_indices = self._split_units(
-                    unit_indices, flat, self.pool.workers
-                )
-        else:
-            unit_indices = [[i] for i in range(len(flat))]
-        use_pool = (
-            self.pool is not None
-            and self.pool.parallel
-            and len(unit_indices) > 1
-        )
-        if use_pool:
+        by_digest: dict[str, list[int]] = {}
+        for i, (group, _v, _c) in enumerate(flat):
+            by_digest.setdefault(
+                qmodel_digest(group.meter.qmodel), []
+            ).append(i)
+        unit_indices = list(by_digest.values())
+        plane = self._dispatch_plane()
+        if plane is not None:
+            # Fusing must amortize, not serialize: a homogeneous fleet
+            # would fuse to a single unit and starve the pool, so fused
+            # units are split back up to the worker count (at group
+            # granularity, balanced by rows).  Weight dedup is kept —
+            # sibling units share the digest.
+            unit_indices = self._split_units(
+                unit_indices, flat, self.pool.workers
+            )
+        if plane is not None and len(unit_indices) > 1:
             # Dispatch runs under the breaker: repeated pool-path
             # failures trip it open and inference falls back inline
             # (slower, still bit-identical) until a half-open probe
             # finds the pool healthy again.
             try:
                 unit_results = self.dispatch_breaker.call(
-                    self._dispatch_units, unit_indices, flat, sp,
+                    self._dispatch_units, plane, unit_indices, flat, sp,
                 )
             except (BreakerOpenError, *self.dispatch_breaker.trip_on):
                 self.metrics.counter("serve.breaker.inline_fallbacks").inc()
-                unit_results = self._inline_units(unit_indices, flat)
+                unit_results = [
+                    self._inline_unit(u, flat) for u in unit_indices
+                ]
         else:
-            unit_results = self._inline_units(unit_indices, flat)
+            unit_results = [self._inline_unit(u, flat) for u in unit_indices]
         results: list = [None] * len(flat)
         for indices, arr in zip(unit_indices, unit_results):
             off = 0
@@ -738,162 +722,105 @@ class Gateway:
             units.append(cand[cut:])
         return units
 
-    def _inline_units(self, unit_indices: list, flat: list) -> list:
-        """In-process inference (no pool, pool degraded, or one unit)."""
-        out = []
-        for indices in unit_indices:
-            qm = flat[indices[0]][0].meter.qmodel
-            mats = self._unit_mats(indices, flat)
-            t_g = time.perf_counter()
-            stacked = (
-                mats[0] if len(mats) == 1
-                else np.concatenate(mats, axis=0)
-            )
-            out.append(
-                serve_gemv_task(
-                    (qm.int_weights, qm.int_intercept, stacked)
-                )
-            )
-            self.metrics.hist(
-                f"serve.gemv.latency.{flat[indices[0]][1]}"
-            ).observe(time.perf_counter() - t_g)
+    def _inline_unit(self, indices: list, flat: list) -> np.ndarray:
+        """One unit's GEMV in this process."""
+        qm = flat[indices[0]][0].meter.qmodel
+        mats = self._unit_mats(indices, flat)
+        t_g = time.perf_counter()
+        stacked = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
+        out = _gemv(stacked, qm.int_weights, qm.int_intercept)
+        self.metrics.hist(
+            f"serve.gemv.latency.{flat[indices[0]][1]}"
+        ).observe(time.perf_counter() - t_g)
         return out
 
-    def _stage_shm_task(self, plane, qm, mats, rows):
-        """Stage one unit in the arenas; None when a slab is full.
+    def _stage_shm_task(self, plane, indices: list, flat: list):
+        """Stage one unit in the arenas; None when it cannot be staged.
 
-        Weights go to (or are found in) the vault by digest; the
-        stacked toggle matrix is written block-by-block straight into a
-        request slab (the path's single memcpy); the result region is
-        parent-preallocated so the worker writes output in place and a
-        dead worker can never leak a segment it owns.
+        The stacked toggle matrix is written block-by-block straight
+        into a request slab (the path's single memcpy); the result
+        region is parent-preallocated so the worker writes output in
+        place and a dead worker can never leak a segment it owns;
+        weights go to (or are found in) the vault by digest.
         """
-        if self._force_pickle_ticks > 0:
+        if self._overflow_ticks > 0:
             # Injected slab overflow (chaos ``slab_overflow`` kind):
-            # behave exactly as if the arenas were full, exercising the
-            # counted pickle-envelope fallback path.
+            # behave exactly as if the arenas were full.
             return None
+        stacked = plane.requests.write_concat(self._unit_mats(indices, flat))
+        if stacked is None:
+            return None
+        out = plane.results.alloc((stacked.shape[0],), np.int64)
+        if out is None:
+            return None
+        qm = flat[indices[0]][0].meter.qmodel
         wref = plane.vault.ensure(
             qmodel_digest(qm), qm.int_weights, qm.int_intercept
         )
-        got = plane.requests.alloc(
-            (rows, int(mats[0].shape[1])), mats[0].dtype
-        )
-        if got is None:
-            return None
-        sref, view = got
-        r = 0
-        for m in mats:
-            view[r:r + m.shape[0]] = m
-            r += m.shape[0]
-        out = plane.results.alloc((rows,), np.int64)
-        if out is None:
-            return None
-        return ShmGemvTask(sref, wref, out[0])
+        return ShmGemvTask(stacked, wref, out[0])
 
-    def _dispatch_units(self, unit_indices: list, flat: list, sp) -> list:
-        """Pool dispatch of inference units, transport-aware.
+    def _dispatch_units(self, plane, unit_indices: list, flat: list, sp):
+        """Pool dispatch of inference units over the shm plane.
 
-        On the shm transport each unit ships as descriptors; a full
-        arena falls back to a pickled-array envelope for that unit (and
-        is counted — the plane degrades per payload, never fails).
-        Every task's wire size, both directions, feeds the
-        ``serve.ipc.bytes`` histogram.
+        Each unit ships as a :class:`ShmGemvTask` of descriptors.  A
+        unit that cannot be staged (arena full, or an injected slab
+        overflow) runs inline instead and is counted in
+        ``plane.fallbacks`` — the plane degrades per unit, never fails.
+        Results come back in unit order.
         """
-        plane = self.pool.plane if self._shm_transport else None
-        if plane is not None:
-            plane.begin_tick()
-        tasks = []
-        outs = []  # result-arena ref per task (None = pickle envelope)
-        for indices in unit_indices:
-            qm = flat[indices[0]][0].meter.qmodel
-            mats = self._unit_mats(indices, flat)
-            rows = sum(int(m.shape[0]) for m in mats)
-            task = (
-                self._stage_shm_task(plane, qm, mats, rows)
-                if plane is not None else None
+        m = self.metrics
+        plane.begin_tick()
+        results: list = [None] * len(unit_indices)
+        staged = []  # (unit position, task)
+        for k, indices in enumerate(unit_indices):
+            task = self._stage_shm_task(plane, indices, flat)
+            if task is None:
+                plane.fallbacks += 1
+                results[k] = self._inline_unit(indices, flat)
+            else:
+                staged.append((k, task))
+        if staged:
+            # Parent each unit's worker span under its first group's
+            # shard gather (falling back to the tick span), so the trace
+            # tree mirrors the data path: client -> tick -> gather ->
+            # gemv task.
+            fallback = sp.ctx if sp else None
+            ctxs = [flat[unit_indices[k][0]][2] or fallback for k, _ in staged]
+            timings: list = []
+            receipts = self.pool.map(
+                serve_gemv_task, [task for _k, task in staged],
+                label="serve.gemv",
+                span_ctx=(
+                    ctxs if any(c is not None for c in ctxs) else None
+                ),
+                timings=timings,
             )
-            if task is not None:
-                outs.append(task.out)
-            else:
-                if plane is not None:
-                    plane.fallbacks += 1
-                stacked = (
-                    mats[0] if len(mats) == 1
-                    else np.concatenate(mats, axis=0)
-                )
-                task = (qm.int_weights, qm.int_intercept, stacked)
-                outs.append(None)
-            tasks.append(task)
-        ipc_hist = self.metrics.hist(
-            "serve.ipc.bytes", lo=1.0, hi=float(2 << 40), growth=2.0
-        )
-        tick_bytes = 0
-        for task, outref in zip(tasks, outs):
-            nb = payload_nbytes(task)
-            # ...plus the return leg: a tiny receipt for shm tasks, the
-            # full pickled result vector for pickle envelopes.
-            nb += 32 if outref is not None else int(task[2].shape[0]) * 8
-            ipc_hist.observe(nb)
-            tick_bytes += nb
-        self.metrics.counter("serve.ipc.bytes.total").inc(tick_bytes)
-        # Parent each unit's worker span under its first group's shard
-        # gather (falling back to the tick span), so the trace tree
-        # mirrors the data path: client -> tick -> gather -> gemv task.
-        fallback = sp.ctx if sp else None
-        ctxs = [flat[indices[0]][2] or fallback for indices in unit_indices]
-        timings: list = []
-        raw = self.pool.map(
-            serve_gemv_task, tasks, label="serve.gemv",
-            span_ctx=(
-                ctxs if any(c is not None for c in ctxs) else None
-            ),
-            timings=timings,
-            deadline_s=self.tick_deadline_s,
-        )
-        if len(timings) == len(unit_indices):
-            for (_pid, _t0, dur), indices in zip(timings, unit_indices):
-                self.metrics.hist(
-                    f"serve.gemv.latency.{flat[indices[0]][1]}"
-                ).observe(dur)
-        unit_results = []
-        hits = misses = 0
-        for res, outref in zip(raw, outs):
-            if outref is None:
-                unit_results.append(res)
-                continue
-            _rows, hit = res
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            # Copy out of the ring before the next tick reuses the slab
-            # (sessions keep reading-window slices across ticks).
-            unit_results.append(np.array(plane.results.view(outref)))
-        if plane is not None:
+            hits = 0
+            for (k, task), (_rows, hit) in zip(staged, receipts):
+                hits += bool(hit)
+                # Copy out of the ring before the next tick reuses the
+                # slab (sessions keep reading-window slices across ticks).
+                results[k] = np.array(plane.results.view(task.out))
+            if len(timings) == len(staged):
+                for (k, _task), (_pid, _t0, dur) in zip(staged, timings):
+                    m.hist(
+                        f"serve.gemv.latency.{flat[unit_indices[k][0]][1]}"
+                    ).observe(dur)
             if hits:
-                self.metrics.counter("serve.weights.cache_hits").inc(hits)
-            if misses:
-                self.metrics.counter(
-                    "serve.weights.cache_misses"
-                ).inc(misses)
-            m = self.metrics
-            m.gauge("serve.shm.request_occupancy").set(
-                plane.requests.occupancy
-            )
-            m.gauge("serve.shm.result_occupancy").set(
-                plane.results.occupancy
-            )
-            m.gauge("serve.weights.resident").set(
-                len(plane.vault.digests())
-            )
-            m.gauge("serve.shm.fallbacks").set(plane.fallbacks)
-        return unit_results
+                m.counter("serve.weights.cache_hits").inc(hits)
+            if len(staged) > hits:
+                m.counter("serve.weights.cache_misses").inc(
+                    len(staged) - hits
+                )
+        m.gauge("serve.shm.request_occupancy").set(plane.requests.occupancy)
+        m.gauge("serve.shm.result_occupancy").set(plane.results.occupancy)
+        m.gauge("serve.weights.resident").set(len(plane.vault.digests()))
+        m.gauge("serve.shm.fallbacks").set(plane.fallbacks)
+        return results
 
     def _retire_unused_weights(self) -> None:
         """Drop vault digests no live session references (post-swap)."""
-        pool = self.pool
-        plane = pool.active_plane if self._shm_transport else None
+        plane = self.pool.active_plane if self.pool is not None else None
         if plane is None:
             return
         live = {
@@ -975,8 +902,8 @@ class Gateway:
                     alive = True
             if sp:
                 sp.set(groups=len(flat))
-        if self._force_pickle_ticks > 0:
-            self._force_pickle_ticks -= 1
+        if self._overflow_ticks > 0:
+            self._overflow_ticks -= 1
         self._reap_idle()
         self.ticks += 1
         self.tick_hist.observe(time.perf_counter() - t0)
@@ -991,8 +918,8 @@ class Gateway:
             index = spec.at % len(self.shards)
             self.kill_shard(index, reason=f"chaos kill_shard@{spec.at}")
         elif spec.kind == "slab_overflow":
-            self._force_pickle_ticks = max(
-                self._force_pickle_ticks, int(spec.duration)
+            self._overflow_ticks = max(
+                self._overflow_ticks, int(spec.duration)
             )
             self.metrics.counter("serve.chaos.slab_overflows").inc()
 

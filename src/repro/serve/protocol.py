@@ -82,31 +82,42 @@ def _bounded(kind: str, n: int) -> int:
     return n
 
 
+def _frame_end(data) -> int | None:
+    """End offset of the frame at the start of ``data``, or None while
+    its bytes are incomplete.
+
+    Each u32 length prefix is bounded as soon as it is readable, so an
+    oversized prefix raises :class:`~repro.errors.ServeError` before
+    any of the bytes it announces are awaited or buffered.
+    """
+    if len(data) < 4:
+        return None
+    (hlen,) = _U32.unpack_from(data, 0)
+    plen_at = 4 + _bounded("header", hlen)
+    if len(data) < plen_at + 4:
+        return None
+    (plen,) = _U32.unpack_from(data, plen_at)
+    end = plen_at + 4 + _bounded("payload", plen)
+    return end if len(data) >= end else None
+
+
 def decode_frame(data: bytes) -> tuple[dict, bytes, int]:
     """Decode one frame from the start of ``data``.
 
     Returns ``(header, payload, consumed)``; raises
     :class:`~repro.errors.ServeError` on a malformed, oversized or
-    truncated frame.  Incremental parsers (:class:`FrameBuffer`,
-    :func:`read_frame`) bound each length prefix first and hand over
-    only complete frames.
+    truncated frame.
     """
-    if len(data) < 4:
-        raise ServeError("truncated frame: missing header length")
+    end = _frame_end(data)
+    if end is None:
+        raise ServeError("truncated frame")
     (hlen,) = _U32.unpack_from(data, 0)
-    _bounded("header", hlen)
-    if len(data) < 4 + hlen + 4:
-        raise ServeError("truncated frame: incomplete header")
     try:
         header = json.loads(data[4 : 4 + hlen].decode())
     except ValueError as exc:
         raise ServeError(f"frame header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or "op" not in header:
         raise ServeError(f"frame header must be an object with 'op'")
-    (plen,) = _U32.unpack_from(data, 4 + hlen)
-    end = 4 + hlen + 4 + _bounded("payload", plen)
-    if len(data) < end:
-        raise ServeError("truncated frame: incomplete payload")
     return header, bytes(data[4 + hlen + 4 : end]), end
 
 
@@ -177,15 +188,9 @@ class FrameBuffer:
         """
         self._buf.extend(data)
         frames = []
-        while len(self._buf) >= 4:
-            (hlen,) = _U32.unpack_from(self._buf, 0)
-            if len(self._buf) < 4 + _bounded("header", hlen) + 4:
-                break
-            (plen,) = _U32.unpack_from(self._buf, 4 + hlen)
-            if len(self._buf) < 4 + hlen + 4 + _bounded("payload", plen):
-                break
-            header, payload, consumed = decode_frame(bytes(self._buf))
-            del self._buf[:consumed]
+        while (end := _frame_end(self._buf)) is not None:
+            header, payload, _n = decode_frame(self._buf[:end])
+            del self._buf[:end]
             frames.append((header, payload))
         return frames
 

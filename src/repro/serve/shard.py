@@ -21,9 +21,9 @@ Failure model (deterministic, test-injectable via :meth:`Shard.kill`):
 
 Inference reuse of :mod:`repro.parallel`: the per-shard batched GEMV is
 a pure function of ``(int weights, intercept, stacked toggles)``, so a
-:class:`~repro.parallel.pool.WorkerPool` can run each shard's groups in
-a separate process with bit-identical results; :func:`infer_task` is the
-module-level (picklable) worker.
+:class:`~repro.parallel.pool.WorkerPool` with a shared-memory plane can
+run groups in separate processes with bit-identical results;
+:func:`serve_gemv_task` is the module-level (picklable) worker.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "Shard",
     "ShardRouter",
     "ShmGemvTask",
-    "infer_task",
     "serve_gemv_task",
 ]
 
@@ -66,7 +65,7 @@ def _gemv(stacked: np.ndarray, int_weights, int_intercept) -> np.ndarray:
     then an exactly-representable integer, so BLAS reassociation cannot
     round), the tile runs as a float64 dgemv; otherwise it runs in
     int64.  Both paths equal :meth:`OpmMeter.per_cycle`'s arithmetic to
-    the bit, so every dispatch flavor matches inline inference.
+    the bit, so pooled and inline inference agree exactly.
     """
     if stacked.ndim != 2:
         stacked = np.atleast_2d(stacked)
@@ -98,19 +97,9 @@ def _gemv(stacked: np.ndarray, int_weights, int_intercept) -> np.ndarray:
     return out
 
 
-def infer_task(payload) -> np.ndarray:
-    """One shard group's integer GEMV, as a picklable pool task.
-
-    ``payload`` is ``(int_weights, int_intercept, stacked_toggles)`` —
-    the portable (pickle-transport) envelope, arrays and all.
-    """
-    int_weights, int_intercept, stacked = payload
-    return _gemv(stacked, int_weights, int_intercept)
-
-
 @dataclass(frozen=True)
 class ShmGemvTask:
-    """Descriptor-only GEMV envelope for the shm transport (~300 B).
+    """Descriptor-only GEMV envelope for pool dispatch (~300 B).
 
     ``stacked`` names the request-arena region holding the fused toggle
     matrix, ``weights`` the digest-addressed resident weights, and
@@ -124,23 +113,20 @@ class ShmGemvTask:
     out: ShmRef
 
 
-def serve_gemv_task(payload):
-    """Pool task for serve-tick inference on either transport.
+def serve_gemv_task(task: ShmGemvTask):
+    """Pool task for serve-tick inference over the shm data plane.
 
-    Tuples take the pickle path (:func:`infer_task`); a
-    :class:`ShmGemvTask` maps its descriptors to shared-memory views,
-    runs the same GEMV, and writes the result through the ``out`` view.
-    Returns the result array for tuples, and a ``(rows, weight_hit)``
-    receipt for shm tasks (the numbers come back through the arena).
-    Runs identically in a worker or in the parent (serial fallback).
+    Maps the task's descriptors to shared-memory views, runs the GEMV,
+    and writes the result through the ``out`` view.  Returns a
+    ``(rows, weight_hit)`` receipt (the numbers come back through the
+    arena).  Runs identically in a worker or in the parent (serial
+    fallback).
     """
-    if isinstance(payload, ShmGemvTask):
-        stacked = attach_view(payload.stacked)
-        weights, intercept, hit = resident_weights(payload.weights)
-        out = attach_view(payload.out)
-        out[:] = _gemv(stacked, weights, intercept)
-        return len(out), hit
-    return infer_task(payload)
+    stacked = attach_view(task.stacked)
+    weights, intercept, hit = resident_weights(task.weights)
+    out = attach_view(task.out)
+    out[:] = _gemv(stacked, weights, intercept)
+    return len(out), hit
 
 
 class Shard:

@@ -64,13 +64,8 @@ __all__ = [
 
 
 class DrainGroup(NamedTuple):
-    """One batched-inference group out of :meth:`gather_pending`.
-
-    Unpacks like the historical ``(meter, picks, mats)`` tuple; the
-    extras exist for transports that want the stacked matrix written
-    into caller-owned storage (the shm data plane) without an
-    intermediate ``np.concatenate`` copy.
-    """
+    """One batched-inference group out of :meth:`gather_pending`;
+    unpacks as ``(meter, picks, mats)``."""
 
     meter: OpmMeter
     picks: list
@@ -80,21 +75,6 @@ class DrainGroup(NamedTuple):
     def rows(self) -> int:
         """Total stacked rows (cycles) across the group's blocks."""
         return sum(int(m.shape[0]) for m in self.mats)
-
-    def stacked(self, out: np.ndarray | None = None) -> np.ndarray:
-        """The group's toggle blocks as one ``(rows, q)`` matrix.
-
-        With ``out`` (for example an arena slab view) the blocks are
-        copied straight into it — the single memcpy of the zero-copy
-        dispatch path; without it this is ``np.concatenate``.
-        """
-        if out is None:
-            return np.concatenate(self.mats, axis=0)
-        r = 0
-        for m in self.mats:
-            out[r:r + m.shape[0]] = m
-            r += m.shape[0]
-        return out
 
 
 @dataclass
@@ -459,10 +439,6 @@ class StreamService:
         if any(s.name == session.name for s in self.sessions):
             raise StreamError(f"duplicate session name {session.name!r}")
         self.sessions.append(session)
-
-    def remove_session(self, session: StreamSession) -> None:
-        """Detach a session (no-op if it is not attached)."""
-        self.sessions = [s for s in self.sessions if s is not session]
 
     # -------------------------------------------------------------- #
     # The step is split into phases so a layer above can interleave

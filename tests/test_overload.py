@@ -26,7 +26,7 @@ from repro.errors import (
 from repro.obs.metrics import MetricsRegistry
 from repro.opm import OpmMeter, QuantizedModel
 from repro.parallel.pool import WorkerPool
-from repro.parallel.shm import leaked_segments
+from repro.parallel.shm import ShmDataPlane, leaked_segments
 from repro.resilience import CircuitBreaker, FaultInjector, FaultPlan
 from repro.resilience.faults import FaultSpec
 from repro.resilience.retry import RetryPolicy
@@ -434,18 +434,20 @@ class TestFailover:
 
     def test_dispatch_breaker_falls_back_inline(self):
         class SickPool:
-            """Quacks like a WorkerPool but every map dies."""
+            """Quacks like a shm WorkerPool but every map dies."""
 
             workers = 2
             parallel = True
-            transport = "pickle"
-            plane = None
+            transport = "shm"
+
+            def __init__(self):
+                self.plane = ShmDataPlane(lanes=1, slab_bytes=1 << 16)
 
             def map(self, fn, items, **kw):
                 raise TransientFault("pool is sick")
 
             def close(self):
-                pass
+                self.plane.close()
 
         reg = _registry()
         # Two model versions -> two inference units per tick, which is
@@ -465,6 +467,8 @@ class TestFailover:
             gw.push(h2, c, last=i == len(chunks) - 1)
         while gw.tick():
             pass
+        gw.close()
+        assert leaked_segments() == []
         # Inference survived inline and stayed exact for both versions.
         cat = np.concatenate(chunks, axis=0)
         assert np.array_equal(
@@ -487,7 +491,7 @@ class TestCloseRace:
     def test_close_during_dispatch_defers_teardown(self):
         reg = _registry()
         reg.publish("v2", _qmodel(1))  # 2 versions -> pool dispatch
-        pool = WorkerPool(workers=2, transport="pickle")
+        pool = WorkerPool(workers=2, transport="shm")
         gw = Gateway(reg, n_shards=1, t=_T, pool=pool)
         h1 = gw.open_session("c0")
         h2 = gw.open_session("c1", version="v2")

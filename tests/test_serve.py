@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ServeError
 from repro.opm import OpmMeter, QuantizedModel
+from repro.parallel.shm import HAVE_SHM
 from repro.rtl import RecordSpec, Simulator
 from repro.serve import (
     AsyncTelemetryClient,
@@ -367,24 +368,47 @@ def test_gateway_bit_identical_through_swap_and_shard_death(engine):
         assert handle.version == ("v1" if i < 2 else "v2")
 
 
+def _pool_fleet(pool):
+    reg = _registry(q=4, seed=3)
+    stim = _toggles(4, 96, seed=8)
+    gw = Gateway(reg, n_shards=2, t=4, pool=pool)
+    client = InprocClient(gw)
+    names = [client.open(f"c{i}") for i in range(4)]
+    for n in names:
+        client.push(n, stim, last=True)
+    gw.drain()
+    return np.concatenate([client.windows(n) for n in names])
+
+
+@pytest.mark.skipif(not HAVE_SHM, reason="no multiprocessing.shared_memory")
 def test_gateway_pool_inference_bit_identical():
     from repro.parallel import WorkerPool
 
-    reg = _registry(q=4, seed=3)
-    stim = _toggles(4, 96, seed=8)
+    inline = _pool_fleet(None)
+    with WorkerPool(workers=2, transport="shm") as pool:
+        pooled = _pool_fleet(pool)
+        assert pool.active_plane.vault.published == 1  # units were staged
+    np.testing.assert_array_equal(
+        inline.view(np.uint8), pooled.view(np.uint8)
+    )
 
-    def run(pool):
-        gw = Gateway(reg, n_shards=2, t=4, pool=pool)
-        client = InprocClient(gw)
-        names = [client.open(f"c{i}") for i in range(4)]
-        for n in names:
-            client.push(n, stim, last=True)
-        gw.drain()
-        return np.concatenate([client.windows(n) for n in names])
 
-    inline = run(None)
-    with WorkerPool(workers=2) as pool:
-        pooled = run(pool)
+def test_gateway_on_pool_without_shm_plane_serves_inline():
+    """Placement rule: a pool without a shared-memory plane never
+    receives a tick's GEMV, and the readings match ``pool=None``."""
+    from repro.parallel import WorkerPool
+
+    inline = _pool_fleet(None)
+    calls = []
+
+    def refuse(*args, **kw):
+        calls.append(args)
+        raise RuntimeError("a pickle pool must not serve ticks")
+
+    with WorkerPool(workers=2, transport="pickle") as pool:
+        pool.map = refuse
+        pooled = _pool_fleet(pool)
+    assert calls == []
     np.testing.assert_array_equal(
         inline.view(np.uint8), pooled.view(np.uint8)
     )

@@ -4,13 +4,14 @@ Three contracts under test:
 
 * **correctness** — descriptors round-trip arrays bit-exactly, stale
   generations are fenced, the digest-addressed weight vault publishes
-  once, and a shm-transport gateway matches the inline path through a
-  hot swap, coalesced dispatch, and an injected shard death;
+  once, and a gateway dispatching over the plane matches the inline
+  path through a hot swap, fused dispatch, an injected shard death,
+  and units that cannot be staged (which run inline);
 * **hygiene** — no ``/dev/shm`` segment survives pool close, ``reset``,
   an injected worker death, SIGTERM, or even a SIGKILLed parent (the
   autouse fixture sweeps after every test);
-* **placement** — coalesced units re-split across workers so weight
-  dedup never serializes the fleet.
+* **placement** — fused units re-split across workers so weight dedup
+  never serializes the fleet.
 """
 
 import os
@@ -23,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.errors import ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import WorkerPool
 from repro.parallel.shm import (
@@ -42,6 +42,7 @@ from repro.parallel.shm import (
 from repro.opm import QuantizedModel
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import Gateway, InprocClient, ModelRegistry
+from repro.serve.shard import ShmGemvTask
 from repro.stream.session import DrainGroup
 
 pytestmark = pytest.mark.skipif(
@@ -348,7 +349,7 @@ class TestPlaneHygiene:
 
 
 # --------------------------------------------------------------------- #
-# Gateway on the shm transport: bit-identity + coalescing
+# Gateway dispatching over the plane: bit-identity + fused units
 # --------------------------------------------------------------------- #
 def _run_fleet(pool):
     """Fixed fleet scenario: 6 sessions, a hot swap, a shard death."""
@@ -391,8 +392,8 @@ def test_gateway_shm_matches_inline_through_swap_and_death():
     assert leaked_segments() == []
 
 
-def test_gateway_shm_slab_overflow_falls_back_to_pickle():
-    """A too-small arena degrades per-payload, never wrongly."""
+def test_gateway_shm_slab_overflow_falls_back_inline():
+    """A too-small arena degrades per unit, never wrongly."""
     inline, _ = _run_fleet(None)
     pool = WorkerPool(2, transport="shm", slab_bytes=1 << 10)
     try:
@@ -405,18 +406,50 @@ def test_gateway_shm_slab_overflow_falls_back_to_pickle():
     )
 
 
-def test_coalesce_knob_validation_and_auto():
-    reg = _registry()
-    with pytest.raises(ServeError, match="coalesce"):
-        Gateway(reg, coalesce="sometimes")
-    assert not Gateway(reg, coalesce="auto")._coalesce_on  # no pool
-    assert Gateway(reg, coalesce=True)._coalesce_on
-    pool = WorkerPool(2, transport="shm", slab_bytes=1 << 14)
+def _run_chunked_fleet(pool, faults=None):
+    """Two model versions streamed one chunk per tick over four ticks."""
+    gw = Gateway(_registry(q=6), n_shards=3, t=4, pool=pool, faults=faults)
+    client = InprocClient(gw)
+    rng = np.random.default_rng(11)
+    names = [client.open(f"core{i}") for i in range(3)]
+    gw.swap_model("v2")
+    names += [client.open(f"core{i}") for i in range(3, 6)]
+    for step in range(4):
+        for name in names:
+            stim = rng.integers(0, 2, size=(32, 6), dtype=np.uint8)
+            client.push(name, stim, last=step == 3)
+        gw.tick()
+    gw.drain()
+    return np.concatenate([client.windows(n) for n in names])
+
+
+def test_injected_slab_overflow_runs_units_inline():
+    """The chaos ``slab_overflow`` kind stages nothing for its tick:
+    those units run inline, and the pool only ever sees descriptors."""
+    inline = _run_chunked_fleet(None)
+    plan = FaultPlan(seed=0, faults=(
+        FaultSpec("serve.tick", "slab_overflow", at=2),
+    ))
+    pool = WorkerPool(2, transport="shm", slab_bytes=1 << 22)
+    shipped = []
+    real_map = pool.map
+
+    def spy_map(fn, items, **kw):
+        items = list(items)
+        shipped.extend(items)
+        return real_map(fn, items, **kw)
+
+    pool.map = spy_map
     try:
-        assert Gateway(reg, pool=pool, coalesce="auto")._coalesce_on
-        assert not Gateway(reg, pool=pool, coalesce=False)._coalesce_on
+        shm_out = _run_chunked_fleet(pool, faults=FaultInjector(plan))
+        assert pool.active_plane.fallbacks > 0
     finally:
         pool.close()
+    assert shipped  # the ticks around the overflow dispatched
+    assert all(isinstance(task, ShmGemvTask) for task in shipped)
+    np.testing.assert_array_equal(
+        inline.view(np.uint8), shm_out.view(np.uint8)
+    )
 
 
 def _flat(rows_per_group):
