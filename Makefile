@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-substrate bench-stream bench-parallel \
-	bench-resilience bench-serve bench-obs bench-check chaos chaos-serve \
+	bench-resilience bench-serve bench-obs chaos chaos-serve \
 	trace-demo serve-demo obs-demo results examples clean
 
 install:
@@ -19,32 +19,29 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Substrate micro-benchmarks only (gate-sim engines, MCP solver, trace
-# ops).  Each run *appends* per-bench records to BENCH_substrate.json
-# (the perf trajectory, via benchmarks/conftest.py); the raw
-# pytest-benchmark dump goes to a separate .raw.json snapshot.
+# ops); the pytest-benchmark dump goes to a .raw.json snapshot.
 bench-substrate:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_substrate_perf.py \
 		--benchmark-only \
 		--benchmark-json=BENCH_substrate.raw.json
 
 # Streaming-pipeline throughput (cycles/sec vs concurrent session
-# count), appending to BENCH_stream.json alongside the substrate numbers.
+# count).
 bench-stream:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_stream_perf.py \
 		--benchmark-only \
 		--benchmark-json=BENCH_stream.raw.json
 
 # Parallel-layer benchmarks: GA evaluation serial vs WorkerPool+EvalCache
-# (asserting bit-identical results), appending speedup and cache-hit-rate
-# records to BENCH_parallel.json.
+# (asserting bit-identical results), reporting speedup and cache-hit
+# rate.
 bench-parallel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_parallel_perf.py \
 		--benchmark-only \
 		--benchmark-json=BENCH_parallel.raw.json
 
 # Resilience benchmarks: per-generation checkpoint overhead vs a bare GA
-# run (asserted < 5%) and raw CheckpointStore save/load throughput,
-# appending to BENCH_resilience.json.
+# run (asserted < 5%) and raw CheckpointStore save/load throughput.
 bench-resilience:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_perf.py \
 		--benchmark-only \
@@ -53,9 +50,8 @@ bench-resilience:
 # Serving-layer benchmarks: the same seeded load through a direct
 # StreamService vs the gateway (1 shard and 4 shards), plus an
 # inline-vs-shm-pool placement race on a large-block fleet, asserting
-# bit-identical readings and appending sessions/sec, p99 tick latency,
-# and the pool's speedup over inline to BENCH_serve.json so
-# bench-check gates serving regressions.
+# bit-identical readings and reporting sessions/sec, p99 tick latency,
+# and the pool's speedup over inline.
 bench-serve:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_serve_perf.py \
 		--benchmark-only \
@@ -63,17 +59,11 @@ bench-serve:
 
 # Observability-layer benchmarks: traced vs untraced stream hot path
 # (tracing overhead asserted < 3%), LogHistogram observe and span
-# open/close throughput, appending to BENCH_obs.json.
+# open/close throughput.
 bench-obs:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_obs_perf.py \
 		--benchmark-only \
 		--benchmark-json=BENCH_obs.raw.json
-
-# Perf-trajectory regression gate: for every bench in every
-# BENCH_*.json, the newest commit's best wall time must be within 20%
-# of the best earlier-commit record.  Exit 1 on regression.
-bench-check:
-	PYTHONPATH=src $(PYTHON) benchmarks/conftest.py
 
 # Seeded chaos run: inject a deterministic fault plan (worker kills,
 # torn checkpoints, corrupt cache entries, mid-stage interrupts) into a

@@ -7,29 +7,14 @@ pipeline cost and later ones only the experiment math.
 
 Each benchmark writes its rendered table to ``results/<id>.txt`` and
 attaches the experiment summary to the benchmark's ``extra_info`` so the
-numbers appear in ``--benchmark-json`` output too.
-
-The perf-suite modules additionally *append* one record per benchmark
-(wall time plus any numeric ``extra_info`` throughput stats) to the
-repo-root trajectory files ``BENCH_substrate.json`` / ``BENCH_stream.json``
-— a flat list of ``{bench, value, unit, commit, timestamp}`` objects, so
-``make bench-*`` runs accumulate a perf history across commits.
-
-``make bench-check`` (``python benchmarks/conftest.py``) is the
-regression gate over that history: for every bench, the newest
-commit's best wall-time record must be within
-:data:`TRAJECTORY_TOLERANCE` (20%) of the best record from any earlier
-commit — so a perf regression that lands in one commit fails the next
-trajectory check instead of silently becoming the new baseline, while
-repeated noisy runs at one commit never gate against each other.
+numbers appear in ``--benchmark-json`` output too.  The repo's
+benchmark of record is ``perfbench/run.py``; these suites check their
+own assertions (bit-identity, overhead budgets) and report timings.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import subprocess
-import time
 from pathlib import Path
 
 import pytest
@@ -37,149 +22,6 @@ import pytest
 from repro.experiments import ExperimentContext, run_experiment
 
 SCALE = os.environ.get("REPRO_BENCH_SCALE", "default")
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-
-#: Perf-suite module -> trajectory file it appends to.
-TRAJECTORY_FILES = {
-    "test_substrate_perf": "BENCH_substrate.json",
-    "test_stream_perf": "BENCH_stream.json",
-    "test_parallel_perf": "BENCH_parallel.json",
-    "test_resilience_perf": "BENCH_resilience.json",
-    "test_serve_perf": "BENCH_serve.json",
-    "test_obs_perf": "BENCH_obs.json",
-}
-
-#: Regression gate: a wall-time bench may be at most this much slower
-#: than its best prior record before ``make bench-check`` fails.
-TRAJECTORY_TOLERANCE = 0.20
-
-
-def check_trajectory(
-    path: Path, tolerance: float = TRAJECTORY_TOLERANCE
-) -> list[str]:
-    """Compare each bench's latest-commit best against best prior commits.
-
-    Returns a list of human-readable regression messages (empty = pass).
-    Only wall-time records (``unit == "s"``) gate — throughput extras
-    (``/s``) are informational.  Records are grouped by commit: repeated
-    runs at one commit are machine noise, so the gate takes each
-    commit's *best* and fails only when the newest commit's best is more
-    than ``tolerance`` slower than the best of any earlier commit.  A
-    bench recorded at a single commit has no prior and passes.
-    """
-    try:
-        history = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
-    if not isinstance(history, list):
-        return []
-    by_bench: dict[str, list[tuple[str, float]]] = {}
-    for rec in history:
-        if not isinstance(rec, dict) or rec.get("unit") != "s":
-            continue
-        try:
-            by_bench.setdefault(str(rec["bench"]), []).append(
-                (str(rec.get("commit", "unknown")), float(rec["value"]))
-            )
-        except (KeyError, TypeError, ValueError):
-            continue
-    failures = []
-    for bench, records in sorted(by_bench.items()):
-        last_commit = records[-1][0]
-        latest = min(v for c, v in records if c == last_commit)
-        prior = [v for c, v in records if c != last_commit]
-        if not prior:
-            continue
-        best_prior = min(prior)
-        if latest > best_prior * (1.0 + tolerance):
-            failures.append(
-                f"{path.name}: {bench} regressed "
-                f"{(latest / best_prior - 1.0) * 100:.1f}% "
-                f"(best at {last_commit} {latest:.6f}s vs best prior "
-                f"{best_prior:.6f}s, tolerance {tolerance * 100:.0f}%)"
-            )
-    return failures
-
-
-def main() -> int:
-    """``python benchmarks/conftest.py`` == the ``make bench-check`` gate."""
-    failures: list[str] = []
-    checked = 0
-    for fname in sorted(set(TRAJECTORY_FILES.values())):
-        path = REPO_ROOT / fname
-        if not path.exists():
-            continue
-        checked += 1
-        failures.extend(check_trajectory(path))
-    if failures:
-        print("bench trajectory regressions:")
-        for line in failures:
-            print(f"  {line}")
-        return 1
-    print(
-        f"bench trajectories OK ({checked} files, "
-        f"tolerance {TRAJECTORY_TOLERANCE * 100:.0f}% vs best prior)"
-    )
-    return 0
-
-
-def _git_commit() -> str:
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            capture_output=True, text=True, timeout=10, cwd=REPO_ROOT,
-        )
-        return proc.stdout.strip() or "unknown"
-    except OSError:
-        return "unknown"
-
-
-def _append_records(path: Path, records: list[dict]) -> None:
-    history: list = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, list):
-                history = loaded
-        except ValueError:
-            pass  # unreadable trajectory: start a fresh list
-    history.extend(records)
-    path.write_text(json.dumps(history, indent=1) + "\n")
-
-
-@pytest.fixture(autouse=True)
-def bench_record(request):
-    """Append this benchmark's numbers to its module's trajectory file."""
-    yield
-    fname = TRAJECTORY_FILES.get(request.module.__name__)
-    bench = request.node.funcargs.get("benchmark")
-    stats = getattr(bench, "stats", None)
-    if fname is None or stats is None:
-        return
-    commit = _git_commit()
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    name = request.node.name
-    records = [{
-        "bench": name,
-        "value": float(stats.stats.mean),
-        "unit": "s",
-        "commit": commit,
-        "timestamp": stamp,
-    }]
-    for key, raw in bench.extra_info.items():
-        try:
-            value = float(raw)
-        except (TypeError, ValueError):
-            continue
-        records.append({
-            "bench": f"{name}:{key}",
-            "value": value,
-            "unit": "/s" if "per_sec" in key else "",
-            "commit": commit,
-            "timestamp": stamp,
-        })
-    _append_records(REPO_ROOT / fname, records)
 
 
 @pytest.fixture(scope="session")
@@ -219,6 +61,3 @@ def run_exp(benchmark, results_dir):
 
     return _run
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

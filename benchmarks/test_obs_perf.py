@@ -4,9 +4,8 @@ The contract the fleet relies on: instrumenting the stream hot path
 with a real :class:`~repro.obs.trace.Tracer` (versus the zero-overhead
 :data:`~repro.obs.trace.NULL_TRACER` default) costs **under 3%** of
 wall time, and a :class:`~repro.obs.hist.LogHistogram` observation is
-cheap enough to sit on every tick.  ``make bench-obs`` appends these
-records to ``BENCH_obs.json`` so ``make bench-check`` catches any
-regression of that contract.
+cheap enough to sit on every tick.  ``make bench-obs`` asserts that
+contract.
 
 The stream workload is pre-materialized proxy blocks (a plain list is a
 valid session source) — no simulator, no training — so the measurement

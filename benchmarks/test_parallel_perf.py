@@ -5,8 +5,7 @@ WorkerPool+EvalCache run, and a warm-cache rerun — asserting along the
 way that every configuration produces a bit-identical ``GaResult``
 (the layer's core contract: workers and caching are pure throughput
 knobs).  The serial-vs-warm speedup and the warm run's cache hit rate
-land in ``extra_info`` and hence in ``BENCH_parallel.json``, so the
-trajectory records both wall time and cache effectiveness per commit.
+land in ``extra_info``, next to the wall times.
 
 The GA is seed-deterministic, so a warm cache turns every fitness
 evaluation into a content-addressed lookup; on single-core runners the

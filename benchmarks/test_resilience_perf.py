@@ -2,8 +2,8 @@
 
 The headline number is **checkpoint overhead**: the same GA run timed
 bare and with per-generation checkpointing, with the relative slowdown
-recorded to ``BENCH_resilience.json`` (and asserted under the 5% budget
-the design doc promises).  A second benchmark tracks raw
+reported in ``extra_info`` and asserted under the 5% budget the design
+doc promises.  A second benchmark tracks raw
 ``CheckpointStore`` save+load+verify throughput so a regression in the
 atomic-write/hash path is visible even before it moves the GA number.
 """
@@ -75,7 +75,7 @@ def test_perf_ga_checkpoint_overhead(benchmark, core, cfg, tmp_path):
     Every generation saves population, elite traces, counters, and RNG
     state through the hash-verified atomic-write path; the result must
     still be bit-identical to the bare run, and the wall-time cost of
-    all that durability is the fraction this trajectory tracks.
+    all that durability is the fraction this benchmark asserts on.
     """
     bare_sig = _bare_baseline(core, cfg)
 

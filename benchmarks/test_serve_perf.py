@@ -5,7 +5,7 @@ Times the same seeded load three ways — a direct single-process
 gateway (adds the framed protocol + tick loop), and a sharded gateway —
 and reports ``sessions_per_sec`` / ``cycles_per_sec`` plus the p99
 per-tick pump latency in ``extra_info``, so serving overhead and shard
-scaling land in the ``BENCH_serve.json`` trajectory.
+scaling show in the ``--benchmark-json`` output.
 
 ``test_perf_serve_placement`` additionally races the gateway's two
 inference placements — inline GEMV vs a 2-worker :class:`WorkerPool`

@@ -73,7 +73,6 @@ class ProxySelector:
         penalty: str = "mcp",
         gamma: float = 10.0,
         screen_width: int | None = 2400,
-        path_len: int = 60,
         max_iter: int = 200,
         seed: int = 0,
         tracer=None,
@@ -85,7 +84,6 @@ class ProxySelector:
         self.penalty = penalty
         self.gamma = gamma
         self.screen_width = screen_width
-        self.path_len = path_len
         self.max_iter = max_iter
         self.seed = seed
         self.tracer = tracer or NULL_TRACER
@@ -208,7 +206,7 @@ class ProxySelector:
                 std.transform(Xd),
                 np.asarray(y, dtype=np.float64) - y_mean,
             )
-            path = lambda_path(lam_hi, n=self.path_len)
+            path = lambda_path(lam_hi)
 
             warm = None
             path_nnz: list[tuple[float, int]] = []

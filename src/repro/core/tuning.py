@@ -21,12 +21,7 @@ from repro.core.multicycle import train_apollo_tau, window_average
 from repro.core.selection import ProxySelector
 from repro.parallel.cache import array_fingerprint, make_key
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import (
-    drop_state,
-    get_state,
-    init_state,
-    seed_state,
-)
+from repro.parallel.tasks import drop_state, get_state, seed_state
 from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["TuningResult", "tune_tau", "tune_q", "tune_ridge"]
@@ -84,7 +79,7 @@ def _grid_map(
     try:
         with WorkerPool(
             workers,
-            initializer=init_state,
+            initializer=seed_state,
             initargs=(key, payload),
             faults=faults,
         ) as pool:

@@ -17,7 +17,7 @@ from repro.experiments.report import format_table
 from repro.experiments.runner import ExperimentResult
 from repro.flow import DesignTimeFlow, EmulatorFlow
 from repro.genbench.workloads import workload_suite
-from repro.uarch import Pipeline
+from repro.parallel.tasks import pipeline_for
 
 __all__ = ["run"]
 
@@ -34,7 +34,7 @@ def run(
 
     rows = []
     for name, prog in workload_suite().items():
-        _activity, stats = Pipeline(ctx.params).run(prog, cycles)
+        _activity, stats = pipeline_for(ctx.params).run(prog, cycles)
         run_ = emu.trace(prog, cycles=cycles)
         win = max(64, cycles // 64)
         n = (run_.power.size // win) * win

@@ -24,9 +24,12 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.obs.trace import Tracer
-from repro.power.analyzer import PowerAnalyzer
-from repro.rtl.simulator import RecordSpec, Simulator
-from repro.uarch.pipeline import Pipeline
+from repro.parallel.tasks import (
+    label_weights_for,
+    pipeline_for,
+    simulator_for,
+)
+from repro.rtl.simulator import RecordSpec
 
 __all__ = ["FlowEstimate", "DesignTimeFlow", "inference_seconds_per_1e9"]
 
@@ -76,8 +79,7 @@ class DesignTimeFlow:
         self.core = core
         self.model = model
         self.tracer = tracer
-        self._sim = Simulator(core.netlist, engine=engine)
-        self._analyzer = PowerAnalyzer(core.netlist)
+        self._sim = simulator_for(core.netlist, engine)
 
     def estimate(
         self,
@@ -112,12 +114,12 @@ class DesignTimeFlow:
             q=self.model.q,
         ) as root:
             with tracer.span("flow.uarch"):
-                activity, _stats = Pipeline(params).run(program, cycles)
+                activity, _stats = pipeline_for(params).run(program, cycles)
                 stim = self.core.stimulus_for(activity)
 
             accum = {}
             if with_reference:
-                accum["label"] = self._analyzer.label_weights()
+                accum["label"] = label_weights_for(self.core.netlist)
             with tracer.span("flow.rtl"):
                 res = self._sim.run(
                     stim,

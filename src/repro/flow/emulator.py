@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReproError
-from repro.rtl.simulator import RecordSpec, Simulator
-from repro.uarch.pipeline import Pipeline
+from repro.parallel.tasks import pipeline_for, simulator_for
+from repro.rtl.simulator import RecordSpec
 
 __all__ = ["StorageAccounting", "EmulatorFlow"]
 
@@ -79,7 +79,7 @@ class EmulatorFlow:
         self.core = core
         self.model = model
         self.emulation_mhz = emulation_mhz
-        self._sim = Simulator(core.netlist)
+        self._sim = simulator_for(core.netlist)
 
     def trace(
         self, program, cycles: int, chunk: int = 20000, throttle=None
@@ -92,8 +92,7 @@ class EmulatorFlow:
         if cycles <= 0:
             raise ReproError("cycles must be positive")
         params = self.core.params.with_throttle(throttle)
-        pipeline = Pipeline(params)
-        activity, _stats = pipeline.run(program, cycles)
+        activity, _stats = pipeline_for(params).run(program, cycles)
         stim = self.core.stimulus_for(activity)
 
         t0 = time.perf_counter()

@@ -32,8 +32,8 @@ import numpy as np
 
 from repro.errors import PowerModelError, ReproError
 from repro.core.solvers import ridge_fit
+from repro.parallel.tasks import pipeline_for
 from repro.uarch.events import ActivityTrace
-from repro.uarch.pipeline import Pipeline
 
 __all__ = [
     "activity_features",
@@ -116,7 +116,7 @@ class ActivityPowerModel:
         performance simulation with integrated power tracing.
         """
         t0 = time.perf_counter()
-        activity, _stats = Pipeline(params).run(program, cycles)
+        activity, _stats = pipeline_for(params).run(program, cycles)
         power = self.predict(activity)
         return power, time.perf_counter() - t0
 
@@ -148,7 +148,7 @@ def dataset_activities(
             raise ReproError(f"no program registered for segment {name!r}")
         program, throttle = programs_by_name[name]
         params = core.params.with_throttle(throttle)
-        activity, _stats = Pipeline(params).run(program, end - start)
+        activity, _stats = pipeline_for(params).run(program, end - start)
         for ch, vals in activity.channels.items():
             merged.channels[ch][start:end] = vals
     return merged

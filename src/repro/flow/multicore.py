@@ -20,10 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import ReproError
-from repro.power.analyzer import PowerAnalyzer
+from repro.parallel.tasks import (
+    label_weights_for,
+    pipeline_for,
+    simulator_for,
+)
 from repro.power.pdn import PdnModel
-from repro.rtl.simulator import RecordSpec, Simulator
-from repro.uarch.pipeline import Pipeline
+from repro.rtl.simulator import RecordSpec
 
 __all__ = ["MulticoreRun", "MulticoreSimulator"]
 
@@ -69,8 +72,8 @@ class MulticoreSimulator:
             raise ReproError("need at least one core")
         self.core = core
         self.n_cores = n_cores
-        self._sim = Simulator(core.netlist)
-        self._weights = PowerAnalyzer(core.netlist).label_weights()
+        self._sim = simulator_for(core.netlist)
+        self._weights = label_weights_for(core.netlist)
         base = pdn or PdnModel()
         # Shared rail: n cores' decap in parallel, same series R/L per
         # package model (pessimistic: no per-core LDOs).
@@ -105,7 +108,7 @@ class MulticoreSimulator:
         if any(o < 0 for o in offsets):
             raise ReproError("offsets must be non-negative")
 
-        pipeline = Pipeline(self.core.params)
+        pipeline = pipeline_for(self.core.params)
         stims = []
         for prog, off in zip(progs, offsets):
             activity, _stats = pipeline.run(prog, cycles)

@@ -27,14 +27,7 @@ from repro.parallel.cache import (
     throttle_fingerprint,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import (
-    CoreState,
-    init_core_state,
-    seed_state,
-    simulate_group,
-    state_key_for,
-)
-from repro.power.analyzer import PowerAnalyzer
+from repro.parallel.tasks import core_state, simulate_group, state_key_for
 from repro.rtl.trace import ToggleTrace
 
 __all__ = [
@@ -192,7 +185,6 @@ def _simulate_benchmarks(
     engine: str = "packed",
     workers: int = 1,
     cache: EvalCache | None = None,
-    pool: WorkerPool | None = None,
     checkpoints: CheckpointStore | None = None,
     stage: str = "dataset",
     faults=None,
@@ -202,10 +194,9 @@ def _simulate_benchmarks(
 
     Runs with identical (cycles, throttle) are batched together; cached
     runs are skipped and the remaining groups fan out across ``workers``
-    processes (or the caller-supplied ``pool``).  Output is
-    bit-identical for any worker count and cache state — per-benchmark
-    results depend only on the benchmark itself, never on its
-    batch-mates (width-independent accumulator reduction).
+    processes.  Output is bit-identical for any worker count and cache
+    state — per-benchmark results depend only on the benchmark itself,
+    never on its batch-mates (width-independent accumulator reduction).
 
     With ``checkpoints`` set, completed per-run results are checkpointed
     under ``stage`` after every wave of ``workers`` groups;
@@ -213,12 +204,8 @@ def _simulate_benchmarks(
     the remaining runs.  Re-grouping the survivors changes batch-mates
     but (by the contract above) not a single output bit.
     """
-    weights = PowerAnalyzer(core.netlist).label_weights()
+    weights = core_state(core, engine).label_weights
     state_key = state_key_for(core, engine)
-    seed_state(
-        state_key,
-        CoreState.from_parts(core, engine, label_weights=weights),
-    )
     netlist_fp = core.netlist.fingerprint()
     weights_fp = array_fingerprint(weights) if cache is not None else ""
 
@@ -284,14 +271,12 @@ def _simulate_benchmarks(
         groups.append((group, cycles, throttle))
 
     if groups:
-        own_pool = pool is None
-        if own_pool:
-            pool = WorkerPool(
-                workers,
-                initializer=init_core_state,
-                initargs=(state_key, core, engine),
-                faults=faults,
-            )
+        pool = WorkerPool(
+            workers,
+            initializer=core_state,
+            initargs=(core, engine),
+            faults=faults,
+        )
         # Without a checkpoint store every group goes out in one map;
         # with one, groups go out in waves of ``workers`` so progress is
         # persisted at pool-width granularity.
@@ -336,8 +321,7 @@ def _simulate_benchmarks(
                 if faults is not None:
                     faults.raise_if(f"{stage}.wave")
         finally:
-            if own_pool:
-                pool.close()
+            pool.close()
 
     traces: list[ToggleTrace] = []
     labels: list[np.ndarray] = []

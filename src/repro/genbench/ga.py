@@ -34,13 +34,7 @@ from repro.parallel.cache import (
     program_fingerprint,
 )
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import (
-    CoreState,
-    eval_power_shard,
-    init_core_state,
-    seed_state,
-    state_key_for,
-)
+from repro.parallel.tasks import core_state, eval_power_shard, state_key_for
 from repro.isa.instructions import Instruction
 from repro.isa.program import (
     DEFAULT_MIX,
@@ -50,9 +44,6 @@ from repro.isa.program import (
     _random_instruction,
 )
 from repro.isa.instructions import IClass, Opcode
-from repro.power.analyzer import PowerAnalyzer
-from repro.rtl.simulator import RecordSpec, Simulator
-from repro.uarch.pipeline import Pipeline
 
 __all__ = ["GaConfig", "GaIndividual", "GaResult", "BenchmarkEvolver"]
 
@@ -179,12 +170,9 @@ class BenchmarkEvolver:
     cache:
         Optional :class:`repro.parallel.EvalCache`; per-program power
         traces are memoized by content hash, so re-encountered programs
-        (elites with ``reuse_elites=False``, duplicate children,
-        cross-run repeats via a disk tier) skip simulation entirely.
-    reuse_elites:
-        Carry elite individuals' measured traces into the next
-        generation instead of re-simulating them (on by default; the
-        flag exists so tests can compare both paths).
+        (duplicate children, cross-run repeats via a disk tier) skip
+        simulation entirely.  Elites never need it: their measured
+        traces carry into the next generation.
     checkpoints:
         Optional :class:`~repro.resilience.CheckpointStore`.  When set,
         the full GA state (population, RNG bit-generator state, every
@@ -208,45 +196,30 @@ class BenchmarkEvolver:
         tracer=None,
         workers: int = 1,
         cache: EvalCache | None = None,
-        reuse_elites: bool = True,
         checkpoints: CheckpointStore | None = None,
         faults=None,
     ) -> None:
         self.core = core
         self.config = config or GaConfig()
         self.tracer = tracer or NULL_TRACER
-        self.pipeline = Pipeline(core.params)
-        self.simulator = Simulator(core.netlist, engine=engine)
-        analyzer = PowerAnalyzer(core.netlist)
-        self._label_weights = analyzer.label_weights()
+        # The process's shared objects, built here (once per process)
+        # so that workers forked later inherit them.
+        state = core_state(core, engine)
+        self.simulator = state.simulator
+        weights = state.label_weights
         self._rng = np.random.default_rng(self.config.seed)
         self.cache = cache
-        self.reuse_elites = reuse_elites
         self._netlist_fp = core.netlist.fingerprint()
         self._weights_fp = (
-            array_fingerprint(self._label_weights)
-            if cache is not None else ""
+            array_fingerprint(weights) if cache is not None else ""
         )
-        # Workers rebuild this state from (core, engine) in their
-        # initializer; the parent seeds its already-built objects under
-        # the same key so the serial path reuses them.
         self._state_key = state_key_for(core, engine)
-        seed_state(
-            self._state_key,
-            CoreState.from_parts(
-                core,
-                engine,
-                pipeline=self.pipeline,
-                simulator=self.simulator,
-                label_weights=self._label_weights,
-            ),
-        )
         self.checkpoints = checkpoints
         self.faults = faults
         self.pool = WorkerPool(
             workers,
-            initializer=init_core_state,
-            initargs=(self._state_key, core, engine),
+            initializer=core_state,
+            initargs=(core, engine),
             tracer=self.tracer,
             faults=faults,
         )
@@ -466,7 +439,6 @@ class BenchmarkEvolver:
             # engine was part of the identity are refused, determinis-
             # tically, by the dict mismatch.)
             "netlist": self._netlist_fp,
-            "reuse_elites": self.reuse_elites,
         }
 
     def _save_generation(
@@ -654,15 +626,14 @@ class BenchmarkEvolver:
                     ]
                     # Elites keep their measured traces: positions
                     # 0..elite-1 of the next population need no
-                    # re-simulation (bit-identical either way — the
+                    # re-simulation (bit-identical to re-simulating — the
                     # accumulator reduction is batch-width independent).
-                    if self.reuse_elites:
-                        known = {
-                            pos: traces[i]
-                            for pos, (_p, _pw, _fit, i) in enumerate(
-                                scored[: cfg.elite]
-                            )
-                        }
+                    known = {
+                        pos: traces[i]
+                        for pos, (_p, _pw, _fit, i) in enumerate(
+                            scored[: cfg.elite]
+                        )
+                    }
                     k = 0
                     while len(nxt) < cfg.population:
                         pa, pb = self._rng.choice(

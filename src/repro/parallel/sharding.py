@@ -23,12 +23,7 @@ import numpy as np
 from repro.rtl.simulator import RecordSpec, SimResult
 from repro.rtl.trace import ToggleTrace
 from repro.parallel.pool import WorkerPool
-from repro.parallel.tasks import (
-    NetlistState,
-    netlist_state_key,
-    seed_state,
-    simulate_lane_shard,
-)
+from repro.parallel.tasks import simulate_lane_shard
 
 __all__ = ["lane_shards", "run_sharded"]
 
@@ -58,31 +53,26 @@ def run_sharded(
     pool: WorkerPool,
     engine: str = "packed",
     init_values: np.ndarray | None = None,
-    simulator=None,
 ) -> SimResult:
     """Simulate ``stimulus`` with its batch sharded across ``pool``.
 
-    Parameters mirror :meth:`repro.rtl.simulator.Simulator.run`;
-    ``simulator`` optionally donates the parent's compiled simulator so
-    the serial path (and shard 0 under fork) skips recompilation.
-    Returns a merged :class:`SimResult` bit-identical to the monolithic
-    run on any worker count.
+    Parameters mirror :meth:`repro.rtl.simulator.Simulator.run`.  Every
+    shard runs on its process's shared simulator for ``netlist``
+    (:func:`repro.parallel.tasks.simulator_for`): the serial path uses
+    the parent's, and a forked worker inherits one the parent had
+    already built.  Returns a merged :class:`SimResult` bit-identical
+    to the monolithic run on any worker count.
     """
     stim = np.asarray(stimulus, dtype=np.uint8)
     if stim.ndim == 2:
         stim = stim[None]
     batch = stim.shape[0]
-    key = netlist_state_key(netlist, engine)
-    if simulator is not None:
-        st = NetlistState(netlist, engine)
-        st._simulator = simulator
-        seed_state(key, st)
     shards = lane_shards(batch, pool.workers) if pool.parallel else [
         slice(0, batch)
     ]
     tasks = [
         (
-            key, netlist, engine, stim[sl], record,
+            netlist, engine, stim[sl], record,
             None if init_values is None else init_values[:, sl],
         )
         for sl in shards

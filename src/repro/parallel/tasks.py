@@ -1,15 +1,25 @@
 """Per-process worker state and the module-level task functions.
 
-Process pools can only ship *picklable* callables, and rebuilding a
-compiled :class:`~repro.rtl.simulator.Simulator` per task would eat the
-speedup — so workers keep expensive objects in a module-global state
-registry, built once per process by the pool ``initializer`` and looked
-up by key inside each task.
+Process pools can only ship *picklable* callables, and a core's
+compiled :class:`~repro.rtl.simulator.Simulator`, label weights and
+:class:`~repro.uarch.pipeline.Pipeline` are too expensive to rebuild
+per task or per caller — so every process keeps them in one
+module-global registry, each built at most once and keyed by exactly
+what it derives from:
 
-The parent process seeds the *same* state with :func:`seed_state`
-before mapping, so the serial path (and the degraded fallback) executes
-the identical task functions against the parent's already-built
-objects.  One code path, two execution modes, bit-identical results.
+* :func:`simulator_for` — ``("simulator", netlist fingerprint, engine)``;
+* :func:`label_weights_for` — ``("label_weights", netlist fingerprint)``;
+* :func:`pipeline_for` — ``("pipeline", params)``.
+
+Library code gets these objects only through those three functions,
+so the GA, dataset builds, lane shards and the design-time, emulator,
+multicore and streaming flows of one process share them.  Entries live
+for the process.  A forked pool worker inherits the parent's registry
+and the pool initializer (:func:`core_state`) only adds what is
+missing, so forked workers reuse what the parent already built and
+spawned ones build on first use.  The serial path (and the degraded
+fallback) runs the identical task functions against the parent's
+objects: one code path, two execution modes, bit-identical results.
 """
 
 from __future__ import annotations
@@ -20,15 +30,16 @@ from repro.errors import ParallelError
 
 __all__ = [
     "CoreState",
-    "NetlistState",
+    "core_state",
     "seed_state",
     "drop_state",
     "get_state",
     "state_setdefault",
-    "init_state",
-    "init_core_state",
+    "simulator_for",
+    "label_weights_for",
+    "pipeline_for",
+    "state_key_for",
     "eval_power_shard",
-    "netlist_state_key",
     "simulate_group",
     "simulate_lane_shard",
 ]
@@ -38,7 +49,8 @@ _STATE: dict = {}
 
 
 def seed_state(key, value) -> None:
-    """Register state in *this* process (parent-side pre-seeding)."""
+    """Register state in *this* process (also usable as a pool
+    initializer that installs an already-built, pickled value)."""
     _STATE[key] = value
 
 
@@ -54,17 +66,16 @@ def get_state(key):
     except KeyError:
         raise ParallelError(
             f"no worker state under key {key!r}; the pool initializer "
-            "and the task disagree, or the parent forgot seed_state()"
+            "and the task disagree, or the parent never registered it"
         ) from None
 
 
 def state_setdefault(key, factory):
     """Get state under ``key``, building it with ``factory()`` on miss.
 
-    The worker-side idiom for state that can be rebuilt from the task
-    payload itself (no initializer needed): first task to land in a
-    process pays the build, every later one reuses it.  Works
-    identically on the serial path, where "the process" is the parent.
+    First caller in a process pays the build, every later one reuses
+    it — identically on the serial path, where "the process" is the
+    parent.
     """
     st = _STATE.get(key)
     if st is None:
@@ -72,103 +83,81 @@ def state_setdefault(key, factory):
     return st
 
 
-def init_state(key, value) -> None:
-    """Pool initializer: install an already-built (pickled) value."""
-    _STATE[key] = value
+def simulator_for(netlist, engine: str = "packed"):
+    """This process's compiled simulator for ``netlist`` on ``engine``."""
+    from repro.rtl.simulator import Simulator
+
+    return state_setdefault(
+        ("simulator", netlist.fingerprint(), engine),
+        lambda: Simulator(netlist, engine=engine),
+    )
+
+
+def label_weights_for(netlist) -> np.ndarray:
+    """This process's per-net label-power weights for ``netlist``.
+
+    Read-only: every caller in the process shares the one array.
+    """
+    from repro.power.analyzer import PowerAnalyzer
+
+    def build() -> np.ndarray:
+        weights = PowerAnalyzer(netlist).label_weights()
+        weights.setflags(write=False)
+        return weights
+
+    return state_setdefault(("label_weights", netlist.fingerprint()), build)
+
+
+def pipeline_for(params):
+    """This process's pipeline model for ``params``."""
+    from repro.uarch.pipeline import Pipeline
+
+    return state_setdefault(("pipeline", params), lambda: Pipeline(params))
 
 
 class CoreState:
-    """Lazily-built per-process simulation objects for one core design.
+    """One core design's simulation objects, as seen by task functions.
 
-    Everything is derived deterministically from ``(core, engine)``, so
-    a worker's rebuilt state produces bit-identical results to the
-    parent's.  The parent can donate its existing objects via
-    :meth:`from_parts` to avoid recompiling on the serial path.
+    A view over ``(core, engine)``: its simulator, pipeline and label
+    weights come from the per-process registry, so every view of the
+    same design shares them with each other and with every flow.
     """
 
     def __init__(self, core, engine: str) -> None:
         self.core = core
         self.engine = engine
-        self._simulator = None
-        self._pipeline = None
-        self._label_weights = None
-
-    @classmethod
-    def from_parts(
-        cls, core, engine, pipeline=None, simulator=None, label_weights=None
-    ) -> "CoreState":
-        st = cls(core, engine)
-        st._pipeline = pipeline
-        st._simulator = simulator
-        st._label_weights = label_weights
-        return st
 
     @property
     def simulator(self):
-        if self._simulator is None:
-            from repro.rtl.simulator import Simulator
-
-            self._simulator = Simulator(
-                self.core.netlist, engine=self.engine
-            )
-        return self._simulator
+        return simulator_for(self.core.netlist, self.engine)
 
     @property
     def pipeline(self):
-        if self._pipeline is None:
-            from repro.uarch.pipeline import Pipeline
-
-            self._pipeline = Pipeline(self.core.params)
-        return self._pipeline
+        return pipeline_for(self.core.params)
 
     @property
     def label_weights(self) -> np.ndarray:
-        if self._label_weights is None:
-            from repro.power.analyzer import PowerAnalyzer
-
-            self._label_weights = PowerAnalyzer(
-                self.core.netlist
-            ).label_weights()
-        return self._label_weights
-
-
-def init_core_state(key, core, engine: str) -> None:
-    """Pool initializer: build :class:`CoreState` once per worker."""
-    _STATE[key] = CoreState(core, engine)
+        return label_weights_for(self.core.netlist)
 
 
 def state_key_for(core, engine: str) -> tuple:
-    """Registry key for a (core, engine) pair: content-addressed."""
-    return ("core", core.netlist.fingerprint()[:16], engine)
+    """Registry key of a (core, engine) :class:`CoreState`.
 
-
-class NetlistState:
-    """Lazily-built per-process simulator for one bare netlist.
-
-    The lane-sharding path (:mod:`repro.parallel.sharding`) works below
-    the core abstraction — a shard task only needs a compiled
-    :class:`~repro.rtl.simulator.Simulator` for the netlist, rebuilt
-    deterministically from ``(netlist, engine)`` in whichever process
-    the shard lands in.
+    Both the netlist content and the params: cores that differ only in
+    pipeline params (a throttle scheme) share one netlist fingerprint.
     """
-
-    def __init__(self, netlist, engine: str) -> None:
-        self.netlist = netlist
-        self.engine = engine
-        self._simulator = None
-
-    @property
-    def simulator(self):
-        if self._simulator is None:
-            from repro.rtl.simulator import Simulator
-
-            self._simulator = Simulator(self.netlist, engine=self.engine)
-        return self._simulator
+    return ("core", core.netlist.fingerprint(), core.params, engine)
 
 
-def netlist_state_key(netlist, engine: str) -> tuple:
-    """Registry key for a (netlist, engine) pair: content-addressed."""
-    return ("netlist", netlist.fingerprint()[:16], engine)
+def core_state(core, engine: str) -> CoreState:
+    """This process's :class:`CoreState` under :func:`state_key_for`.
+
+    Also the pool initializer of core tasks: a forked worker keeps the
+    view (and the objects) it inherited, a spawned one registers it.
+    """
+    return state_setdefault(
+        state_key_for(core, engine), lambda: CoreState(core, engine)
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -185,10 +174,11 @@ def eval_power_shard(args) -> np.ndarray:
     st = get_state(key)
     from repro.rtl.simulator import RecordSpec
 
-    stims = []
-    for prog in programs:
-        activity, _stats = st.pipeline.run(prog, cycles)
-        stims.append(st.core.stimulus_for(activity))
+    pipeline = st.pipeline
+    stims = [
+        st.core.stimulus_for(pipeline.run(prog, cycles)[0])
+        for prog in programs
+    ]
     res = st.simulator.run(
         np.stack(stims),
         RecordSpec(accumulators={"label": st.label_weights}),
@@ -199,20 +189,21 @@ def eval_power_shard(args) -> np.ndarray:
 def simulate_lane_shard(args):
     """Lane shard: simulate one contiguous batch slice of a larger run.
 
-    ``args = (state_key, netlist, engine, stim, record, init_values)``;
-    returns the shard's :class:`~repro.rtl.simulator.SimResult`.  The
-    per-process simulator is built on first use (``netlist`` rides along
-    so no initializer is required); the parent may pre-donate its own
-    via :func:`seed_state` to skip the rebuild on the serial path.
+    ``args = (netlist, engine, stim, record, init_values)``; returns the
+    shard's :class:`~repro.rtl.simulator.SimResult`.  ``netlist`` rides
+    along so no initializer is required: the process's simulator for it
+    is built on first use (or inherited, or already the parent's own on
+    the serial path).
 
     Bit-identity for any shard plan rests on the engines' lane purity:
     every recorded artifact of lane ``b`` is a pure function of stimulus
     lane ``b``, so concatenating shard results along the batch axis
     reproduces the monolithic run exactly.
     """
-    key, netlist, engine, stim, record, init_values = args
-    st = state_setdefault(key, lambda: NetlistState(netlist, engine))
-    return st.simulator.run(stim, record, init_values=init_values)
+    netlist, engine, stim, record, init_values = args
+    return simulator_for(netlist, engine).run(
+        stim, record, init_values=init_values
+    )
 
 
 def simulate_group(args) -> list[dict[str, np.ndarray]]:
@@ -226,16 +217,12 @@ def simulate_group(args) -> list[dict[str, np.ndarray]]:
     key, cycles, throttle, programs = args
     st = get_state(key)
     from repro.rtl.simulator import RecordSpec
-    from repro.uarch.pipeline import Pipeline
 
-    if throttle is None and st.core.params.throttle is None:
-        pipeline = st.pipeline  # same params as with_throttle(None)
-    else:
-        pipeline = Pipeline(st.core.params.with_throttle(throttle))
-    stims = []
-    for prog in programs:
-        activity, _stats = pipeline.run(prog, cycles)
-        stims.append(st.core.stimulus_for(activity))
+    pipeline = pipeline_for(st.core.params.with_throttle(throttle))
+    stims = [
+        st.core.stimulus_for(pipeline.run(prog, cycles)[0])
+        for prog in programs
+    ]
     res = st.simulator.run(
         np.stack(stims),
         RecordSpec(

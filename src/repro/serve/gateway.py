@@ -77,6 +77,19 @@ __all__ = [
 ]
 
 
+def _toggle_bits(toggles) -> np.ndarray:
+    """``toggles`` as uint8 without wrapping: an input that needs a cast
+    must hold only 0/1 values (a cast turns 256 into 0 and -1 into 255).
+    A uint8 input passes unchanged; :meth:`PushSource.check` bounds it.
+    """
+    arr = np.asarray(toggles)
+    if arr.dtype == np.uint8:
+        return arr
+    if arr.dtype.kind not in "biuf" or ((arr != 0) & (arr != 1)).any():
+        raise ServeError("pushed toggles must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
 class PushSource:
     """Client-pushed proxy blocks behind a bounded drop-oldest buffer.
 
@@ -105,17 +118,29 @@ class PushSource:
     def pending(self) -> int:
         return len(self._buf)
 
-    def push(self, toggles: np.ndarray, last: bool = False) -> bool:
-        """Buffer one chunk; returns False if an old chunk was dropped."""
-        if self.closed:
-            raise ServeError("push on a closed session")
-        arr = np.asarray(toggles, dtype=np.uint8)
+    def check(self, toggles) -> np.ndarray:
+        """``toggles`` as a ``(cycles, q)`` uint8 chunk of 0/1 values
+        (what :meth:`~repro.opm.meter.OpmMeter.per_cycle` accepts), or
+        :class:`~repro.errors.ServeError`."""
+        arr = _toggle_bits(toggles)
         if arr.ndim != 2 or arr.shape[1] != self.q:
             raise ServeError(
                 f"expected (cycles, {self.q}) toggles, got {arr.shape}"
             )
         if arr.shape[0] == 0:
             raise ServeError("pushed chunk must cover at least one cycle")
+        if arr.max() > 1:
+            raise ServeError("pushed toggles must be 0 or 1")
+        return arr
+
+    def push(self, toggles: np.ndarray, last: bool = False) -> bool:
+        """Buffer one chunk; returns False if an old chunk was dropped."""
+        return self.append(self.check(toggles), last=last)
+
+    def append(self, arr: np.ndarray, last: bool = False) -> bool:
+        """Buffer a chunk :meth:`check` returned (see :meth:`push`)."""
+        if self.closed:
+            raise ServeError("push on a closed session")
         block = ProxyBlock(
             start_cycle=self.cycles_pushed, toggles=arr, last=last
         )
@@ -535,8 +560,9 @@ class Gateway:
         data-frame sequence number; a mismatch is counted and rejected,
         so a dropped or re-ordered frame can never silently corrupt
         the stream.  Shed pushes raise
-        :class:`~repro.errors.AdmissionError` before any data is
-        buffered.
+        :class:`~repro.errors.AdmissionError` and malformed chunks (any
+        value but 0/1 included) :class:`~repro.errors.ServeError`,
+        before any data is buffered or a sequence number is consumed.
         """
         handle = self._resolve(handle_or_name)
         if handle.push is None:
@@ -544,6 +570,7 @@ class Gateway:
                 f"session {handle.name!r} is source-backed; it cannot "
                 "accept pushed data"
             )
+        arr = handle.push.check(toggles)
         if self.admission is not None:
             self.admission.admit_push(
                 handle.core_id,
@@ -562,7 +589,7 @@ class Gateway:
                 )
             handle.client_seq += 1
         handle.last_activity_tick = self.ticks
-        kept = handle.push.push(toggles, last=last)
+        kept = handle.push.append(arr, last=last)
         self.metrics.counter("serve.push.blocks").inc()
         if not kept:
             self.metrics.counter("serve.push.dropped").inc()
@@ -1137,7 +1164,7 @@ class InprocClient:
         return handle.name
 
     def push(self, name: str, toggles, last: bool = False, ctx=None) -> None:
-        fields, payload = encode_array(np.asarray(toggles, dtype=np.uint8))
+        fields, payload = encode_array(_toggle_bits(toggles))
         seq = self._seq.get(name, 0)
         head = {"op": "data", "session": name, "last": bool(last),
                 "seq": seq, **fields}
@@ -1444,7 +1471,7 @@ class AsyncTelemetryClient:
         return header["session"]
 
     async def send(self, session: str, toggles, last: bool = False) -> None:
-        fields, payload = encode_array(np.asarray(toggles, dtype=np.uint8))
+        fields, payload = encode_array(_toggle_bits(toggles))
         seq = self._seq.get(session, 0)
         self.writer.write(encode_frame(
             {"op": "data", "session": session, "last": bool(last),

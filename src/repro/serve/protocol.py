@@ -114,7 +114,8 @@ def decode_frame(data: bytes) -> tuple[dict, bytes, int]:
     (hlen,) = _U32.unpack_from(data, 0)
     try:
         header = json.loads(data[4 : 4 + hlen].decode())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
         raise ServeError(f"frame header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or "op" not in header:
         raise ServeError(f"frame header must be an object with 'op'")
@@ -157,20 +158,29 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
     """(header fields, payload bytes) -> array, validated."""
     dtype = header.get("dtype")
     shape = header.get("shape")
-    if dtype not in _ALLOWED_DTYPES:
-        raise ServeError(f"frame dtype {dtype!r} not allowed")
+    # Messages quote at most 80 characters of what the peer sent.
+    if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
+        raise ServeError(f"frame dtype {dtype!r:.80} not allowed")
     if not isinstance(shape, list) or not all(
-        isinstance(d, int) and d >= 0 for d in shape
+        type(d) is int and d >= 0 for d in shape
     ):
-        raise ServeError(f"frame shape {shape!r} is not a valid shape")
-    arr = np.frombuffer(payload, dtype=np.dtype(dtype))
-    expect = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    if arr.size != expect:
+        raise ServeError(f"frame shape {shape!r:.80} is not a valid shape")
+    # Python ints, multiplied only up to the frame bound: a hostile
+    # shape can neither wrap an int64 product nor grow a huge integer.
+    nbytes = np.dtype(dtype).itemsize
+    for d in shape:
+        nbytes *= d
+        if nbytes > MAX_FRAME_BYTES:
+            break
+    if len(payload) != nbytes:
         raise ServeError(
-            f"frame payload holds {arr.size} elements, shape {shape} "
-            f"needs {expect}"
+            f"frame payload of {len(payload)} bytes does not match "
+            f"shape {shape!r:.80} of {dtype}"
         )
-    return arr.reshape(shape)
+    try:
+        return np.frombuffer(payload, dtype=np.dtype(dtype)).reshape(shape)
+    except ValueError as exc:  # more dimensions than NumPy supports
+        raise ServeError(f"frame shape {shape!r:.80}: {exc}") from exc
 
 
 class FrameBuffer:

@@ -80,15 +80,12 @@ def service_for_programs(
 
     The per-core path mirrors :class:`~repro.flow.multicore`'s socket
     model — one workload per core, one session per core here — and all
-    sessions share a single compiled simulator.  ``qmodel`` is a
-    :class:`~repro.opm.quantize.QuantizedModel`; pass ``droop_enter_ma``
-    and/or ``budget_mw`` to enable the alert layers.
+    sessions share the process's compiled simulator for the design.
+    ``qmodel`` is a :class:`~repro.opm.quantize.QuantizedModel`; pass
+    ``droop_enter_ma`` and/or ``budget_mw`` to enable the alert layers.
     """
-    from repro.rtl.simulator import Simulator
-
     meter = OpmMeter(qmodel, t=t)
     config = config or StreamConfig()
-    sim = Simulator(core.netlist, engine=engine)
     sessions = []
     for i, program in enumerate(programs):
         source = SimulatorSource.from_program(
@@ -98,7 +95,6 @@ def service_for_programs(
             cycles,
             chunk_cycles=chunk_cycles,
             engine=engine,
-            simulator=sim,
             tracer=tracer,
         )
         droop = (

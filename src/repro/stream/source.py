@@ -24,9 +24,9 @@ import numpy as np
 
 from repro.errors import StreamError
 from repro.obs.trace import NULL_TRACER
+from repro.parallel.tasks import pipeline_for, simulator_for
 from repro.rtl.simulator import RecordSpec, Simulator
 from repro.rtl.trace import ToggleTrace
-from repro.uarch.pipeline import Pipeline
 
 __all__ = ["ProxyBlock", "SimulatorSource", "TraceSource"]
 
@@ -67,8 +67,10 @@ class SimulatorSource:
         :data:`repro.rtl.simulator.ENGINES` (``"packed"``, the default,
         or the ``"uint8"`` reference).
     simulator:
-        Optionally share one compiled :class:`Simulator` across many
-        sources of the same design (compilation is the expensive part).
+        A compiled :class:`Simulator` to run instead of the process's
+        shared one for ``(netlist, engine)``
+        (:func:`repro.parallel.tasks.simulator_for`), which every
+        source of the same design already shares by default.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`: each emitted chunk
         becomes a ``stream.chunk`` span (start cycle, cycles).
@@ -95,7 +97,7 @@ class SimulatorSource:
         self.proxies = np.asarray(proxies, dtype=np.int64)
         self.stimulus = stim
         self.chunk_cycles = int(chunk_cycles)
-        self.sim = simulator or Simulator(netlist, engine=engine)
+        self.sim = simulator or simulator_for(netlist, engine)
         self.record = RecordSpec(columns=self.proxies)
         self.tracer = tracer or NULL_TRACER
 
@@ -118,7 +120,7 @@ class SimulatorSource:
         """
         if cycles <= 0:
             raise StreamError("cycles must be positive")
-        activity, _stats = Pipeline(core.params).run(program, cycles)
+        activity, _stats = pipeline_for(core.params).run(program, cycles)
         return cls(
             core.netlist,
             proxies,

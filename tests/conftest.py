@@ -19,6 +19,7 @@ from repro.genbench import (
     build_testing_dataset,
     build_training_dataset,
 )
+from repro.parallel import tasks
 from repro.rtl.backends import cc
 from repro.uarch import CoreParams
 
@@ -26,7 +27,12 @@ from repro.uarch import CoreParams
 @pytest.fixture
 def engine(request, monkeypatch) -> str:
     """Engine name for one of ``helpers.SIM_PATHS`` (indirect param),
-    with the packed engine's kernel state set to match."""
+    with the packed engine's kernel state set to match.
+
+    The test also gets an empty per-process state, so it neither reuses
+    a simulator compiled under another kernel state nor leaves its own
+    behind for later tests."""
+    monkeypatch.setattr(tasks, "_STATE", {})
     path = request.param
     if path == "packed":
         monkeypatch.setattr(cc, "load_kernel", lambda: None)

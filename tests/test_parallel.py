@@ -9,13 +9,16 @@ workers, unpicklable tasks) and the cache's eviction/disk behavior.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.design import build_core
 from repro.errors import ParallelError
+from repro.flow import DesignTimeFlow
 from repro.genbench import BenchmarkEvolver, GaConfig, build_training_dataset
 from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import DEFAULT_MIX, Program, random_program
@@ -25,9 +28,11 @@ from repro.parallel import (
     WorkerPool,
     make_key,
     program_fingerprint,
+    tasks,
     throttle_fingerprint,
 )
 from repro.rtl import Netlist
+from repro.stream import SimulatorSource
 from repro.uarch import ThrottleScheme
 
 _PARENT_PID = os.getpid()
@@ -52,6 +57,17 @@ def _die_in_worker(x):
     if os.getpid() != _PARENT_PID:
         os._exit(13)
     return x * 2
+
+
+def _held_before_build(key):
+    # Which of the core's shared objects this process already holds.
+    st = tasks.get_state(key)
+    fp = st.core.netlist.fingerprint()
+    return (
+        os.getpid(),
+        ("simulator", fp, st.engine) in tasks._STATE,
+        ("label_weights", fp) in tasks._STATE,
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -358,16 +374,28 @@ def test_ga_parallel_cached_bit_identical(small_core, engine, tmp_path):
 
 
 def test_elite_reuse_identical_with_fewer_simulations(small_core):
+    # Elites carry their measured traces into the next generation; each
+    # carried trace must be the bits a fresh simulation would produce.
     cfg = _ga_cfg()
-    with BenchmarkEvolver(small_core, cfg, reuse_elites=False) as ev:
-        full = ev.run()
-        n_full = ev.n_simulated
-    with BenchmarkEvolver(small_core, cfg, reuse_elites=True) as ev:
-        reused = ev.run()
-        n_reused = ev.n_simulated
+    carried = []
+    with BenchmarkEvolver(small_core, cfg) as ev:
+        measure = ev._power_traces
+
+        def spy(programs, known=None):
+            for pos, trace in (known or {}).items():
+                carried.append((programs[pos], np.array(trace)))
+            return measure(programs, known=known)
+
+        ev._power_traces = spy
+        ev.run()
+        assert ev.n_simulated == (
+            cfg.generations * cfg.population
+            - (cfg.generations - 1) * cfg.elite
+        )
         assert ev.n_elite_reuses == (cfg.generations - 1) * cfg.elite
-    assert _ga_signature(reused) == _ga_signature(full)
-    assert n_reused == n_full - (cfg.generations - 1) * cfg.elite
+        assert len(carried) == (cfg.generations - 1) * cfg.elite
+        for program, trace in carried:
+            assert measure([program])[0].tobytes() == trace.tobytes()
 
 
 def test_measure_didt_matches_loop_reference(small_core):
@@ -385,6 +413,59 @@ def test_measure_didt_matches_loop_reference(small_core):
             )
     finally:
         ev.close()
+
+
+# --------------------------------------------------------------------- #
+# one compiled core per process (repro.parallel.tasks)
+# --------------------------------------------------------------------- #
+def test_cores_sharing_a_netlist_keep_their_own_pipelines(small_core):
+    # A throttle scheme changes the pipeline, not the netlist: the two
+    # cores share a simulator but must not share pipeline state.
+    throttled = build_core(
+        small_core.params.with_throttle(ThrottleScheme(max_issue=1))
+    )
+    assert throttled.netlist.fingerprint() == small_core.netlist.fingerprint()
+    cfg = GaConfig(population=4, generations=2, seed=3)
+    with BenchmarkEvolver(small_core, cfg) as ev:
+        expected = [i.power for i in ev.run().individuals]
+    with BenchmarkEvolver(small_core, cfg) as ev:
+        with BenchmarkEvolver(throttled, cfg) as ev_throttled:
+            throttled_powers = [
+                i.power for i in ev_throttled.run().individuals
+            ]
+        assert [i.power for i in ev.run().individuals] == expected
+        assert ev_throttled.simulator is ev.simulator
+    assert throttled_powers != expected
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="no fork start method on this platform",
+)
+def test_forked_workers_keep_the_parents_compiled_core(
+    small_core, monkeypatch
+):
+    monkeypatch.setenv("REPRO_MP_START", "fork")
+    key = tasks.state_key_for(small_core, "packed")
+    with BenchmarkEvolver(small_core, _ga_cfg(), workers=2) as ev:
+        held = ev.pool.map(_held_before_build, [key, key])
+        assert not ev.pool.degraded
+    assert all(pid != os.getpid() for pid, _s, _w in held)
+    assert [(s, w) for _pid, s, w in held] == [(True, True)] * 2
+
+
+def test_one_simulator_per_core_per_process(small_core, small_model):
+    program = random_program(np.random.default_rng(0), 8, DEFAULT_MIX)
+    with BenchmarkEvolver(small_core, _ga_cfg()) as a, BenchmarkEvolver(
+        small_core, GaConfig(population=4, generations=1)
+    ) as b:
+        flow = DesignTimeFlow(small_core, small_model)
+        source = SimulatorSource.from_program(
+            small_core, small_model.proxies, program, cycles=8
+        )
+        assert a.simulator is b.simulator
+        assert flow._sim is a.simulator
+        assert source.sim is a.simulator
 
 
 # --------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ import pytest
 from repro.errors import SimulationError, TransientFault
 from repro.genbench import BenchmarkEvolver, GaConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import WorkerPool, program_fingerprint
+from repro.parallel import WorkerPool, program_fingerprint, tasks
 from repro.parallel.sharding import lane_shards, run_sharded
 from repro.resilience import (
     CheckpointStore,
@@ -35,8 +35,12 @@ from helpers import SIM_PATHS, random_netlist
 
 
 def _no_kernel(monkeypatch):
-    """Make the packed engine's kernel loader report no compiler."""
+    """Make the packed engine's kernel loader report no compiler, on an
+    empty per-process state: simulators built before (with the kernel)
+    are not reused, and those built here do not outlive ``monkeypatch``.
+    """
     monkeypatch.setattr(cc, "load_kernel", lambda: None)
+    monkeypatch.setattr(tasks, "_STATE", {})
 
 
 def _full_record(nl):

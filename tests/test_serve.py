@@ -149,6 +149,81 @@ def test_malformed_frames_raise_serve_error():
         decode_array({"dtype": "float16", "shape": [2]}, b"\x00" * 4)
     with pytest.raises(ServeError):
         decode_array({"dtype": "uint8", "shape": [9]}, b"\x00" * 4)
+    # The int64 element product of this shape wraps to 0.
+    with pytest.raises(ServeError):
+        decode_array({"dtype": "uint8", "shape": [2 ** 62, 4]}, b"")
+    # 400 KB of nested arrays: deeper than the JSON parser's stack.
+    nested = b"[" * 200_000 + b"]" * 200_000
+    deep = struct.pack(">I", len(nested)) + nested + struct.pack(">I", 0)
+    with pytest.raises(ServeError):
+        decode_frame(deep)
+    with pytest.raises(ServeError):
+        FrameBuffer().feed(deep)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _wire_bytes(draw):
+    """Frames as a peer might send them: random bytes, or a frame of a
+    random JSON header and payload with its prefixes optionally
+    replaced, then optionally truncated."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=96))
+    header = draw(
+        st.builds(lambda v: json.dumps(v).encode(), _json)
+        | st.binary(max_size=32)
+    )
+    payload = draw(st.binary(max_size=32))
+    hlen = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    plen = draw(st.none() | st.integers(0, 2 ** 32 - 1))
+    data = (
+        struct.pack(">I", len(header) if hlen is None else hlen) + header
+        + struct.pack(">I", len(payload) if plen is None else plen)
+        + payload
+    )
+    return data[:draw(st.integers(0, len(data)))]
+
+
+@given(data=_wire_bytes(), cut=st.integers(0, 128))
+@settings(max_examples=300, deadline=None)
+def test_frame_decoders_return_or_raise_serve_error(data, cut):
+    try:
+        decode_frame(data)
+    except ServeError:
+        pass
+    buf = FrameBuffer()
+    try:
+        buf.feed(data[:cut])
+        buf.feed(data[cut:])
+    except ServeError:
+        pass
+
+
+@given(
+    dtype=st.sampled_from(["uint8", "int64", "float64", "float16", ""])
+    | st.none() | st.integers() | st.lists(st.text(max_size=4)),
+    shape=st.none() | st.integers() | st.lists(
+        st.integers(-2, 2 ** 70) | st.booleans() | st.floats()
+        | st.text(max_size=2),
+        max_size=70,
+    ),
+    payload=st.binary(max_size=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_decode_array_returns_or_raises_serve_error(dtype, shape, payload):
+    try:
+        arr = decode_array({"dtype": dtype, "shape": shape}, payload)
+    except ServeError:
+        return
+    assert arr.nbytes == len(payload) and list(arr.shape) == shape
 
 
 def test_frame_buffer_bounds_payload_length_at_once():
@@ -242,6 +317,38 @@ def test_push_source_rejects_bad_input():
     src.close()
     with pytest.raises(ServeError):
         src.push(_toggles(3, 2))  # closed
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[2, 0, 0, 0]], dtype=np.uint8),
+        [[2, 0, 0, 0]],
+        [[256, -1, 0, 0], [0, 0, 0, 1]],  # a cast wraps to 0 and 255
+        np.array([[0.5, 0.0, 0.0, 1.0]]),
+    ],
+)
+def test_push_rejects_non_binary_toggles(bad):
+    # Refused before anything is buffered or a sequence number is
+    # consumed; the session then serves its real data unharmed.
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=1, t=4)
+    client = InprocClient(gw)
+    name = client.open("c0")
+    with pytest.raises(ServeError, match="0 or 1"):
+        gw.push(name, bad, seq=0)
+    with pytest.raises(ServeError, match="0 or 1"):
+        client.push(name, bad)
+    handle = gw.handles[name]
+    assert handle.push.pending == 0 and handle.push.cycles_pushed == 0
+    assert handle.client_seq == 0
+    stim = _toggles(4, 16, seed=9)
+    client.push(name, stim, last=True)
+    gw.drain()
+    np.testing.assert_array_equal(
+        client.windows(name).view(np.uint8),
+        reg.meter("v1", 4).read(stim).view(np.uint8),
+    )
 
 
 def test_gateway_session_lifecycle_push_mode():
@@ -757,6 +864,54 @@ def test_tcp_gateway_rejects_hostile_length_prefix():
             assert await asyncio.wait_for(reader.read(), timeout=10) == b""
             writer.close()
             await client.send(session, stim[16:], last=True)
+            windows, stats = await client.collect(session)
+            await client.aclose()
+            return windows, stats
+        finally:
+            await server.close()
+
+    windows, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(
+        windows.view(np.uint8),
+        reg.meter("v1", 4).read(stim).view(np.uint8),
+    )
+    assert stats["cycles"] == 40 and stats["done"]
+
+
+def test_tcp_gateway_answers_malformed_data_and_keeps_serving():
+    # A data frame with a non-binary toggle, and one whose shape's int64
+    # element product wraps, each get an error frame; the connection
+    # then serves the session's real data.
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=2, t=4)
+    stim = _toggles(4, 40, seed=9)
+    bad = stim[:16].copy()
+    bad[3, 1] = 2
+
+    async def scenario():
+        server = GatewayServer(gw)
+        await server.start()
+        try:
+            client = await AsyncTelemetryClient.connect(
+                "127.0.0.1", server.port
+            )
+            session = await client.open("c0")
+            for fields, payload in (
+                encode_array(bad),
+                ({"dtype": "uint8", "shape": [2 ** 62, 4]}, b""),
+            ):
+                client.writer.write(encode_frame(
+                    {"op": "data", "session": session, **fields}, payload
+                ))
+                await client.writer.drain()
+                header, _payload = await asyncio.wait_for(
+                    read_frame(client.reader), timeout=10
+                )
+                assert header["op"] == "error"
+            for i in range(0, 40, 16):
+                await client.send(
+                    session, stim[i:i + 16], last=i + 16 >= 40
+                )
             windows, stats = await client.collect(session)
             await client.aclose()
             return windows, stats
