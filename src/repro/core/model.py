@@ -10,8 +10,12 @@ emulator-assisted flow, and the hardware OPM generator.
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -64,6 +68,8 @@ def check_artifact(path: str | Path, kind: str) -> dict | None:
     if not sc.exists():
         return None
     meta = json.loads(sc.read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{sc} does not hold a JSON object")
     if meta.get("kind") != kind:
         raise PowerModelError(
             f"{sc} holds a {meta.get('kind')!r} artifact, expected {kind!r}"
@@ -75,6 +81,29 @@ def check_artifact(path: str | Path, kind: str) -> dict | None:
             f"v{MODEL_SCHEMA_VERSION}"
         )
     return meta
+
+
+@contextmanager
+def open_artifact(
+    path: str | Path, kind: str, error: type[Exception]
+) -> Iterator:
+    """Check the sidecar, then open the artifact's npz for reading.
+
+    A sidecar naming another kind or a newer schema raises
+    :class:`PowerModelError`.  Every other way a torn, corrupt or
+    foreign artifact fails, inside the block too (torn JSON, not a zip,
+    a bad member, a missing key, pickled objects, a non-scalar where a
+    scalar belongs), surfaces as ``error``.  I/O errors pass through
+    unchanged: a missing file or a failing disk is not a bad artifact.
+    """
+    npz = resolve_npz_path(path)
+    try:
+        check_artifact(path, kind)
+        with np.load(npz) as data:
+            yield data
+    except (EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile, zlib.error) as exc:
+        raise error(f"{npz} is not a readable {kind} artifact: {exc}") from exc
 
 
 @dataclass
@@ -166,9 +195,9 @@ class ApolloModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "ApolloModel":
-        """Load a saved model; v1 artifacts (no sidecar) still load."""
-        check_artifact(path, "ApolloModel")
-        with np.load(resolve_npz_path(path)) as data:
+        """Load a saved model; v1 artifacts (no sidecar) still load, and a
+        corrupt or foreign archive raises :class:`PowerModelError`."""
+        with open_artifact(path, "ApolloModel", PowerModelError) as data:
             return cls(
                 proxies=data["proxies"],
                 weights=data["weights"],

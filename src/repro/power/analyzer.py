@@ -27,13 +27,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import PowerModelError
-from repro.rtl.cells import CELL_LIBRARY, EVAL_OPS, Op
+from repro.rtl.cells import CELL_LIBRARY, IS_EVAL, Op, op_table
 from repro.rtl.levelize import levelize
 from repro.rtl.netlist import Netlist
 from repro.rtl.trace import ToggleTrace
 from repro.power.liberty import DEFAULT_TECH, TechParams
 
 __all__ = ["annotate_capacitance", "PowerAnalyzer", "PowerReport"]
+
+_OUT_CAP = op_table(
+    {op: cell.out_cap for op, cell in CELL_LIBRARY.items()}, np.float64
+)
+_IN_CAP = op_table(
+    {op: cell.in_cap for op, cell in CELL_LIBRARY.items()}, np.float64
+)
 
 
 def annotate_capacitance(
@@ -45,18 +52,13 @@ def annotate_capacitance(
     + sum(sink input-pin caps)``; CLK nets additionally carry the clock-pin
     capacitance of every register in their domain times the tree factor.
     """
-    n = netlist.n_nets
     ops = netlist.ops_array()
-    cap = np.zeros(n, dtype=np.float64)
-    for i in range(n):
-        cap[i] = CELL_LIBRARY[Op(ops[i])].out_cap
+    cap = _OUT_CAP[ops]
     cap += tech.wire_cap_base
 
-    fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
+    fanin = netlist.fanin_array()
     # Sink pin caps: each cell's in_cap loads each of its fanin nets.
-    in_caps = np.array(
-        [CELL_LIBRARY[Op(op)].in_cap for op in ops], dtype=np.float64
-    )
+    in_caps = _IN_CAP[ops]
     for col in range(3):
         src = fanin[:, col]
         valid = src >= 0
@@ -66,9 +68,11 @@ def annotate_capacitance(
 
     # Clock nets: aggregate clock-pin load of the domain's registers.
     domains = netlist.reg_domain_array()
+    n_regs = np.bincount(domains[domains >= 0], minlength=len(netlist.domains))
     for dom in netlist.domains:
-        n_regs = int(np.count_nonzero((domains >= 0) & (domains == dom.index)))
-        cap[dom.clk_net] += tech.clk_pin_cap * n_regs * tech.clk_tree_factor
+        cap[dom.clk_net] += (
+            tech.clk_pin_cap * int(n_regs[dom.index]) * tech.clk_tree_factor
+        )
     return cap
 
 
@@ -131,7 +135,7 @@ class PowerAnalyzer:
         self._levels = sched.levels
         self._max_level = max(sched.max_level, 1)
         ops = netlist.ops_array()
-        self._is_comb = np.isin(ops, [int(o) for o in EVAL_OPS])
+        self._is_comb = IS_EVAL[ops]
         self._is_reg = ops == int(Op.REG)
         self._is_clk = ops == int(Op.CLK)
         self._is_input = ops == int(Op.INPUT)

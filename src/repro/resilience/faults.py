@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import os
 import signal
+import time
 from dataclasses import dataclass
+from multiprocessing.connection import wait as wait_for
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +64,11 @@ DEFAULT_SITES: dict[str, tuple[str, ...]] = {
     "dataset.test.wave": ("interrupt",),
     "tune.wave": ("interrupt",),
 }
+
+
+#: Upper bound on how long an injected worker kill waits for the
+#: executor to notice the death.
+_KILL_WAIT_S = 10.0
 
 
 def truncate_file(path: str | Path, keep_frac: float = 0.5) -> None:
@@ -211,7 +218,15 @@ class FaultInjector:
         return specs
 
     def kill_one_worker(self, executor) -> bool:
-        """SIGKILL one live process of a ``ProcessPoolExecutor``."""
+        """SIGKILL one live process of a ``ProcessPoolExecutor``.
+
+        Returns once the process has exited and the executor has marked
+        itself broken (at most ``_KILL_WAIT_S`` seconds), so the next
+        dispatch meets ``BrokenProcessPool``.  Returning at once would
+        race the executor's manager thread, which handles ready results
+        before it checks worker sentinels: the surviving worker could
+        finish the whole next map before the death is noticed.
+        """
         procs = list(getattr(executor, "_processes", {}).values())
         if not any(p.is_alive() for p in procs):
             # Executors spawn workers lazily on first submit; force one
@@ -221,6 +236,11 @@ class FaultInjector:
         for proc in procs:
             if proc.is_alive() and proc.pid:
                 os.kill(proc.pid, signal.SIGKILL)
+                deadline = time.monotonic() + _KILL_WAIT_S
+                wait_for([proc.sentinel], _KILL_WAIT_S)
+                while (not getattr(executor, "_broken", True)
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
                 return True
         return False
 

@@ -66,8 +66,28 @@ class CompiledTables:
     n_clk_g: int
 
 
+class _Pool:
+    """An operand pool grown by whole arrays; ``add`` returns the offset."""
+
+    def __init__(self, dtype) -> None:
+        self.dtype = dtype
+        self.parts: list[np.ndarray] = []
+        self.size = 0
+
+    def add(self, values: np.ndarray) -> int:
+        off = self.size
+        self.parts.append(values)
+        self.size += values.size
+        return off
+
+    def array(self) -> np.ndarray:
+        if not self.parts:
+            return np.zeros(0, dtype=self.dtype)
+        return np.concatenate(self.parts, dtype=self.dtype)
+
+
 def _emit(psch: PackedSchedule, parity: int,
-          idx_pool: list, mask_pool: list) -> np.ndarray:
+          idx_pool: _Pool, mask_pool: _Pool) -> np.ndarray:
     nr = psch.n_rows
     vb = parity * nr  # vals base
     pb = (1 - parity) * nr  # prev base
@@ -78,14 +98,13 @@ def _emit(psch: PackedSchedule, parity: int,
     ops: list[tuple[int, int, int, int, int]] = []
 
     def take(dst: int, rows: np.ndarray) -> None:
-        off = len(idx_pool)
-        idx_pool.extend(int(r) for r in rows)
-        ops.append((OP_TAKE, dst, 0, off, rows.size))
+        ops.append((OP_TAKE, dst, 0, idx_pool.add(rows), rows.size))
 
     def xormask(dst: int, inv_col: np.ndarray) -> None:
-        off = len(mask_pool)
-        mask_pool.extend(int(m) for m in inv_col[:, 0])
-        ops.append((OP_XORMASK, dst, dst, off, inv_col.shape[0]))
+        ops.append(
+            (OP_XORMASK, dst, dst, mask_pool.add(inv_col[:, 0]),
+             inv_col.shape[0])
+        )
 
     # 1. register capture (previous-cycle D and enables).
     if psch.free_d.size:
@@ -147,8 +166,7 @@ def _emit(psch: PackedSchedule, parity: int,
 
 def build_tables(psch: PackedSchedule) -> CompiledTables:
     """Lower ``psch`` into flat kernel tables (once per netlist)."""
-    idx_pool: list[int] = []
-    mask_pool: list[int] = []
+    idx_pool, mask_pool = _Pool(np.int64), _Pool(np.uint64)
     prog0 = _emit(psch, 0, idx_pool, mask_pool)
     prog1 = _emit(psch, 1, idx_pool, mask_pool)
     nr = psch.n_rows
@@ -156,8 +174,8 @@ def build_tables(psch: PackedSchedule) -> CompiledTables:
     return CompiledTables(
         prog0=prog0,
         prog1=prog1,
-        idx_pool=np.asarray(idx_pool, dtype=np.int64),
-        mask_pool=np.asarray(mask_pool, dtype=np.uint64),
+        idx_pool=idx_pool.array(),
+        mask_pool=mask_pool.array(),
         arena_rows=2 * nr + psch.max_gather + 2 * n_gated,
         n_rows=nr,
         in_row=psch.sl_inputs.start,

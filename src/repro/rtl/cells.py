@@ -15,8 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Mapping
 
-__all__ = ["Op", "CellInfo", "CELL_LIBRARY", "N_FANIN", "EVAL_OPS"]
+import numpy as np
+
+__all__ = [
+    "Op", "CellInfo", "CELL_LIBRARY", "N_FANIN", "EVAL_OPS", "op_table",
+    "IS_EVAL",
+]
 
 
 class Op(IntEnum):
@@ -74,6 +80,23 @@ EVAL_OPS: tuple[Op, ...] = (
     Op.XNOR,
     Op.MUX,
 )
+
+
+def op_table(values: Mapping[Op, object], dtype) -> np.ndarray:
+    """``values`` as an array indexed by op code.
+
+    Indexing the table with :meth:`~repro.rtl.netlist.Netlist.ops_array`
+    looks every net up at once, where a per-net ``values[Op(code)]``
+    would pay an enum call per net.
+    """
+    return np.array(
+        [values[Op(code)] for code in range(len(Op))], dtype=dtype
+    )
+
+
+#: ``EVAL_OPS`` membership by op code: ``IS_EVAL[ops]`` masks the
+#: combinational nets of an ops array.
+IS_EVAL: np.ndarray = op_table({op: op in EVAL_OPS for op in Op}, bool)
 
 
 @dataclass(frozen=True)

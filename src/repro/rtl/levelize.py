@@ -2,12 +2,16 @@
 
 Because the :class:`~repro.rtl.netlist.Netlist` builder enforces that every
 fanin already exists (topological creation order), combinational logic is
-acyclic by construction and the logic level of each net is a single forward
-pass: ``level = 1 + max(level(fanins))`` with inputs/registers/consts/CLK
-nets at level 0.
+acyclic by construction and the logic level of each net is
+``level = 1 + max(level(fanins))`` with inputs/registers/consts/CLK nets
+at level 0.
 
 The simulator wants, per level and per op, contiguous index arrays
 ``(out, a, b, c)`` so each group is one vectorized NumPy expression.
+Compilation itself is array code too: levels come from a fixed point with
+one gather-max pass per logic level, groups from one sort, and every
+per-net table from masks over :meth:`~repro.rtl.netlist.Netlist.ops_array`
+— no Python loop runs per net.
 
 :func:`compile_packed` goes one step further for the bit-parallel engine:
 it folds inverting ops into per-net storage polarities (AIG-style) and
@@ -26,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.errors import NetlistError
-from repro.rtl.cells import EVAL_OPS, N_FANIN, Op
+from repro.rtl.cells import IS_EVAL, N_FANIN, Op, op_table
 from repro.rtl.netlist import NO_NET, Netlist
 
 __all__ = [
@@ -96,6 +100,40 @@ class LevelSchedule:
         return int(self.levels.size)
 
 
+_N_FANIN = op_table(N_FANIN, np.int8)
+
+
+def _logic_levels(comb: np.ndarray, ops: np.ndarray,
+                  fanin: np.ndarray) -> np.ndarray:
+    """Per-net logic depth: 0 for sources, ``1 + max(fanin depths)`` for
+    the combinational nets ``comb``.
+
+    A fixed point over every combinational net at once: after pass ``k``
+    each net holds ``min(depth, k)``, so a net that ends a pass below
+    ``k`` is final and leaves the active set.  That is one gather-max
+    per logic level, over the nets not yet settled.
+    """
+    n = ops.size
+    # Row ``n`` is a level-0 stand-in for fanin slots the op leaves unused.
+    levels = np.zeros(n + 1, dtype=np.int32)
+    fa = fanin[comb]
+    used = (fa != NO_NET) & (np.arange(3) < _N_FANIN[ops[comb]][:, None])
+    src = np.where(used, fa, n)
+    act = comb
+    depth = 0
+    while act.size:
+        # Each level holds a net, so every net settles by pass
+        # ``comb.size + 1``; running longer means a cycle.
+        if depth > comb.size:  # pragma: no cover - builder forbids cycles
+            raise NetlistError("combinational logic contains a cycle")
+        depth += 1
+        new = levels[src].max(axis=1) + 1
+        levels[act] = new
+        keep = new == depth
+        act, src = act[keep], src[keep]
+    return levels[:n]
+
+
 def levelize(netlist: Netlist) -> LevelSchedule:
     """Compile ``netlist`` into a :class:`LevelSchedule`.
 
@@ -107,56 +145,24 @@ def levelize(netlist: Netlist) -> LevelSchedule:
     netlist.validate()
     n = netlist.n_nets
     ops = netlist.ops_array()
-    fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
+    fanin = netlist.fanin_array()
 
-    levels = np.zeros(n, dtype=np.int32)
-    eval_op_set = {int(o) for o in EVAL_OPS}
-    # Forward pass in id order (ids are topological for comb logic).
-    for i in range(n):
-        op = ops[i]
-        if op not in eval_op_set:
-            continue
-        nf = N_FANIN[Op(op)]
-        lv = 0
-        for k in range(nf):
-            f = fanin[i, k]
-            if f != NO_NET:
-                lv = max(lv, int(levels[f]))
-        levels[i] = lv + 1
+    comb = np.flatnonzero(IS_EVAL[ops])
+    levels = _logic_levels(comb, ops, fanin)
 
-    # Bucket combinational nets by (level, op).
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        if ops[i] in eval_op_set:
-            buckets.setdefault((int(levels[i]), int(ops[i])), []).append(i)
+    # Group combinational nets by (level, op), ids ascending in a group.
+    out = comb[np.lexsort((comb, ops[comb], levels[comb]))].astype(np.int32)
+    fa = fanin[out]
+    a, b, c = np.ascontiguousarray(np.where(fa == NO_NET, 0, fa).T)
+    key = levels[out] * len(Op) + ops[out]
+    bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1))
+    groups = [
+        EvalGroup(op=Op(int(ops[out[s]])), out=out[s:e],
+                  a=a[s:e], b=b[s:e], c=c[s:e])
+        for s, e in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+    ]
 
-    groups: list[EvalGroup] = []
-    for (lv, op_i) in sorted(buckets):
-        ids = np.asarray(buckets[(lv, op_i)], dtype=np.int32)
-        fa = fanin[ids]
-        a = fa[:, 0].copy()
-        b = np.where(fa[:, 1] == NO_NET, 0, fa[:, 1]).astype(np.int32)
-        c = np.where(fa[:, 2] == NO_NET, 0, fa[:, 2]).astype(np.int32)
-        groups.append(EvalGroup(op=Op(op_i), out=ids, a=a, b=b, c=c))
-
-    # Registers.
-    reg_ids = np.asarray(
-        [i for i in range(n) if ops[i] == Op.REG], dtype=np.int32
-    )
-    reg_d = fanin[reg_ids, 0] if reg_ids.size else np.zeros(0, np.int32)
-    domains = netlist.reg_domain_array()
-    reg_en = np.full(reg_ids.size, NO_NET, dtype=np.int32)
-    for k, rid in enumerate(reg_ids):
-        dom = netlist.domains[int(domains[rid])]
-        if dom.enable is not None:
-            reg_en[k] = dom.enable
-    reg_init = (
-        netlist.reg_init_array()[reg_ids]
-        if reg_ids.size
-        else np.zeros(0, np.uint8)
-    )
-
-    # Clock nets.
+    # Registers and clock nets; a domain's enable gates both.
     clk_out = np.asarray(
         [d.clk_net for d in netlist.domains], dtype=np.int32
     )
@@ -164,29 +170,23 @@ def levelize(netlist: Netlist) -> LevelSchedule:
         [NO_NET if d.enable is None else d.enable for d in netlist.domains],
         dtype=np.int32,
     )
-
-    const_ids = np.asarray(
-        [i for i in range(n) if ops[i] in (Op.CONST0, Op.CONST1)],
-        dtype=np.int32,
-    )
-    const_vals = np.asarray(
-        [1 if ops[i] == Op.CONST1 else 0 for i in const_ids], dtype=np.uint8
-    )
-
-    input_ids = np.asarray(netlist.input_ids, dtype=np.int32)
+    reg_ids = np.flatnonzero(ops == Op.REG).astype(np.int32)
+    const_ids = np.flatnonzero(
+        (ops == Op.CONST0) | (ops == Op.CONST1)
+    ).astype(np.int32)
 
     return LevelSchedule(
         groups=groups,
         levels=levels,
         reg_out=reg_ids,
-        reg_d=reg_d.astype(np.int32),
-        reg_en=reg_en,
-        reg_init=reg_init,
+        reg_d=fanin[reg_ids, 0],
+        reg_en=clk_en[netlist.reg_domain_array()[reg_ids]],
+        reg_init=netlist.reg_init_array()[reg_ids],
         clk_out=clk_out,
         clk_en=clk_en,
-        input_ids=input_ids,
+        input_ids=np.flatnonzero(ops == Op.INPUT).astype(np.int32),
         const_ids=const_ids,
-        const_vals=const_vals,
+        const_vals=(ops[const_ids] == Op.CONST1).astype(np.uint8),
         max_level=int(levels.max()) if n else 0,
     )
 
@@ -217,7 +217,9 @@ def levelize(netlist: Netlist) -> LevelSchedule:
 # semantics of observing the previous-cycle clock value — those stay as
 # an evaluated copy-run.
 
-_POL_ONE_OPS = frozenset({int(Op.NAND), int(Op.OR), int(Op.XNOR)})
+_POL_ONE = op_table(
+    {op: op in (Op.NAND, Op.OR, Op.XNOR) for op in Op}, np.uint8
+)
 _COMP_OPERAND_OPS = frozenset({int(Op.OR), int(Op.NOR)})
 _AND_FAMILY = frozenset({int(Op.AND), int(Op.NAND), int(Op.OR), int(Op.NOR)})
 _XOR_FAMILY = frozenset({int(Op.XOR), int(Op.XNOR)})
@@ -323,34 +325,16 @@ def compile_packed(
     """
     sch = schedule if schedule is not None else levelize(netlist)
     n = sch.n_nets
-    ops = netlist.ops_array()
-    fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
 
     is_clk = np.zeros(n, dtype=bool)
-    if sch.clk_out.size:
-        is_clk[sch.clk_out] = True
+    is_clk[sch.clk_out] = True
 
-    # --- polarity assignment + alias resolution (ids are topological) ---
-    pol = np.zeros(n, dtype=np.uint8)
+    # Polarities: inverting outputs store their complement; aliases
+    # inherit theirs from the source below.
+    pol = _POL_ONE[netlist.ops_array()]
     root = np.arange(n, dtype=np.int32)
-    buf_i, not_i = int(Op.BUF), int(Op.NOT)
     is_alias = np.zeros(n, dtype=bool)
-    alias_list: list[int] = []
-    for i in range(n):
-        op = int(ops[i])
-        if op == buf_i or op == not_i:
-            a = int(fanin[i, 0])
-            if is_clk[root[a]]:
-                # Evaluated copy: comb logic must see the previous-cycle
-                # clock value, which only the level-ordered copy-run does.
-                continue
-            root[i] = root[a]
-            pol[i] = pol[a] ^ (1 if op == not_i else 0)
-            is_alias[i] = True
-            alias_list.append(i)
-        elif op in _POL_ONE_OPS:
-            pol[i] = 1
-    alias_ids = np.asarray(alias_list, dtype=np.int32)
+    buf_i, not_i = int(Op.BUF), int(Op.NOT)
 
     # --- bucket comb gates by level into AND/XOR/copy/MUX segments ---
     per_level: dict[int, dict[str, list]] = {}
@@ -364,10 +348,19 @@ def compile_packed(
         op = int(g.op)
         lv = int(sch.levels[g.out[0]])
         if op == buf_i or op == not_i:
-            keep = ~is_alias[g.out]
-            if keep.any():
-                flip = np.uint8(1 if op == not_i else 0)
-                _bucket(lv)["copy"].append((g.out[keep], g.a[keep], flip))
+            # Alias resolution, one level at a time: a copy's source sits
+            # at a lower level, so its root and polarity are final.  A
+            # copy of a CLK net stays evaluated: comb logic must see the
+            # previous-cycle clock value, which only the level-ordered
+            # copy-run does.
+            flip = np.uint8(1 if op == not_i else 0)
+            copy = is_clk[root[g.a]]
+            ids, src = g.out[~copy], g.a[~copy]
+            root[ids] = root[src]
+            pol[ids] = pol[src] ^ flip
+            is_alias[ids] = True
+            if copy.any():
+                _bucket(lv)["copy"].append((g.out[copy], g.a[copy], flip))
             continue
         if op in _AND_FAMILY:
             comp = np.uint8(1 if op in _COMP_OPERAND_OPS else 0)
@@ -448,6 +441,7 @@ def compile_packed(
              mux_s, mux_x, mux_y, out_and, out_xor, out_copy, out_mux,
              sl_u, sl_v)
         )
+    alias_ids = np.flatnonzero(is_alias).astype(np.int32)
     sl_alias = _place(alias_ids)
     n_rows = cursor[0]
 

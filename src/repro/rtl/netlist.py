@@ -24,12 +24,13 @@ from __future__ import annotations
 import hashlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import NetlistError
-from repro.rtl.cells import CELL_LIBRARY, EVAL_OPS, N_FANIN, Op
+from repro.rtl.cells import CELL_LIBRARY, EVAL_OPS, IS_EVAL, N_FANIN, Op
 
 __all__ = ["Netlist", "ClockDomain"]
 
@@ -121,11 +122,11 @@ class Netlist:
 
     @property
     def input_ids(self) -> list[int]:
-        return [i for i, op in enumerate(self._op) if op == Op.INPUT]
+        return np.flatnonzero(self.ops_array() == Op.INPUT).tolist()
 
     @property
     def reg_ids(self) -> list[int]:
-        return [i for i, op in enumerate(self._op) if op == Op.REG]
+        return np.flatnonzero(self.ops_array() == Op.REG).tolist()
 
     @property
     def clk_ids(self) -> list[int]:
@@ -135,7 +136,10 @@ class Netlist:
         return np.asarray(self._op, dtype=np.int8)
 
     def fanin_array(self) -> np.ndarray:
-        return np.asarray(self._fanin, dtype=np.int32).reshape(-1, 3)
+        return np.fromiter(
+            chain.from_iterable(self._fanin), dtype=np.int32,
+            count=3 * len(self._fanin),
+        ).reshape(-1, 3)
 
     def units_array(self) -> np.ndarray:
         return np.asarray(self._units, dtype=object)
@@ -433,17 +437,22 @@ class Netlist:
                 )
             if self._op[dom.clk_net] != Op.CLK:
                 raise NetlistError(f"domain {dom.name!r} clk net corrupted")
-        for i, op in enumerate(self._op):
-            if op == Op.REG:
-                d = self._reg_domain[i]
-                if not (0 <= d < len(self.domains)):
-                    raise NetlistError(
-                        f"reg {i} ({self._names[i]}) has bad domain {d}"
-                    )
-                if self._fanin[i][0] == NO_NET:
-                    raise NetlistError(
-                        f"register {self._names[i]} has no D connection"
-                    )
+        regs = np.flatnonzero(self.ops_array() == Op.REG)
+        dom = self.reg_domain_array()[regs]
+        bad_dom = (dom < 0) | (dom >= len(self.domains))
+        bad = np.flatnonzero(
+            bad_dom | (self.fanin_array()[regs, 0] == NO_NET)
+        )
+        if bad.size:  # report the lowest-id offender, domain first
+            k = int(bad[0])
+            i = int(regs[k])
+            if bad_dom[k]:
+                raise NetlistError(
+                    f"reg {i} ({self._names[i]}) has bad domain {dom[k]}"
+                )
+            raise NetlistError(
+                f"register {self._names[i]} has no D connection"
+            )
 
     def reg_init_array(self) -> np.ndarray:
         return np.asarray(self._reg_init, dtype=np.uint8)
@@ -458,11 +467,7 @@ class Netlist:
             "nets": self.n_nets,
             "inputs": int(np.count_nonzero(ops == Op.INPUT)),
             "regs": int(np.count_nonzero(ops == Op.REG)),
-            "comb": int(
-                np.count_nonzero(
-                    np.isin(ops, [int(o) for o in EVAL_OPS])
-                )
-            ),
+            "comb": int(np.count_nonzero(IS_EVAL[ops])),
             "clk": len(self.domains),
             "buses": len(self.buses),
         }

@@ -110,9 +110,10 @@ class ReferenceSimulator:
             # 2. stimulus.
             for k, iid in enumerate(input_ids):
                 cur[iid] = int(stim[cyc, k])
-            # 3. comb eval (placeholders for clk first).
+            # 3. comb eval; readers of a CLK net see its previous-cycle
+            # value.
             for dom in nl.domains:
-                cur[dom.clk_net] = 0
+                cur[dom.clk_net] = prev[dom.clk_net]
             self._eval_all(cur)
             # 4. clock values (latched enables).
             for dom in nl.domains:

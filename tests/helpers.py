@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rtl import Netlist, Op, Simulator
+from repro.rtl.cells import CELL_LIBRARY, EVAL_OPS, N_FANIN
+from repro.rtl.levelize import EvalGroup, LevelSchedule
+from repro.rtl.netlist import NO_NET
 
 #: The simulator's three code paths, for
 #: ``@pytest.mark.parametrize("engine", SIM_PATHS, indirect=True)`` (the
@@ -67,8 +70,12 @@ def simple_counter_design(width: int = 4, gated: bool = False):
 def random_netlist(seed: int, n_gates: int = 50) -> Netlist:
     """Random gate soup with registers, gated domains, and consts.
 
-    Used by the differential simulator tests (vectorized vs reference
-    interpreter, packed vs uint8 engine).
+    Besides inputs and consts, the gates may read both domains' CLK
+    nets and two feedback registers created with ``reg_uninit`` and
+    wired with ``connect_reg`` after the logic exists (their D nets can
+    be any pool net, a CLK net included).  Used by the differential
+    simulator tests (vectorized vs reference interpreter, packed vs
+    uint8 engine) and the compile-path oracles.
     """
     rng = np.random.default_rng(seed)
     nl = Netlist("rand")
@@ -77,6 +84,12 @@ def random_netlist(seed: int, n_gates: int = 50) -> Netlist:
     pool.append(nl.const(1))
     dom_free = nl.clock_domain("free")
     dom_gated = nl.clock_domain("gated", enable=pool[0])
+    pool += [dom_free.clk_net, dom_gated.clk_net]
+    feedback = [
+        nl.reg_uninit(dom, init=int(rng.integers(0, 2)))
+        for dom in (dom_free, dom_gated)
+    ]
+    pool += feedback
     gate_ops = [Op.AND, Op.OR, Op.XOR, Op.NAND, Op.NOR, Op.XNOR,
                 Op.NOT, Op.BUF, Op.MUX]
     for _ in range(n_gates):
@@ -94,4 +107,163 @@ def random_netlist(seed: int, n_gates: int = 50) -> Netlist:
         elif r < 0.20:
             net = nl.reg(net, dom_gated, init=int(rng.integers(0, 2)))
         pool.append(net)
+    for reg in feedback:
+        nl.connect_reg(reg, pool[int(rng.integers(0, len(pool)))])
     return nl
+
+
+# ---------------------------------------------------------------------- #
+# Compile-path oracles: the per-net loops the array code replaced
+# ---------------------------------------------------------------------- #
+def levelize_oracle(netlist: Netlist) -> LevelSchedule:
+    """Per-net levelization: a forward pass in id order, then buckets
+    keyed by (level, op).  Oracle for :func:`repro.rtl.levelize`."""
+    netlist.validate()
+    n = netlist.n_nets
+    ops = netlist.ops_array()
+    fanin = netlist.fanin_array() if n else np.zeros((0, 3), np.int32)
+
+    levels = np.zeros(n, dtype=np.int32)
+    eval_op_set = {int(o) for o in EVAL_OPS}
+    for i in range(n):
+        op = ops[i]
+        if op not in eval_op_set:
+            continue
+        lv = 0
+        for k in range(N_FANIN[Op(op)]):
+            f = fanin[i, k]
+            if f != NO_NET:
+                lv = max(lv, int(levels[f]))
+        levels[i] = lv + 1
+
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        if ops[i] in eval_op_set:
+            buckets.setdefault((int(levels[i]), int(ops[i])), []).append(i)
+    groups: list[EvalGroup] = []
+    for (lv, op_i) in sorted(buckets):
+        ids = np.asarray(buckets[(lv, op_i)], dtype=np.int32)
+        fa = fanin[ids]
+        a = fa[:, 0].copy()
+        b = np.where(fa[:, 1] == NO_NET, 0, fa[:, 1]).astype(np.int32)
+        c = np.where(fa[:, 2] == NO_NET, 0, fa[:, 2]).astype(np.int32)
+        groups.append(EvalGroup(op=Op(op_i), out=ids, a=a, b=b, c=c))
+
+    reg_ids = np.asarray(
+        [i for i in range(n) if ops[i] == Op.REG], dtype=np.int32
+    )
+    reg_d = fanin[reg_ids, 0] if reg_ids.size else np.zeros(0, np.int32)
+    domains = netlist.reg_domain_array()
+    reg_en = np.full(reg_ids.size, NO_NET, dtype=np.int32)
+    for k, rid in enumerate(reg_ids):
+        dom = netlist.domains[int(domains[rid])]
+        if dom.enable is not None:
+            reg_en[k] = dom.enable
+    reg_init = (
+        netlist.reg_init_array()[reg_ids]
+        if reg_ids.size
+        else np.zeros(0, np.uint8)
+    )
+    const_ids = np.asarray(
+        [i for i in range(n) if ops[i] in (Op.CONST0, Op.CONST1)],
+        dtype=np.int32,
+    )
+    return LevelSchedule(
+        groups=groups,
+        levels=levels,
+        reg_out=reg_ids,
+        reg_d=reg_d.astype(np.int32),
+        reg_en=reg_en,
+        reg_init=reg_init,
+        clk_out=np.asarray(
+            [d.clk_net for d in netlist.domains], dtype=np.int32
+        ),
+        clk_en=np.asarray(
+            [NO_NET if d.enable is None else d.enable
+             for d in netlist.domains],
+            dtype=np.int32,
+        ),
+        input_ids=np.asarray(
+            [i for i in range(n) if ops[i] == Op.INPUT], dtype=np.int32
+        ),
+        const_ids=const_ids,
+        const_vals=np.asarray(
+            [1 if ops[i] == Op.CONST1 else 0 for i in const_ids],
+            dtype=np.uint8,
+        ),
+        max_level=int(levels.max()) if n else 0,
+    )
+
+
+def packed_alias_oracle(
+    netlist: Netlist, schedule: LevelSchedule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-net polarity and alias pass of the packed compile, in id
+    order.  Returns ``(pol, root, alias_ids)``: storage polarity per
+    net, each net's alias root, and the alias nets in id order."""
+    n = schedule.n_nets
+    ops = netlist.ops_array()
+    fanin = netlist.fanin_array()
+    is_clk = np.zeros(n, dtype=bool)
+    is_clk[schedule.clk_out] = True
+    pol = np.zeros(n, dtype=np.uint8)
+    root = np.arange(n, dtype=np.int32)
+    alias: list[int] = []
+    for i in range(n):
+        op = Op(int(ops[i]))
+        if op in (Op.BUF, Op.NOT):
+            a = int(fanin[i, 0])
+            if is_clk[root[a]]:
+                continue  # a copy of a CLK net stays evaluated
+            root[i] = root[a]
+            pol[i] = pol[a] ^ (1 if op == Op.NOT else 0)
+            alias.append(i)
+        elif op in (Op.NAND, Op.OR, Op.XNOR):
+            pol[i] = 1
+    return pol, root, np.asarray(alias, dtype=np.int32)
+
+
+def annotate_capacitance_oracle(netlist: Netlist, tech) -> np.ndarray:
+    """Per-net capacitance annotation with the same order of additions
+    as :func:`repro.power.analyzer.annotate_capacitance`."""
+    n = netlist.n_nets
+    ops = netlist.ops_array()
+    cap = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        cap[i] = CELL_LIBRARY[Op(ops[i])].out_cap
+    cap += tech.wire_cap_base
+    fanin = netlist.fanin_array()
+    in_caps = np.array(
+        [CELL_LIBRARY[Op(op)].in_cap for op in ops], dtype=np.float64
+    )
+    for col in range(3):
+        src = fanin[:, col]
+        valid = src >= 0
+        if valid.any():
+            np.add.at(cap, src[valid], in_caps[valid])
+    cap += tech.wire_cap_per_fanout * netlist.fanout_counts()
+    domains = netlist.reg_domain_array()
+    for dom in netlist.domains:
+        n_regs = int(
+            np.count_nonzero((domains >= 0) & (domains == dom.index))
+        )
+        cap[dom.clk_net] += tech.clk_pin_cap * n_regs * tech.clk_tree_factor
+    return cap
+
+
+def assert_schedules_identical(got: LevelSchedule, want: LevelSchedule):
+    """Field-for-field equality: values, dtypes, group order and ops."""
+    fields = ("levels", "reg_out", "reg_d", "reg_en", "reg_init",
+              "clk_out", "clk_en", "input_ids", "const_ids", "const_vals")
+    for name in fields:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        np.testing.assert_array_equal(g, w, err_msg=name)
+    assert got.max_level == want.max_level
+    assert len(got.groups) == len(want.groups)
+    for k, (g, w) in enumerate(zip(got.groups, want.groups)):
+        assert g.op is w.op, k
+        for name in ("out", "a", "b", "c"):
+            ga, wa = getattr(g, name), getattr(w, name)
+            assert ga.dtype == wa.dtype, (k, name)
+            np.testing.assert_array_equal(ga, wa, err_msg=f"{k}.{name}")

@@ -147,3 +147,26 @@ def test_load_rejects_wrong_kind_and_newer_schema(tmp_path):
     sc.write_text(json.dumps(meta))
     with pytest.raises(PowerModelError):
         ApolloModel.load(path)
+
+
+@pytest.mark.parametrize("keep", [0.0, 0.1, 0.5, 0.9, 0.99])
+def test_torn_or_foreign_artifact_raises_power_model_error(tmp_path, keep):
+    from repro.resilience.faults import truncate_file
+
+    model = ApolloModel(proxies=np.arange(30), weights=np.linspace(-1, 1, 30))
+    path = tmp_path / "m.npz"
+    model.save(path)
+    truncate_file(path, keep)
+    with pytest.raises(PowerModelError):
+        ApolloModel.load(path)
+    # Archives that never held an ApolloModel (no sidecar to vouch).
+    foreign = tmp_path / "foreign.npz"
+    for write in (
+        lambda: foreign.write_bytes(b"not an archive"),
+        lambda: np.savez(foreign, proxies=np.arange(3)),
+        lambda: np.savez(foreign, proxies=np.arange(2), weights=np.ones(2),
+                         intercept=np.ones(3)),
+    ):
+        write()
+        with pytest.raises(PowerModelError):
+            ApolloModel.load(foreign)

@@ -3,6 +3,8 @@ hardware — including bit-exact hardware-vs-meter verification."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ApolloModel
 from repro.errors import OpmError
@@ -241,3 +243,77 @@ def test_quantized_model_load_rejects_apollo_artifact(tmp_path):
     model.save(path)
     with pytest.raises(PowerModelError):
         QuantizedModel.load(path)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"proxies": np.arange(5)},  # 5 proxies, 4 weights
+        {"int_weights": np.array([1.0, 2.0, 3.0, 4.0])},
+        {"int_weights": np.array([True, False, True, True])},
+        {"proxies": np.arange(4).reshape(2, 2)},
+        {"proxies": np.arange(0), "int_weights": np.arange(0)},
+        {"step": float("nan")},
+        {"step": float("inf")},
+        {"step": 0.0},
+        {"step": -0.01},
+    ],
+)
+def test_quantized_model_rejects_malformed_fields(fields):
+    from repro.opm import QuantizedModel
+
+    good = dict(proxies=np.arange(4), int_weights=np.array([3, -1, 2, 0]),
+                int_intercept=1, step=0.01, bits=8)
+    QuantizedModel(**good)
+    with pytest.raises(OpmError):
+        QuantizedModel(**{**good, **fields})
+
+
+def _save_foreign_npz(path, kind):
+    """Archives that are not a saved QuantizedModel."""
+    if kind == "bytes":
+        path.write_bytes(b"\x93NUMPY not really an archive")
+    elif kind == "empty":
+        path.write_bytes(b"")
+    elif kind == "keys":
+        np.savez(path, weights=np.arange(3))
+    elif kind == "pickle":
+        np.savez(path, proxies=np.array([{"a": 1}], dtype=object),
+                 int_weights=np.arange(1), int_intercept=0, step=1.0,
+                 bits=8)
+    elif kind == "shape":
+        np.savez(path, proxies=np.arange(2), int_weights=np.arange(2),
+                 int_intercept=np.arange(3), step=1.0, bits=8)
+
+
+@pytest.mark.parametrize("kind", ["bytes", "empty", "keys", "pickle",
+                                  "shape"])
+def test_quantized_model_load_rejects_foreign_archives(tmp_path, kind):
+    from repro.opm import QuantizedModel
+
+    path = tmp_path / "foreign.npz"
+    _save_foreign_npz(path, kind)
+    with pytest.raises(OpmError):
+        QuantizedModel.load(path)
+
+
+@given(keep=st.floats(0.0, 0.999))
+@settings(max_examples=30, deadline=None)
+def test_torn_quantized_model_raises_opm_error(tmp_path_factory, keep):
+    from repro.opm import QuantizedModel
+    from repro.resilience.faults import truncate_file
+
+    path = tmp_path_factory.mktemp("torn") / "opm.npz"
+    qm = quantize_model(_model(q=9, seed=3), bits=10)
+    qm.save(path)
+    truncate_file(path, keep)
+    with pytest.raises(OpmError):
+        QuantizedModel.load(path)
+    # A torn sidecar raises too, unless the cut only took whitespace.
+    qm.save(path)
+    truncate_file(path.with_name(path.name + ".json"), keep)
+    try:
+        loaded = QuantizedModel.load(path)
+    except OpmError:
+        return
+    np.testing.assert_array_equal(loaded.int_weights, qm.int_weights)

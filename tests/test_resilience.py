@@ -317,6 +317,17 @@ class TestFaults:
 # worker pool: respawn, degradation, reset
 # --------------------------------------------------------------------- #
 class TestWorkerPoolResilience:
+    def test_kill_worker_returns_with_the_executor_broken(self):
+        """The injected kill is complete when it returns: the next
+        dispatch meets a broken pool, never a surviving worker."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        with WorkerPool(2) as pool:
+            executor = pool._ensure_executor()
+            assert FaultInjector().kill_one_worker(executor)
+            with pytest.raises(BrokenProcessPool):
+                executor.submit(_square, 3)
+
     def test_killed_worker_respawns_without_degrading(self):
         metrics = MetricsRegistry()
         plan = FaultPlan(

@@ -1,10 +1,26 @@
 """Direct tests for levelization (evaluation scheduling)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.design import build_core
+from repro.power import analyzer
+from repro.power.analyzer import PowerAnalyzer
 from repro.rtl import Netlist, Op
-from repro.rtl.levelize import levelize
+from repro.rtl.levelize import compile_packed, levelize
+from repro.uarch import A77_LIKE, N1_LIKE
+
+from helpers import (
+    annotate_capacitance_oracle,
+    assert_schedules_identical,
+    levelize_oracle,
+    packed_alias_oracle,
+    random_netlist,
+)
 
 
 def test_levels_follow_dependency_depth():
@@ -101,3 +117,52 @@ def test_empty_netlist():
     assert sched.n_nets == 0
     assert sched.max_level == 0
     assert not sched.groups
+
+
+# ---------------------------------------------------------------------- #
+# Array compile path vs the per-net oracles in ``helpers``
+# ---------------------------------------------------------------------- #
+def _oracle_label_weights(nl):
+    """Label weights built on the per-net levelization and capacitance
+    annotation."""
+    with mock.patch.object(analyzer, "levelize", levelize_oracle), \
+            mock.patch.object(analyzer, "annotate_capacitance",
+                              annotate_capacitance_oracle):
+        return PowerAnalyzer(nl).label_weights()
+
+
+def _assert_compile_matches_oracles(nl):
+    sch = levelize(nl)
+    assert_schedules_identical(sch, levelize_oracle(nl))
+
+    psch = compile_packed(nl, sch)
+    pol, root, alias = packed_alias_oracle(nl, sch)
+    assert psch.pol.dtype == pol.dtype
+    np.testing.assert_array_equal(psch.pol, pol)
+    # The alias block holds exactly the oracle's aliases in id order,
+    # each fed from its root's storage row.
+    rows = psch.row_of_net
+    np.testing.assert_array_equal(
+        rows[alias], np.arange(psch.sl_alias.start, psch.sl_alias.stop)
+    )
+    np.testing.assert_array_equal(psch.alias_src, rows[root[alias]])
+
+    assert (
+        PowerAnalyzer(nl).label_weights().tobytes()
+        == _oracle_label_weights(nl).tobytes()
+    )
+
+
+@given(seed=st.integers(0, 100_000), n_gates=st.integers(0, 80))
+@settings(max_examples=40, deadline=None)
+def test_compile_matches_oracles_on_random_netlists(seed, n_gates):
+    _assert_compile_matches_oracles(random_netlist(seed, n_gates=n_gates))
+
+
+@pytest.mark.parametrize("core", ["small", "n1", "a77"])
+def test_compile_matches_oracles_on_cores(core, small_core):
+    """``small_core`` has the benchmark core's parameters (same netlist
+    fingerprint), so this covers the bench, N1-like and A77-like cores."""
+    params = {"n1": N1_LIKE, "a77": A77_LIKE}.get(core)
+    nl = small_core.netlist if params is None else build_core(params).netlist
+    _assert_compile_matches_oracles(nl)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StimulusError
-from repro.rtl import Netlist, Simulator
+from repro.rtl import ENGINES, Netlist, Simulator
 from repro.rtl.reference import ReferenceSimulator
 
 from helpers import random_netlist, simple_counter_design
@@ -27,6 +27,25 @@ def test_vectorized_matches_reference_on_random_netlists(seed):
     fast = Simulator(nl).run(stim).trace.dense()[0]
     slow = ReferenceSimulator(nl).run(stim)
     np.testing.assert_array_equal(fast, slow)
+
+
+def test_reference_clock_readers_see_previous_cycle_clock():
+    """Logic reading a CLK net sees the clock's previous-cycle value in
+    every engine, the reference included."""
+    nl = Netlist("clkread")
+    en = nl.input_bit("en")
+    d_in = nl.input_bit("d")
+    dom_g = nl.clock_domain("gated", enable=en)
+    dom_f = nl.clock_domain("free")
+    x = nl.xor(dom_g.clk_net, d_in)
+    y = nl.and_(nl.not_(dom_f.clk_net), x)
+    nl.reg(nl.or_(x, y), dom_g, init=1)
+    rng = np.random.default_rng(6)
+    stim = rng.integers(0, 2, size=(20, 2), dtype=np.uint8)
+    slow = ReferenceSimulator(nl).run(stim)
+    for engine in ENGINES:
+        fast = Simulator(nl, engine=engine).run(stim).trace.dense()[0]
+        np.testing.assert_array_equal(fast, slow)
 
 
 def test_reference_on_counter_design():
