@@ -134,6 +134,10 @@ class ProxySelector:
             raise SelectionError(
                 f"bad shapes X{X.shape} y{y.shape}"
             )
+        if not np.isfinite(y).all() or (
+            np.issubdtype(X.dtype, np.inexact) and not np.isfinite(X).all()
+        ):
+            raise SelectionError("X and y must be finite (no NaN or inf)")
         m_in = X.shape[1]
         if candidate_ids is None:
             candidate_ids = np.arange(m_in, dtype=np.int64)
@@ -148,9 +152,13 @@ class ProxySelector:
 
         tracer = self.tracer
 
-        # 1. constant pruning
+        # 1. constant pruning (toggle matrices stay uint8: every uint8
+        # is exactly a float32, so every later step sees the same values)
         with tracer.span("select.constant", n_in=m_in) as sp:
-            Xf = X.astype(np.float32, copy=False)
+            Xf = (
+                X if X.dtype == np.uint8
+                else X.astype(np.float32, copy=False)
+            )
             col_min = Xf.min(axis=0)
             col_max = Xf.max(axis=0)
             live = col_max > col_min
@@ -163,7 +171,7 @@ class ProxySelector:
             )
         keep = np.nonzero(live)[0]
 
-        # 2. duplicate collapsing (hash whole columns)
+        # 2. duplicate collapsing (one key per whole column)
         with tracer.span("select.dedup", n_in=n_const) as sp:
             keep = keep[_dedup_columns(Xf[:, keep])]
             n_dedup = keep.size
@@ -289,31 +297,35 @@ class ProxySelector:
 
 
 def _dedup_columns(X: np.ndarray) -> np.ndarray:
-    """Indices of one representative column per distinct column.
+    """Indices of the first column of each group of equal columns, in
+    column order.
 
-    Binary toggle matrices take a bit-packed fast path; real-valued
-    matrices (the multi-cycle averaged features) hash raw column bytes.
+    Binary toggle matrices compare bit-packed columns; real-valued
+    matrices (the multi-cycle averaged features) compare raw float32
+    column bytes.
     """
-    is_binary = X.dtype == np.uint8 or (
-        X.min() >= 0 and X.max() <= 1 and np.all(X == X.astype(np.uint8))
-    )
-    if is_binary:
-        hashable = np.packbits(X.astype(np.uint8), axis=0)
+    if X.dtype == np.uint8:
+        is_binary = X.max() <= 1
     else:
-        # Byte-hashing floats must first canonicalize values that compare
-        # equal but differ in representation: -0.0 vs +0.0 and NaNs with
-        # different payloads.
+        is_binary = (
+            X.min() >= 0 and X.max() <= 1
+            and np.all(X == X.astype(np.uint8))
+        )
+    if is_binary:
+        hashable = np.packbits(X.astype(np.uint8, copy=False), axis=0)
+    else:
+        # Comparing float bytes must first canonicalize values that
+        # compare equal but differ in representation: -0.0 vs +0.0 and
+        # NaNs with different payloads.
         hashable = X.astype(np.float32, copy=True)
         hashable[hashable == 0.0] = 0.0  # -0.0 -> +0.0
         hashable[np.isnan(hashable)] = np.float32("nan")
-    seen: dict[bytes, int] = {}
-    reps = []
-    for j in range(hashable.shape[1]):
-        key = np.ascontiguousarray(hashable[:, j]).tobytes()
-        if key not in seen:
-            seen[key] = j
-            reps.append(j)
-    return np.asarray(reps, dtype=np.int64)
+    # One opaque key per column; np.unique's stable sort returns each
+    # group's first column.
+    cols = np.ascontiguousarray(hashable.T)
+    keys = cols.view(np.dtype((np.void, cols.shape[1] * cols.itemsize)))
+    _, first = np.unique(keys.ravel(), return_index=True)
+    return np.sort(first).astype(np.int64)
 
 
 def _abs_corr(X: np.ndarray, y: np.ndarray) -> np.ndarray:

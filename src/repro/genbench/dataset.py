@@ -9,12 +9,14 @@ segment boundaries so Fig. 9(b)'s per-benchmark metrics can be computed.
 
 from __future__ import annotations
 
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.errors import DatasetError
+from repro.errors import DatasetError, SimulationError
 from repro.resilience.atomic import atomic_save_npz
 from repro.resilience.checkpoint import CheckpointStore
 from repro.genbench.ga import GaIndividual, GaResult
@@ -66,6 +68,16 @@ class PowerDataset:
             raise DatasetError(
                 f"labels {self.labels.shape} vs trace cycles "
                 f"{self.trace.n_cycles}"
+            )
+        if not np.isfinite(self.labels).all():
+            raise DatasetError("labels must be finite (no NaN or inf)")
+        ids = self.candidate_ids
+        if ids.ndim != 1 or ids.dtype.kind not in "iu" or (
+            ids.size and (ids.min() < 0 or ids.max() >= self.trace.n_nets)
+        ):
+            raise DatasetError(
+                f"candidate_ids ({ids.dtype}, shape {ids.shape}) are not "
+                f"net ids of a {self.trace.n_nets}-net trace"
             )
 
     @property
@@ -120,19 +132,34 @@ class PowerDataset:
 
     @classmethod
     def load(cls, path: str | Path) -> "PowerDataset":
-        with np.load(path, allow_pickle=False) as data:
-            segments = [
-                (str(n), int(b[0]), int(b[1]))
-                for n, b in zip(data["seg_names"], data["seg_bounds"])
-            ]
-            return cls(
-                trace=ToggleTrace(
-                    packed=data["packed"], n_nets=int(data["n_nets"])
-                ),
-                labels=data["labels"],
-                candidate_ids=data["candidate_ids"],
-                segments=segments,
-            )
+        """Load a saved dataset.  A torn, corrupt or foreign archive (not
+        a zip, a bad member, a missing key, pickled objects, a field of
+        the wrong shape or dtype) raises :class:`DatasetError`; I/O
+        errors such as a missing file pass through unchanged."""
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                names, bounds = data["seg_names"], data["seg_bounds"]
+                if names.ndim != 1 or bounds.shape != (names.size, 2):
+                    raise DatasetError(
+                        f"segment names {names.shape} vs bounds "
+                        f"{bounds.shape}"
+                    )
+                return cls(
+                    trace=ToggleTrace(
+                        packed=data["packed"], n_nets=int(data["n_nets"])
+                    ),
+                    labels=data["labels"],
+                    candidate_ids=data["candidate_ids"],
+                    segments=[
+                        (str(n), int(b[0]), int(b[1]))
+                        for n, b in zip(names, bounds)
+                    ],
+                )
+        except (EOFError, KeyError, TypeError, ValueError, SimulationError,
+                zipfile.BadZipFile, zlib.error) as exc:
+            raise DatasetError(
+                f"{path} is not a readable PowerDataset archive: {exc}"
+            ) from exc
 
 
 def select_uniform_power(

@@ -13,6 +13,10 @@ process.  Every failure mode — no compiler, compile error, unwritable
 cache — makes :func:`load_kernel` return ``None``, and the packed engine
 runs its NumPy loop instead; nothing here may raise at import time.
 
+The loader itself, :func:`load`, takes any source and symbol: the
+coordinate-descent kernel of :mod:`repro.core.solvers` is built by the
+same code, with the same flags, into the same cache directory.
+
 Float exactness
 ---------------
 The accumulator loop must reproduce ``acc_reduce`` (NumPy's strided
@@ -50,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["load_kernel", "run_cycles"]
+__all__ = ["compiler", "load", "load_kernel", "run_cycles"]
 
 _C_SOURCE = r"""
 #include <stdint.h>
@@ -207,7 +211,19 @@ void repro_run_cycles(
 }
 """
 
-_FN = None  # memoized ctypes function (or False after a failed attempt)
+#: Loaded entry points by ``(source, symbol)``: a ctypes function, or
+#: ``False`` after a failed attempt (so a host without a compiler tries
+#: once per process).
+_LOADED: dict[tuple[str, str], object] = {}
+
+#: Compile flags, tried in order.  ``-ffp-contract=off`` is in every
+#: entry: without it the compiler may fuse a multiply and an add into one
+#: FMA (GCC's default on FMA targets such as aarch64), which rounds once
+#: instead of twice and breaks bit-identity with NumPy.  A compiler that
+#: rejects the flag gets no kernel, and the caller runs its NumPy path.
+#: ``-march=native`` lets the lane loops vectorize; the second entry
+#: serves compilers and targets that reject it.
+_FLAGS = (["-march=native", "-ffp-contract=off"], ["-ffp-contract=off"])
 
 
 def _cache_dir() -> Path:
@@ -219,32 +235,32 @@ def _cache_dir() -> Path:
     return base / "repro-apollo"
 
 
-def _compile(so_path: Path) -> bool:
-    compiler = (
-        os.environ.get("CC")
-        or shutil.which("cc")
-        or shutil.which("gcc")
-        or shutil.which("clang")
-    )
-    if not compiler:
+def compiler() -> str | None:
+    """Path of the C compiler kernels are built with, or ``None``.
+
+    ``$CC`` when set (a name on ``PATH`` or a path), else the first of
+    ``cc``, ``gcc`` and ``clang`` on ``PATH``.  Tests that require a
+    loaded kernel skip on exactly this condition.
+    """
+    env = os.environ.get("CC")
+    if env:
+        return shutil.which(env)
+    return shutil.which("cc") or shutil.which("gcc") or shutil.which("clang")
+
+
+def _compile(source: str, so_path: Path) -> bool:
+    cc = compiler()
+    if cc is None:
         return False
     try:
         so_path.parent.mkdir(parents=True, exist_ok=True)
         with tempfile.TemporaryDirectory(dir=so_path.parent) as td:
             src = Path(td) / "kernel.c"
-            src.write_text(_C_SOURCE)
+            src.write_text(source)
             tmp_so = Path(td) / "kernel.so"
-            # -ffp-contract=off: no FMA contraction, so the accumulator
-            # floats follow IEEE mul-then-add exactly like NumPy.
-            # -march=native lets the lane loops vectorize; retried
-            # without it for compilers/targets that reject the flag.
-            for extra in (
-                ["-march=native", "-ffp-contract=off"],
-                ["-ffp-contract=off"],
-                [],
-            ):
+            for extra in _FLAGS:
                 res = subprocess.run(
-                    [compiler, "-O3", *extra, "-shared", "-fPIC",
+                    [cc, "-O3", *extra, "-shared", "-fPIC",
                      "-o", str(tmp_so), str(src)],
                     capture_output=True,
                     timeout=120,
@@ -257,26 +273,40 @@ def _compile(so_path: Path) -> bool:
         return False
 
 
-def load_kernel():
-    """The compiled ``repro_run_cycles`` entry point, or ``None``."""
-    global _FN
-    if _FN is not None:
-        return _FN or None
-    _FN = False
-    digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+def load(source: str, symbol: str, argtypes: list, restype=None):
+    """The compiled entry point ``symbol`` of C ``source``, or ``None``.
+
+    The shared object is built once per host and cached under a hash of
+    the source; the entry point is memoized per process.  Every failure
+    (no compiler, a compile error, an unwritable cache, a missing
+    symbol) returns ``None``; nothing here raises.
+    """
+    key = (source, symbol)
+    fn = _LOADED.get(key)
+    if fn is not None:
+        return fn or None
+    _LOADED[key] = False
+    digest = hashlib.sha256(source.encode()).hexdigest()[:16]
     so_path = _cache_dir() / f"ckernel-{digest}.so"
-    if not so_path.exists() and not _compile(so_path):
+    if not so_path.exists() and not _compile(source, so_path):
         return None
     try:
-        lib = ctypes.CDLL(str(so_path))
-        fn = lib.repro_run_cycles
+        fn = getattr(ctypes.CDLL(str(so_path)), symbol)
     except (OSError, AttributeError):
         return None
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    fn.argtypes = [ptr] * 4 + [i64, ptr, i64] + [ptr] * 11
-    fn.restype = None
-    _FN = fn
+    fn.argtypes = argtypes
+    fn.restype = restype
+    _LOADED[key] = fn
     return fn
+
+
+def load_kernel():
+    """The compiled ``repro_run_cycles`` entry point, or ``None``."""
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    return load(
+        _C_SOURCE, "repro_run_cycles",
+        [ptr] * 4 + [i64, ptr, i64] + [ptr] * 11,
+    )
 
 
 def _ptr(arr: np.ndarray):

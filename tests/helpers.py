@@ -251,6 +251,29 @@ def annotate_capacitance_oracle(netlist: Netlist, tech) -> np.ndarray:
     return cap
 
 
+def dedup_columns_oracle(X: np.ndarray) -> np.ndarray:
+    """One representative column per distinct column, by a per-column
+    dict of key bytes: the reference for
+    :func:`repro.core.selection._dedup_columns`."""
+    is_binary = X.dtype == np.uint8 or (
+        X.min() >= 0 and X.max() <= 1 and np.all(X == X.astype(np.uint8))
+    )
+    if is_binary:
+        hashable = np.packbits(X.astype(np.uint8), axis=0)
+    else:
+        hashable = X.astype(np.float32, copy=True)
+        hashable[hashable == 0.0] = 0.0  # -0.0 -> +0.0
+        hashable[np.isnan(hashable)] = np.float32("nan")
+    seen: dict[bytes, int] = {}
+    reps = []
+    for j in range(hashable.shape[1]):
+        key = np.ascontiguousarray(hashable[:, j]).tobytes()
+        if key not in seen:
+            seen[key] = j
+            reps.append(j)
+    return np.asarray(reps, dtype=np.int64)
+
+
 def assert_schedules_identical(got: LevelSchedule, want: LevelSchedule):
     """Field-for-field equality: values, dtypes, group order and ops."""
     fields = ("levels", "reg_out", "reg_d", "reg_en", "reg_init",

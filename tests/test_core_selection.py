@@ -1,10 +1,18 @@
 """Tests for the proxy-selection pipeline."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import ProxySelector
+from repro.core import ProxySelector, selection, solvers
+from repro.core.selection import _dedup_columns
 from repro.errors import SelectionError
+from repro.obs.trace import Tracer
+
+from helpers import dedup_columns_oracle
 
 
 def _toggle_problem(n=600, m=120, k=6, seed=0, noise=0.02):
@@ -119,8 +127,6 @@ def test_deterministic():
 def test_dedup_negative_zero_and_nan_columns_collapse():
     """Float dedup hashes canonicalized bytes: -0.0 == +0.0 and NaNs with
     different payloads are the same column."""
-    from repro.core.selection import _dedup_columns
-
     base = np.array([0.5, 0.0, 1.25, 2.0])
     neg = base.copy()
     neg[1] = -0.0
@@ -138,10 +144,111 @@ def test_dedup_negative_zero_and_nan_columns_collapse():
 
 
 def test_dedup_float_distinct_columns_kept():
-    from repro.core.selection import _dedup_columns
-
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 8))
     X[:, 5] = X[:, 2]  # exact duplicate
     reps = _dedup_columns(X)
     assert list(reps) == [0, 1, 2, 3, 4, 6, 7]
+
+
+# --------------------------------------------------------------------- #
+# the array-code front end matches per-element reference loops
+# --------------------------------------------------------------------- #
+#: float32 bit patterns: both zeros, NaNs with different payloads and
+#: signs, and plain values.  Patterns in one class compare equal as
+#: features, so their columns must collapse together.
+_F32_CLASSES = (
+    (0x00000000, 0x80000000),
+    (0x7FC00000, 0x7FC00001, 0xFFC00000, 0x7F800001),
+    (0x3F800000,),
+    (0xBFC00000,),
+)
+
+
+@st.composite
+def _dedup_matrices(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(1, 24)), draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["uint8", "binary-float", "float32",
+                                 "float64"]))
+    if kind in ("uint8", "binary-float"):
+        dtype = np.uint8 if kind == "uint8" else np.float32
+        X = rng.integers(0, 2, size=(n, m)).astype(dtype)
+        for j in range(1, m):  # exact duplicates of earlier columns
+            if rng.random() < 0.3:
+                X[:, j] = X[:, rng.integers(0, j)]
+        return X
+    cls = rng.integers(0, len(_F32_CLASSES), size=(n, m))
+    for j in range(1, m):  # equal columns, often with other bytes
+        if rng.random() < 0.3:
+            cls[:, j] = cls[:, rng.integers(0, j)]
+    bits = np.array(
+        [[rng.choice(_F32_CLASSES[k]) for k in row] for row in cls],
+        dtype=np.uint32,
+    ).reshape(n, m)
+    with np.errstate(invalid="ignore"):  # signaling NaN widened
+        return bits.view(np.float32).astype(kind)
+
+
+@given(_dedup_matrices())
+@settings(max_examples=200, deadline=None)
+def test_dedup_matches_per_column_loop(X):
+    got = _dedup_columns(X)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, dedup_columns_oracle(X))
+
+
+def test_dedup_counts_uint8_like_its_float32_cast():
+    # Selection hands uint8 toggles to dedup uncast, so non-binary
+    # uint8 columns must group exactly like their float32 cast: bit
+    # packing would merge a 2 with a 1.
+    rng = np.random.default_rng(5)
+    X = rng.integers(0, 3, size=(12, 40), dtype=np.uint8)
+    X[:, 7] = np.where(X[:, 3] > 0, 3 - X[:, 3], 0)  # same nonzero mask
+    np.testing.assert_array_equal(
+        _dedup_columns(X), dedup_columns_oracle(X.astype(np.float32))
+    )
+
+
+def _select_bytes(X, y, q, penalty, ids):
+    res = ProxySelector(penalty=penalty, screen_width=128).select(
+        X, y, q, candidate_ids=ids
+    )
+    return (
+        res.proxies.tobytes(), res.temp_weights.tobytes(),
+        np.float64(res.temp_intercept).tobytes(),
+        np.float64(res.lam).tobytes(),
+        np.asarray(res.path_nnz, dtype=np.float64).tobytes(),
+        (res.n_after_constant, res.n_after_dedup, res.n_after_screen),
+    )
+
+
+@pytest.mark.parametrize("penalty", ["mcp", "lasso"])
+def test_select_matches_per_element_front_end(small_train, penalty):
+    # The benchmark's selection (the bench core's toggles, screen width
+    # 128) against a reference front end: float32 constant pruning,
+    # the per-column dedup loop and the Python CD loop.
+    X = small_train.features()
+    y, ids = small_train.labels, small_train.candidate_ids
+    assert X.dtype == np.uint8
+    for q in (4, 24):
+        got = _select_bytes(X, y, q, penalty, ids)
+        with mock.patch.object(solvers, "load_cd_kernel", lambda: None), \
+                mock.patch.object(selection, "_dedup_columns",
+                                  dedup_columns_oracle):
+            want = _select_bytes(X.astype(np.float32), y, q, penalty, ids)
+        assert got == want, q
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_rejected_before_screening(bad):
+    X, y, _s, _w = _toggle_problem()
+    y_bad = y.copy()
+    y_bad[11] = bad
+    X_bad = X.astype(np.float64)
+    X_bad[5, 3] = bad
+    for args in ((X, y_bad), (X_bad, y)):
+        tracer = Tracer()
+        with pytest.raises(SelectionError, match="finite"):
+            ProxySelector(tracer=tracer).select(*args, 3)
+        assert tracer.find("select.constant") == []

@@ -1,11 +1,18 @@
 """Tests for coordinate descent (MCP/Lasso/elastic net) and ridge."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import coordinate_descent, lambda_max, lambda_path, ridge_fit
+from repro.core import solvers
 from repro.core.solvers import precompute, Standardizer
 from repro.errors import PowerModelError
+from repro.obs.trace import Tracer
+from repro.rtl.backends import cc
 
 
 def _sparse_problem(n=400, m=60, k=5, noise=0.05, seed=0):
@@ -166,3 +173,124 @@ def test_converged_flag_reset_each_iteration():
         X, y, lam=0.05, tol=1e-3, max_iter=1, warm_start=full.weights_std
     )
     assert again.converged
+
+
+# --------------------------------------------------------------------- #
+# inputs are checked before the sweep (the C sweep cannot raise)
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_data_rejected(bad):
+    X, y, _w, _s = _sparse_problem()
+    y_bad = y.copy()
+    y_bad[7] = bad
+    X_bad = X.copy()
+    X_bad[3, 2] = bad
+    for args in ((X, y_bad), (X_bad, y)):
+        with pytest.raises(PowerModelError, match="finite"):
+            precompute(*args)
+        with pytest.raises(PowerModelError, match="finite"):
+            coordinate_descent(*args, lam=0.1)
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_bad_solver_arguments_rejected_before_sweeping(max_iter):
+    X, y, _w, _s = _sparse_problem(n=50, m=6)
+    for kw in (
+        {"penalty": "bogus"},
+        {"penalty": "mcp", "gamma": 0.5},
+        {"penalty": "mcp", "gamma": 1.0},
+        {"penalty": "mcp", "lam": -0.1},
+    ):
+        args = {"lam": 0.1, **kw}
+        with pytest.raises(PowerModelError):
+            coordinate_descent(X, y, max_iter=max_iter, **args)
+
+
+# --------------------------------------------------------------------- #
+# C kernel / Python-loop fallback
+# --------------------------------------------------------------------- #
+needs_compiler = pytest.mark.skipif(
+    cc.compiler() is None, reason="no C compiler on this host"
+)
+
+
+def _traced_fit(X, y, **kw):
+    """Every output of one fit as bytes, residual history included."""
+    tracer = Tracer()
+    fit = coordinate_descent(X, y, tracer=tracer, **kw)
+    (span,) = tracer.find("solver.cd")
+    history = np.asarray(span.attrs["residual_history"], dtype=np.float64)
+    return (
+        fit.weights_std.tobytes(), fit.weights.tobytes(),
+        np.float64(fit.intercept).tobytes(), fit.n_iter, fit.converged,
+        history.tobytes(),
+    )
+
+
+@st.composite
+def _cd_problems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, m = draw(st.integers(2, 40)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        X = rng.integers(0, 2, size=(n, m)).astype(np.float64)
+    else:
+        X = rng.standard_normal((n, m))
+    if m > 1 and draw(st.booleans()):  # a correlated pair
+        X[:, 1] = 0.95 * X[:, 0] + 0.05 * X[:, 1]
+    if draw(st.booleans()):  # a constant column
+        X[:, draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, 1.0]))
+    y = X @ rng.standard_normal(m) + 0.1 * rng.standard_normal(n)
+    std = Standardizer(X)
+    lam_hi = max(lambda_max(std.transform(X), y - y.mean()), 1e-3)
+    kw = {
+        "penalty": draw(st.sampled_from(["mcp", "lasso", "elasticnet"])),
+        "lam": lam_hi * draw(st.floats(1e-3, 1.2)),
+        "gamma": draw(st.sampled_from([3.0, 10.0])),
+        "alpha": draw(st.sampled_from([0.3, 0.9])),
+        "max_iter": draw(st.sampled_from([0, 1, 200])),
+        "tol": draw(st.sampled_from([1e-6, 1e-3])),
+    }
+    if draw(st.booleans()):  # NumPy scalars: both sweeps see doubles
+        kw["lam"], kw["gamma"] = np.float32(kw["lam"]), np.float32(3.0)
+    if draw(st.booleans()):
+        # Warm starts with signed zeros: the sign bit of an untouched
+        # zero weight must survive the sweep unchanged.
+        pool = np.array([0.0, -0.0, 0.5, -1.25, 3.0])
+        kw["warm_start"] = pool[rng.integers(0, pool.size, size=m)]
+    if draw(st.booleans()):
+        # A caller's Gram matrix need not be exactly symmetric: the
+        # sweeps must read G's columns, never its rows.
+        std, G, c, y_mean = precompute(X, y)
+        G = G + 1e-9 * rng.standard_normal(G.shape)
+        kw["_precomputed"] = (std, G, c, y_mean)
+    return X, y, kw
+
+
+@needs_compiler
+@given(_cd_problems())
+@settings(max_examples=200, deadline=None)
+def test_c_kernel_matches_python_loop(problem):
+    X, y, kw = problem
+    assert solvers.load_cd_kernel() is not None
+    native = _traced_fit(X, y, **kw)
+    with mock.patch.object(solvers, "load_cd_kernel", lambda: None):
+        loop = _traced_fit(X, y, **kw)
+    assert native == loop
+
+
+@needs_compiler
+def test_cd_kernel_loads_and_python_loop_never_runs(monkeypatch):
+    # Where a compiler exists the kernel must load: a C compile error
+    # would otherwise fall back silently to the Python loop, 10-30x
+    # slower per lambda path.
+    assert solvers.load_cd_kernel() is not None
+
+    def no_python_loop(*_args):
+        raise AssertionError("Python CD loop ran despite a loaded kernel")
+
+    monkeypatch.setattr(solvers, "_cd_numpy", no_python_loop)
+    X, y, _w, support = _sparse_problem()
+    for penalty in ("mcp", "lasso", "elasticnet"):
+        fit = coordinate_descent(X, y, lam=0.3, penalty=penalty)
+        assert set(support.tolist()) <= set(fit.nonzero.tolist())
+

@@ -240,3 +240,110 @@ def test_dataset_save_load_roundtrip(tiny_core, tiny_ga, tmp_path):
         loaded.features(ds.candidate_ids[:5]),
         ds.features(ds.candidate_ids[:5]),
     )
+
+
+# --------------------------------------------------------------------- #
+# dataset artifacts: checked where they are loaded
+# --------------------------------------------------------------------- #
+def _small_dataset(n_nets=20, cycles=16):
+    from repro.genbench import PowerDataset
+    from repro.rtl.trace import ToggleTrace
+
+    rng = np.random.default_rng(4)
+    dense = rng.integers(0, 2, size=(1, cycles, n_nets), dtype=np.uint8)
+    return PowerDataset(
+        trace=ToggleTrace.from_dense(dense),
+        labels=rng.uniform(1.0, 2.0, size=cycles),
+        candidate_ids=np.arange(2, n_nets, dtype=np.int64),
+        segments=[("a", 0, 8), ("b", 8, cycles)],
+    )
+
+
+def _dataset_fields(ds) -> dict:
+    return {
+        "packed": ds.trace.packed,
+        "n_nets": np.int64(ds.trace.n_nets),
+        "labels": ds.labels,
+        "candidate_ids": ds.candidate_ids,
+        "seg_names": np.array([s[0] for s in ds.segments]),
+        "seg_bounds": np.array([[s[1], s[2]] for s in ds.segments]),
+    }
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_labels(bad):
+    from repro.genbench import PowerDataset
+
+    ds = _small_dataset()
+    labels = ds.labels.copy()
+    labels[3] = bad
+    with pytest.raises(DatasetError, match="finite"):
+        PowerDataset(
+            trace=ds.trace, labels=labels, candidate_ids=ds.candidate_ids
+        )
+
+
+def test_torn_dataset_archive_raises_dataset_error(tmp_path):
+    from repro.genbench import PowerDataset
+    from repro.resilience.faults import truncate_file
+
+    path = tmp_path / "ds.npz"
+    _small_dataset().save(path)
+    whole = path.read_bytes()
+    for keep in np.linspace(0.0, 0.999, 64):
+        path.write_bytes(whole)
+        truncate_file(path, keep)
+        with pytest.raises(DatasetError):
+            PowerDataset.load(path)
+
+
+def test_saved_dataset_fields_load(tmp_path):
+    from repro.genbench import PowerDataset
+
+    ds = _small_dataset()
+    path = tmp_path / "ds.npz"
+    np.savez(path, **_dataset_fields(ds))
+    loaded = PowerDataset.load(path)
+    assert loaded.segments == ds.segments
+    np.testing.assert_array_equal(loaded.trace.packed, ds.trace.packed)
+    np.testing.assert_array_equal(loaded.candidate_ids, ds.candidate_ids)
+
+
+#: One foreign or corrupt field set per case, from the good fields.
+_BAD_DATASET_FIELDS = {
+    "missing key": lambda f: {k: v for k, v in f.items() if k != "labels"},
+    "pickled member": lambda f: {**f, "seg_names": np.array([{}, {}])},
+    "2-D trace": lambda f: {**f, "packed": f["packed"][0]},
+    "uint16 trace": lambda f: {**f, "packed": f["packed"].astype(np.uint16)},
+    "trace width": lambda f: {**f, "n_nets": np.int64(200)},
+    "array n_nets": lambda f: {**f, "n_nets": np.arange(3)},
+    "short labels": lambda f: {**f, "labels": f["labels"][:-1]},
+    "NaN labels": lambda f: {**f, "labels": f["labels"] * np.nan},
+    "2-D candidates": lambda f: {**f, "candidate_ids": np.ones((2, 2), int)},
+    "float candidates": lambda f: {**f, "candidate_ids": np.ones(3)},
+    "candidate range": lambda f: {**f, "candidate_ids": np.arange(40)},
+    "segment bounds": lambda f: {**f, "seg_bounds": np.ones((2, 3), int)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_DATASET_FIELDS))
+def test_foreign_dataset_archive_raises_dataset_error(tmp_path, case):
+    from repro.genbench import PowerDataset
+
+    path = tmp_path / "ds.npz"
+    fields = _dataset_fields(_small_dataset())
+    np.savez(path, **_BAD_DATASET_FIELDS[case](fields))
+    with pytest.raises(DatasetError):
+        PowerDataset.load(path)
+
+
+def test_unreadable_dataset_file(tmp_path):
+    from repro.genbench import PowerDataset
+
+    path = tmp_path / "ds.npz"
+    path.write_bytes(b"not an archive")
+    with pytest.raises(DatasetError):
+        PowerDataset.load(path)
+    # A missing file is an I/O error, not a bad artifact.
+    with pytest.raises(FileNotFoundError):
+        PowerDataset.load(tmp_path / "missing.npz")

@@ -11,11 +11,10 @@ worker pool.
 
 from __future__ import annotations
 
-import shutil
-
 import numpy as np
 import pytest
 
+from repro.core import solvers
 from repro.errors import SimulationError, TransientFault
 from repro.genbench import BenchmarkEvolver, GaConfig
 from repro.obs.metrics import MetricsRegistry
@@ -111,7 +110,7 @@ class TestKernelFallback:
         _assert_same(ref, sim.run(stim, record))
 
     @pytest.mark.skipif(
-        shutil.which("cc") is None, reason="no C compiler on this host"
+        cc.compiler() is None, reason="no C compiler on this host"
     )
     def test_default_engine_uses_kernel(self, monkeypatch):
         # Where a compiler exists the kernel must load: a C compile
@@ -127,6 +126,59 @@ class TestKernelFallback:
 
         monkeypatch.setattr(PackedBackend, "_run_numpy", no_numpy_loop)
         _assert_same(ref, sim.run(stim, record))
+
+
+# --------------------------------------------------------------------- #
+# the kernel loader
+# --------------------------------------------------------------------- #
+def _fresh_loader(monkeypatch, tmp_path, compiler: str) -> None:
+    """Point the loader at ``compiler`` and an empty cache, with nothing
+    loaded yet in this process."""
+    monkeypatch.setenv("CC", compiler)
+    monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(cc, "_LOADED", {})
+
+
+def _fake_compiler(path, real: str, reject: str | None) -> str:
+    """Write a ``CC`` wrapper around the ``real`` compiler at ``path``
+    that fails whenever its arguments include ``reject``."""
+    test = (
+        f'for a in "$@"; do [ "$a" = "{reject}" ] && exit 1; done\n'
+        if reject else ""
+    )
+    path.write_text(f'#!/bin/sh\n{test}exec {real} "$@"\n')
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_missing_compiler_means_no_kernel(monkeypatch, tmp_path):
+    # $CC names the compiler for the build and for every test that
+    # requires a kernel: a $CC that does not exist is no compiler, even
+    # where ``cc`` is on PATH.
+    _fresh_loader(monkeypatch, tmp_path, "/nonexistent/cc")
+    assert cc.compiler() is None
+    assert cc.load_kernel() is None
+    assert solvers.load_cd_kernel() is None
+
+
+@pytest.mark.skipif(
+    cc.compiler() is None, reason="no C compiler on this host"
+)
+def test_no_kernel_without_fp_contract_off(monkeypatch, tmp_path):
+    # A kernel built with FMA contraction may round a multiply-add once
+    # instead of twice (GCC's default on FMA targets), so a compiler
+    # that rejects -ffp-contract=off gets no kernel and the exact NumPy
+    # paths run.  The same wrapper without the rejection builds one.
+    real = cc.compiler()
+    rejecting = _fake_compiler(
+        tmp_path / "no-contract-off", real, "-ffp-contract=off"
+    )
+    _fresh_loader(monkeypatch, tmp_path / "a", rejecting)
+    assert cc.load_kernel() is None
+    assert solvers.load_cd_kernel() is None
+    passing = _fake_compiler(tmp_path / "plain", real, None)
+    _fresh_loader(monkeypatch, tmp_path / "b", passing)
+    assert solvers.load_cd_kernel() is not None
 
 
 # --------------------------------------------------------------------- #
