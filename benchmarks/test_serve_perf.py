@@ -26,7 +26,13 @@ import pytest
 from repro.opm import OpmMeter, QuantizedModel
 from repro.parallel import HAVE_SHM, WorkerPool, leaked_segments
 from repro.serve import Gateway, LoadGenConfig, ModelRegistry, plan, run_load
-from repro.stream import ProxyBlock, StreamConfig, StreamService, StreamSession
+from repro.stream import (
+    ProxyBlock,
+    SessionHooks,
+    StreamConfig,
+    StreamService,
+    StreamSession,
+)
 
 N_SESSIONS = 16
 CYCLES = 4_096
@@ -81,13 +87,11 @@ def test_perf_serve_direct_service(
 ):
     """Floor: the same load through a bare StreamService (no serving)."""
     meter = OpmMeter(qmodel, t=T)
-    cfg = StreamConfig(
-        queue_depth=len(plans[0].chunks) + 1,
-        window_ring_capacity=CYCLES // T + 1,
-    )
+    cfg = StreamConfig(queue_depth=len(plans[0].chunks) + 1)
 
     def run():
         sessions = []
+        windows = [[] for _ in plans]
         for k, p in enumerate(plans):
             blocks = [
                 ProxyBlock(
@@ -96,11 +100,16 @@ def test_perf_serve_direct_service(
                 )
                 for i, c in enumerate(p.chunks)
             ]
+            hooks = SessionHooks(
+                on_ingest=lambda _s, _pc, w, out=windows[k]: out.append(w)
+            )
             sessions.append(
-                StreamSession(f"s{k}", blocks, meter, config=cfg)
+                StreamSession(
+                    f"s{k}", blocks, meter, config=cfg, hooks=hooks
+                )
             )
         StreamService(meter, sessions).run()
-        return [s.window_ring.values() for s in sessions]
+        return [np.concatenate(w) for w in windows]
 
     windows = benchmark.pedantic(run, rounds=3, iterations=1)
     _check(windows, expected_windows)

@@ -15,12 +15,7 @@ import pytest
 
 from repro.opm import OpmMeter, QuantizedModel
 from repro.rtl import Simulator
-from repro.stream import (
-    SimulatorSource,
-    StreamConfig,
-    StreamService,
-    StreamSession,
-)
+from repro.stream import SimulatorSource, StreamService, StreamSession
 
 CYCLES = 4_000
 CHUNK = 256
@@ -61,7 +56,6 @@ def test_perf_stream_service(benchmark, core, qmodel, n_sessions):
         )
         for _ in range(n_sessions)
     ]
-    cfg = StreamConfig(ring_capacity=1024, window_ring_capacity=256)
 
     def run():
         sessions = [
@@ -72,7 +66,6 @@ def test_perf_stream_service(benchmark, core, qmodel, n_sessions):
                     chunk_cycles=CHUNK, simulator=sim,
                 ),
                 meter,
-                config=cfg,
             )
             for k in range(n_sessions)
         ]

@@ -43,7 +43,7 @@ class Counter:
 
 @dataclass
 class Gauge:
-    """Last-observed value (queue depth, EMA power, ...)."""
+    """Last-observed value (queue depth, session health, ...)."""
 
     name: str
     value: float = 0.0

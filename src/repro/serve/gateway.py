@@ -77,6 +77,28 @@ __all__ = [
 ]
 
 
+def _check_open_fields(t, version, priority, deadline_ticks) -> None:
+    """Raise :class:`~repro.errors.ServeError` for an ``open`` field no
+    session can use.  Messages quote at most 80 characters of it."""
+    if isinstance(t, bool) or not isinstance(t, int) or t < 1 or t & (t - 1):
+        raise ServeError(f"t must be a power-of-two int, got {t!r:.80}")
+    if version is not None and not isinstance(version, str):
+        raise ServeError(f"model version must be a str, got {version!r:.80}")
+    if priority not in (None, PRIORITY_CRITICAL, PRIORITY_BEST_EFFORT):
+        raise ServeError(
+            f"priority must be {PRIORITY_CRITICAL!r} or "
+            f"{PRIORITY_BEST_EFFORT!r}, got {priority!r:.80}"
+        )
+    if deadline_ticks is not None and (
+        isinstance(deadline_ticks, bool)
+        or not isinstance(deadline_ticks, int)
+        or deadline_ticks < 0
+    ):
+        raise ServeError(
+            f"deadline_ticks must be an int >= 0, got {deadline_ticks!r:.80}"
+        )
+
+
 def _toggle_bits(toggles) -> np.ndarray:
     """``toggles`` as uint8 without wrapping: an input that needs a cast
     must hold only 0/1 values (a cast turns 256 into 0 and -1 into 255).
@@ -214,7 +236,6 @@ class SessionHandle:
     opened_tick: int
     toggle_counts: np.ndarray = field(repr=False, default=None)
     peak_window_mw: float = 0.0
-    windows_seen: int = 0
     priority: str = PRIORITY_BEST_EFFORT
     deadline_ticks: int | None = None
     last_activity_tick: int = 0  # last open/push/ping, for idle reaping
@@ -290,7 +311,7 @@ class SessionHandle:
             "step": self.qmodel.step,
             "mean_mw": self.mean_mw,
             "peak_window_mw": self.peak_window_mw,
-            "windows": self.windows_seen,
+            "windows": sess.window_count,
             "dropped_blocks": sess.dropped_blocks
             + (self.push.dropped_blocks if self.push is not None else 0),
             "droop_alerts": stats.get("droop_alerts", 0),
@@ -442,9 +463,26 @@ class Gateway:
         T-cycle fallback instead of computed late.  Admission-shed
         opens raise :class:`~repro.errors.AdmissionError` *before* any
         gateway state changes — a shed open consumes nothing.
+
+        Fields no session can use raise :class:`~repro.errors.ServeError`
+        before admission: a ``t`` that is not a power-of-two int or
+        whose window sum would overflow the int64 accumulator
+        (:meth:`~repro.opm.quantize.QuantizedModel.accumulator_bits`
+        over 64), a ``version`` that is not a str, a ``priority`` other
+        than ``"critical"`` / ``"besteffort"``, or a ``deadline_ticks``
+        that is not an int >= 0.
         """
         if self._closed:
             raise ServeError("open_session on a closed gateway")
+        t = self.t if t is None else t
+        _check_open_fields(t, version, priority, deadline_ticks)
+        version = self.registry.resolve(version)
+        bits = self.registry.get(version).accumulator_bits(t)
+        if bits > 64:
+            raise ServeError(
+                f"window size t needs a {bits}-bit accumulator "
+                "(int64 holds 64)"
+            )
         if priority is None:
             priority = (
                 PRIORITY_CRITICAL
@@ -458,8 +496,7 @@ class Gateway:
                 self.ticks,
                 sum(1 for h in self.handles.values() if not h.done),
             )
-        version = self.registry.resolve(version)
-        meter = self.registry.meter(version, self.t if t is None else t)
+        meter = self.registry.meter(version, t)
         name = f"{core_id}#{self._seq}"
         self._seq += 1
 
@@ -477,7 +514,6 @@ class Gateway:
             if windows_mw.size:
                 h = handle_ref[0]
                 h._outbox.append(np.array(windows_mw, dtype=np.float64))
-                h.windows_seen += int(windows_mw.size)
                 peak = float(windows_mw.max())
                 if peak > h.peak_window_mw:
                     h.peak_window_mw = peak
@@ -523,9 +559,7 @@ class Gateway:
             opened_tick=self.ticks,
             toggle_counts=np.zeros(meter.qmodel.q, dtype=np.int64),
             priority=priority,
-            deadline_ticks=(
-                int(deadline_ticks) if deadline_ticks is not None else None
-            ),
+            deadline_ticks=deadline_ticks,
             last_activity_tick=self.ticks,
             last_progress_tick=self.ticks,
         )
@@ -543,6 +577,10 @@ class Gateway:
     def _resolve(self, handle_or_name) -> SessionHandle:
         if isinstance(handle_or_name, SessionHandle):
             return handle_or_name
+        if not isinstance(handle_or_name, str):
+            raise ServeError(
+                f"session name must be a str, got {handle_or_name!r:.80}"
+            )
         try:
             return self.handles[handle_or_name]
         except KeyError:

@@ -57,8 +57,12 @@ _U32 = struct.Struct(">I")
 #: hostile length prefix fails fast instead of allocating gigabytes.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: dtypes a DATA payload may carry (toggles in, readings out).
-_ALLOWED_DTYPES = {"uint8", "int64", "float64"}
+#: dtypes a DATA payload may carry (toggles in, readings out), by wire
+#: name.  Payload bytes are always in native byte order.
+_DTYPE_OF = {name: np.dtype(name) for name in ("uint8", "int64", "float64")}
+#: Keyed by dtype object: reading ``arr.dtype.name`` costs microseconds,
+#: and a name would not tell a big-endian array from a native one.
+_NAME_OF = {dt: name for name, dt in _DTYPE_OF.items()}
 
 
 def encode_frame(header: dict, payload: bytes = b"") -> bytes:
@@ -141,17 +145,19 @@ async def read_frame(reader) -> tuple[dict, bytes]:
 
 
 def encode_array(arr: np.ndarray) -> tuple[dict, bytes]:
-    """Array -> (header fields, payload bytes)."""
+    """Array -> (header fields, payload bytes in native byte order)."""
     arr = np.ascontiguousarray(arr)
-    if arr.dtype.name not in _ALLOWED_DTYPES:
-        raise ServeError(
-            f"dtype {arr.dtype.name!r} not allowed on the wire "
-            f"(use one of {sorted(_ALLOWED_DTYPES)})"
-        )
-    return (
-        {"dtype": arr.dtype.name, "shape": list(arr.shape)},
-        arr.tobytes(),
-    )
+    name = _NAME_OF.get(arr.dtype)
+    if name is None:
+        native = arr.dtype.newbyteorder("=")
+        name = _NAME_OF.get(native)
+        if name is None:
+            raise ServeError(
+                f"dtype {arr.dtype.name!r} not allowed on the wire "
+                f"(use one of {sorted(_DTYPE_OF)})"
+            )
+        arr = arr.astype(native)
+    return {"dtype": name, "shape": list(arr.shape)}, arr.tobytes()
 
 
 def decode_array(header: dict, payload: bytes) -> np.ndarray:
@@ -159,7 +165,8 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
     dtype = header.get("dtype")
     shape = header.get("shape")
     # Messages quote at most 80 characters of what the peer sent.
-    if not isinstance(dtype, str) or dtype not in _ALLOWED_DTYPES:
+    dt = _DTYPE_OF.get(dtype) if isinstance(dtype, str) else None
+    if dt is None:
         raise ServeError(f"frame dtype {dtype!r:.80} not allowed")
     if not isinstance(shape, list) or not all(
         type(d) is int and d >= 0 for d in shape
@@ -167,7 +174,7 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
         raise ServeError(f"frame shape {shape!r:.80} is not a valid shape")
     # Python ints, multiplied only up to the frame bound: a hostile
     # shape can neither wrap an int64 product nor grow a huge integer.
-    nbytes = np.dtype(dtype).itemsize
+    nbytes = dt.itemsize
     for d in shape:
         nbytes *= d
         if nbytes > MAX_FRAME_BYTES:
@@ -178,7 +185,7 @@ def decode_array(header: dict, payload: bytes) -> np.ndarray:
             f"shape {shape!r:.80} of {dtype}"
         )
     try:
-        return np.frombuffer(payload, dtype=np.dtype(dtype)).reshape(shape)
+        return np.frombuffer(payload, dtype=dt).reshape(shape)
     except ValueError as exc:  # more dimensions than NumPy supports
         raise ServeError(f"frame shape {shape!r:.80}: {exc}") from exc
 

@@ -13,7 +13,7 @@ Failure model (deterministic, test-injectable via :meth:`Shard.kill`):
   shards in ring order;
 * at the start of the next tick the router **respawns** it: a fresh
   ``StreamService`` is built around the *same* session objects, whose
-  state (queues, open OPM windows, rings) lives outside the service —
+  state (queues, open OPM windows, watchers) lives outside the service —
   so nothing is lost beyond what drop-oldest backpressure discards
   while the shard was down (zero for pull sources, bounded by the push
   buffer depth for push sessions).  Readings remain bit-identical to an
@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ServeError
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.parallel.shm import ShmRef, WeightRef, attach_view, resident_weights
 from repro.resilience.retry import HealthState
@@ -132,14 +131,8 @@ def serve_gemv_task(task: ShmGemvTask):
 class Shard:
     """One slice of the fleet: a stream service with health."""
 
-    def __init__(
-        self,
-        index: int,
-        registry: MetricsRegistry | None = None,
-        tracer=None,
-    ) -> None:
+    def __init__(self, index: int, tracer=None) -> None:
         self.index = index
-        self.metrics = registry or MetricsRegistry()
         self.tracer = tracer or NULL_TRACER
         self.lane = f"shard-{index}"
         self.tracer.register_lane(self.lane)
@@ -152,11 +145,7 @@ class Shard:
 
     def _fresh_service(self, sessions: list[StreamSession]) -> StreamService:
         return StreamService(
-            None,
-            sessions,
-            registry=self.metrics,
-            tracer=self.tracer,
-            allow_empty=True,
+            None, sessions, tracer=self.tracer, allow_empty=True
         )
 
     # -------------------------------------------------------------- #
@@ -219,14 +208,9 @@ class Shard:
             # re-infers them.  Inference is a pure function of the
             # blocks, so the replay re-emits bit-identical readings
             # with zero sequence gaps (loss-free failover).
-            requeued = 0
             for _meter, picks, _mats in groups:
                 for sess, _blocks in picks:
-                    requeued += sess.requeue_inflight()
-            if requeued:
-                self.metrics.counter("serve.shard.requeued_blocks").inc(
-                    requeued
-                )
+                    sess.requeue_inflight()
             return any(not s.done for s in self.sessions)
         with self.tracer.span(
             "serve.shard.apply", lane=self.lane, shard=self.index

@@ -11,12 +11,19 @@ a stream of millions of cycles needs memory for one chunk per session:
 * :mod:`repro.stream.session` — per-core sessions with bounded queues,
   drop-oldest backpressure, and degraded T-cycle fallback, multiplexed
   through batched OPM inference by :class:`StreamService`;
-* :mod:`repro.stream.aggregate` — rolling/EMA aggregation, droop
-  precursor alerts with hysteresis, power-budget checks feeding the
+* :mod:`repro.stream.aggregate` — droop-precursor alerts with
+  hysteresis, power-budget checks feeding the
   :class:`~repro.flow.dvfs.DvfsGovernor`.
 
-Sessions publish counters, gauges and latency histograms into the
-shared :class:`~repro.obs.metrics.MetricsRegistry`.
+A session emits two readings: the per-cycle OPM integer (scaled to mW;
+it feeds droop detection) and the T-cycle window average (it feeds
+power budgets).  Callers collect them through
+:attr:`SessionHooks.on_ingest`; a degraded session pauses only droop
+detection, so every reading still reaches the hook.  The service
+writes its totals and per-session gauges into the shared
+:class:`~repro.obs.metrics.MetricsRegistry` at
+:meth:`StreamService.snapshot` and at the end of
+:meth:`StreamService.run`.
 
 The streamed per-cycle and T-window readings are bit-identical to
 :class:`~repro.opm.meter.OpmMeter` on the whole trace (property-tested
@@ -26,12 +33,7 @@ against both simulator engines).
 from __future__ import annotations
 
 from repro.opm.meter import OpmMeter
-from repro.stream.aggregate import (
-    BudgetWatcher,
-    DroopWatcher,
-    EmaTracker,
-    RingBuffer,
-)
+from repro.stream.aggregate import BudgetWatcher, DroopWatcher
 from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.stream.session import (
     SessionHooks,
@@ -49,8 +51,6 @@ __all__ = [
     "StreamConfig",
     "StreamSession",
     "StreamService",
-    "RingBuffer",
-    "EmaTracker",
     "DroopWatcher",
     "BudgetWatcher",
     "Counter",

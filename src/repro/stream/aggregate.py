@@ -1,8 +1,7 @@
-"""Windowed aggregation and alerting over streamed OPM readings.
+"""Alerting over streamed OPM readings.
 
-Everything here is incremental: state carried across chunks, no
-whole-trace arrays.  Three aggregations (per-cycle ring, T-cycle window
-ring, EMA) plus two alert watchers:
+Both watchers are incremental: state carried across chunks, no
+whole-trace arrays.
 
 * :class:`DroopWatcher` — the §8.2 runtime use case.  Per-cycle delta-I
   (via :func:`repro.power.pdn.delta_current` semantics, computed with a
@@ -22,70 +21,7 @@ import numpy as np
 from repro.errors import StreamError
 from repro.power.pdn import PdnModel, PdnState
 
-__all__ = ["RingBuffer", "EmaTracker", "DroopWatcher", "BudgetWatcher"]
-
-
-class RingBuffer:
-    """Fixed-capacity float ring holding the most recent readings."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise StreamError(f"ring capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self._buf = np.zeros(self.capacity, dtype=np.float64)
-        self._next = 0
-        self._filled = 0
-        self.total_pushed = 0
-
-    def __len__(self) -> int:
-        return self._filled
-
-    def push(self, values: np.ndarray) -> None:
-        vals = np.asarray(values, dtype=np.float64).ravel()
-        self.total_pushed += int(vals.size)
-        if vals.size >= self.capacity:
-            self._buf[:] = vals[-self.capacity:]
-            self._next = 0
-            self._filled = self.capacity
-            return
-        end = self._next + vals.size
-        if end <= self.capacity:
-            self._buf[self._next:end] = vals
-        else:
-            split = self.capacity - self._next
-            self._buf[self._next:] = vals[:split]
-            self._buf[: end - self.capacity] = vals[split:]
-        self._next = end % self.capacity
-        self._filled = min(self.capacity, self._filled + vals.size)
-
-    def values(self) -> np.ndarray:
-        """Retained readings, oldest first."""
-        if self._filled < self.capacity:
-            return self._buf[: self._filled].copy()
-        return np.concatenate(
-            [self._buf[self._next:], self._buf[: self._next]]
-        )
-
-
-class EmaTracker:
-    """Exponential moving average carried across chunks."""
-
-    def __init__(self, alpha: float = 0.05) -> None:
-        if not (0.0 < alpha <= 1.0):
-            raise StreamError(f"EMA alpha must be in (0, 1], got {alpha}")
-        self.alpha = float(alpha)
-        self.value: float | None = None
-        self.n = 0
-
-    def update(self, values: np.ndarray) -> float | None:
-        vals = np.asarray(values, dtype=np.float64).ravel()
-        v = self.value
-        a = self.alpha
-        for x in vals:
-            v = x if v is None else v + a * (x - v)
-        self.value = v
-        self.n += int(vals.size)
-        return v
+__all__ = ["DroopWatcher", "BudgetWatcher"]
 
 
 class DroopWatcher:
@@ -181,12 +117,10 @@ class BudgetWatcher:
             governor.start(start_level) if governor is not None else None
         )
         self.violations = 0
-        self.windows_seen = 0
 
     def observe(self, window_mw: np.ndarray) -> int:
         """Check one chunk of window readings; return new violations."""
         wins = np.asarray(window_mw, dtype=np.float64).ravel()
-        self.windows_seen += int(wins.size)
         new = int((wins > self.budget_mw).sum())
         self.violations += new
         if self.governor is not None:

@@ -2,11 +2,11 @@
 
 One :class:`StreamSession` is one core's telemetry stream: a chunked
 proxy source, a bounded pending-block queue, incremental T-cycle
-windowing (:class:`~repro.opm.meter.OpmStream`), ring buffers of recent
-readings, and optional droop/budget watchers.  A :class:`StreamService`
-multiplexes many sessions through *batched* OPM inference — one integer
-GEMV per drain covers every session's pending chunks, the same
-amortization the hardware gets from one adder tree serving T cycles.
+windowing (:class:`~repro.opm.meter.OpmStream`), and optional
+droop/budget watchers.  A :class:`StreamService` multiplexes many
+sessions through *batched* OPM inference — one integer GEMV per drain
+covers every session's pending chunks, the same amortization the
+hardware gets from one adder tree serving T cycles.
 
 Flow control is explicit and deterministic (no threads):
 
@@ -16,10 +16,11 @@ Flow control is explicit and deterministic (no threads):
 * ``drain`` runs batched inference over at most ``drain_blocks`` queued
   blocks per session, so a fast producer + slow consumer genuinely falls
   behind;
-* a session that dropped blocks enters *degraded* mode: per-cycle
-  products (ring, EMA, droop detection) pause — per-cycle continuity is
-  broken anyway — while T-cycle-averaged window readings keep flowing.
-  The session recovers once its queue fully drains.
+* a session that dropped blocks enters *degraded* mode: droop
+  detection pauses — per-cycle continuity is broken anyway — while
+  every reading, per-cycle and T-cycle window, keeps flowing to
+  :attr:`SessionHooks.on_ingest`.  The session recovers once its queue
+  fully drains.
 
 Session health is a full ``ok -> degraded -> failed``
 :class:`~repro.resilience.retry.HealthState` machine (``session.health``;
@@ -46,12 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER
 from repro.opm.meter import OpmMeter
 from repro.resilience.retry import HealthState, RetryPolicy
-from repro.stream.aggregate import (
-    BudgetWatcher,
-    DroopWatcher,
-    EmaTracker,
-    RingBuffer,
-)
+from repro.stream.aggregate import BudgetWatcher, DroopWatcher
 from repro.stream.source import ProxyBlock
 
 __all__ = [
@@ -87,13 +83,11 @@ class SessionHooks:
     inference (per-proxy toggle accounting for power attribution),
     ``on_ingest`` sees the inferred readings (per-cycle mW and any
     completed windows — the data a telemetry client is subscribed to),
-    ``on_drop`` sees each block lost to backpressure, and ``on_done``
-    fires exactly once when the session finishes.
+    and ``on_done`` fires exactly once when the session finishes.
     """
 
     on_drain: Callable | None = None  # (session, blocks)
     on_ingest: Callable | None = None  # (session, per_cycle_mw, windows_mw)
-    on_drop: Callable | None = None  # (session, lost_block)
     on_done: Callable | None = None  # (session,)
 
 
@@ -109,9 +103,6 @@ class StreamConfig:
     queue_depth: int = 8
     pump_blocks: int = 1
     drain_blocks: int = 1
-    ring_capacity: int = 4096
-    window_ring_capacity: int = 1024
-    ema_alpha: float = 0.05
     max_source_errors: int = 3
 
     def __post_init__(self) -> None:
@@ -119,8 +110,6 @@ class StreamConfig:
             raise StreamError("queue_depth must be >= 1")
         if self.pump_blocks < 1 or self.drain_blocks < 1:
             raise StreamError("pump/drain block counts must be >= 1")
-        if self.ring_capacity < 1 or self.window_ring_capacity < 1:
-            raise StreamError("ring capacities must be >= 1")
         if self.max_source_errors < 1:
             raise StreamError("max_source_errors must be >= 1")
 
@@ -164,9 +153,6 @@ class StreamSession:
         self.requeued_blocks = 0  # blocks replayed after a failover
         self.exhausted = False
         self.opm_stream = meter.stream()
-        self.ring = RingBuffer(self.config.ring_capacity)
-        self.window_ring = RingBuffer(self.config.window_ring_capacity)
-        self.ema = EmaTracker(self.config.ema_alpha)
         self.droop = droop
         self.budget = budget
         self.retry = retry if retry is not None else RetryPolicy()
@@ -265,8 +251,6 @@ class StreamSession:
             self.dropped_blocks += 1
             self.dropped_cycles += lost.n_cycles
             self._degrade("queue overflow: dropped oldest block")
-            if self.hooks.on_drop is not None:
-                self.hooks.on_drop(self, lost)
         self.queue.append(block)
 
     def take(self, max_blocks: int) -> list[ProxyBlock]:
@@ -340,16 +324,12 @@ class StreamSession:
         self.cycles_processed += n
         self.blocks_processed += n_blocks
         if self.degraded:
-            # T-cycle fallback: windowed readings continue below,
-            # per-cycle products pause until the queue drains.
+            # T-cycle fallback: readings continue below, droop
+            # detection pauses until the queue drains.
             self.degraded_cycles += n
-        else:
-            self.ring.push(per_cycle_mw)
-            self.ema.update(per_cycle_mw)
-            if self.droop is not None:
-                self.droop.observe(per_cycle_mw)
+        elif self.droop is not None:
+            self.droop.observe(per_cycle_mw)
         if windows_mw.size:
-            self.window_ring.push(windows_mw)
             self.window_sum += float(windows_mw.sum())
             self.window_count += int(windows_mw.size)
             if self.budget is not None:
@@ -384,7 +364,6 @@ class StreamSession:
                 self.window_sum / self.window_count
                 if self.window_count else 0.0
             ),
-            "ema_mw": self.ema.value if self.ema.value is not None else 0.0,
             "pending_window_cycles": self.opm_stream.pending_cycles,
         }
         if self.droop is not None:
@@ -496,7 +475,6 @@ class StreamService:
         dt = time.perf_counter() - t0
         self._elapsed += dt
         self.metrics.hist("stream.step.latency").observe(dt)
-        self._refresh_metrics()
         for sess in self.sessions:
             sess.notify_done()
         return not all(s.done for s in self.sessions)
@@ -540,17 +518,18 @@ class StreamService:
                 steps += 1
                 if max_steps is not None and steps >= max_steps:
                     break
+            snap = self.snapshot()
             if sp:
                 sp.set(
                     steps=self.steps,
-                    cycles_processed=self.metrics.counter(
-                        "cycles_processed"
-                    ).value,
+                    cycles_processed=snap["counters"]["cycles_processed"],
                 )
-        return self.snapshot()
+        return snap
 
     # -------------------------------------------------------------- #
     def _refresh_metrics(self) -> None:
+        """Write service totals and per-session gauges into the
+        registry; :meth:`snapshot` calls it, :meth:`step` does not."""
         m = self.metrics
         totals = {
             "cycles_processed": 0,
@@ -598,6 +577,7 @@ class StreamService:
 
     def snapshot(self) -> dict:
         """Full metrics snapshot: service totals + per-session stats."""
+        self._refresh_metrics()
         snap = self.metrics.snapshot()
         snap["sessions"] = {s.name: s.stats() for s in self.sessions}
         snap["steps"] = self.steps

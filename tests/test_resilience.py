@@ -783,12 +783,7 @@ class TestStreamResilience:
             metrics=MetricsRegistry(),
         )
         meter = OpmMeter(qmodel, t=8)
-        cfg = StreamConfig(
-            ring_capacity=cycles + 1,
-            window_ring_capacity=cycles + 1,
-            queue_depth=1000,
-            **cfg_kw,
-        )
+        cfg = StreamConfig(queue_depth=1000, **cfg_kw)
         sess = StreamSession(
             "chaos", inj.wrap_source(source), meter, config=cfg,
             retry=RetryPolicy(max_attempts=3, sleep=lambda _s: None),

@@ -87,6 +87,16 @@ def test_frame_round_trip_with_array_payload():
     np.testing.assert_array_equal(decode_array(header, body), arr)
 
 
+@pytest.mark.parametrize("name", ["int64", "float64"])
+def test_array_round_trips_from_swapped_byte_order(name):
+    arr = np.array([1, 2, 3]).astype(np.dtype(name).newbyteorder("S"))
+    fields, payload = encode_array(arr)
+    assert fields["dtype"] == name
+    back = decode_array(fields, payload)
+    assert back.dtype == np.dtype(name)
+    np.testing.assert_array_equal(back, [1, 2, 3])
+
+
 def test_frame_buffer_reassembles_byte_dribble():
     frames = [
         encode_frame({"op": "open", "core": "c0"}),
@@ -698,6 +708,35 @@ def test_fleet_report_totals_are_exact():
     assert by_version["v2"]["sessions"] == 2
 
 
+def test_session_window_counts_match_popped_and_offline():
+    reg = _registry(q=4, seed=3)
+    gw = Gateway(reg, n_shards=2, t=4)
+    client = InprocClient(gw)
+    stims = {
+        client.open(f"core{k}"): _toggles(4, 30 + 7 * k, seed=k)
+        for k in range(3)
+    }
+    popped = dict.fromkeys(stims, 0)
+    for name, stim in stims.items():
+        for i in range(0, len(stim), 8):
+            client.push(name, stim[i:i + 8])
+        client.close(name)
+    gw.tick()
+    gw.kill_shard(0)
+    for _ in range(2):
+        gw.tick()
+        for name in stims:
+            popped[name] += client.windows(name).size
+    gw.drain()
+    for name in stims:
+        popped[name] += client.windows(name).size
+        assert client.stats(name)["windows"] == popped[name] > 0
+    meter = OpmMeter(reg.get("v1"), t=4)
+    assert build_report(gw).total_windows == sum(
+        meter.read(stim).size for stim in stims.values()
+    )
+
+
 def test_fleet_report_ranking_and_units():
     _reg, gw = _served_fleet()
     fleet = build_report(gw)
@@ -754,7 +793,7 @@ def test_stream_service_session_health_gauges():
     name = client.open("c0")
     client.push(name, _toggles(4, 8), last=True)
     gw.drain()
-    snap = gw.shards[0].service.metrics.snapshot()
+    snap = gw.shards[0].service.snapshot()
     assert snap["gauges"][f"stream.session.health.{name}"] == 0
     assert snap["gauges"][f"stream.session.dropped_blocks.{name}"] == 0
     assert snap["gauges"]["stream.service.health"] == 0
@@ -924,6 +963,122 @@ def test_tcp_gateway_answers_malformed_data_and_keeps_serving():
         reg.meter("v1", 4).read(stim).view(np.uint8),
     )
     assert stats["cycles"] == 40 and stats["done"]
+
+
+_BAD_HEADERS = [
+    {"op": "open", "core": "c", "t": 3},
+    {"op": "open", "core": "c", "t": 0},
+    {"op": "open", "core": "c", "t": "x"},
+    {"op": "open", "core": "c", "t": [1]},
+    {"op": "open", "core": "c", "t": 1e300},
+    {"op": "open", "core": "c", "t": True},
+    {"op": "open", "core": "c", "t": 1.5},
+    {"op": "open", "core": "c", "t": 2 ** 2000},
+    {"op": "open", "core": "c", "version": [1]},
+    {"op": "open", "core": "c", "deadline_ticks": "x"},
+    {"op": "open", "core": "c", "deadline_ticks": -1},
+    {"op": "open", "core": "c", "priority": "bogus"},
+    {"op": "close", "session": [1]},
+    {"op": "ping", "session": {"a": 1}},
+    {"op": "stats", "session": ["x"]},
+]
+
+
+@pytest.mark.parametrize(
+    "bad", _BAD_HEADERS,
+    ids=lambda h: f"{h['op']}-" + "-".join(
+        f"{k}={v!r:.12}" for k, v in h.items() if k not in ("op", "core")
+    ),
+)
+def test_tcp_gateway_answers_bad_header_and_keeps_serving(bad):
+    # Each unusable open field or session name gets an error frame; the
+    # same connection then opens a session and is served bit-exactly.
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=2, t=4)
+    stim = _toggles(4, 40, seed=9)
+
+    async def scenario():
+        server = GatewayServer(gw)
+        await server.start()
+        try:
+            client = await AsyncTelemetryClient.connect(
+                "127.0.0.1", server.port
+            )
+            client.writer.write(encode_frame(bad))
+            await client.writer.drain()
+            header, _payload = await asyncio.wait_for(
+                read_frame(client.reader), timeout=10
+            )
+            assert header["op"] == "error"
+            session = await client.open("c0")
+            await client.send(session, stim, last=True)
+            windows, stats = await asyncio.wait_for(
+                client.collect(session), timeout=10
+            )
+            await client.aclose()
+            return windows, stats
+        finally:
+            await server.close()
+
+    windows, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(
+        windows.view(np.uint8),
+        reg.meter("v1", 4).read(stim).view(np.uint8),
+    )
+    assert stats["cycles"] == 40 and stats["done"]
+
+
+def test_tcp_hostile_window_size_leaves_other_clients_served():
+    # A T=2**2000 session overflows the window accumulator: served, its
+    # first data frame would crash the shared tick and so every
+    # client's pump.  Its open is refused instead.
+    reg = _registry(q=4, seed=7)
+    gw = Gateway(reg, n_shards=2, t=4)
+    stim = _toggles(4, 40, seed=9)
+
+    async def scenario():
+        server = GatewayServer(gw)
+        await server.start()
+        try:
+            honest = await AsyncTelemetryClient.connect(
+                "127.0.0.1", server.port
+            )
+            session = await honest.open("honest")
+            await honest.send(session, stim[:16])
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(encode_frame(
+                {"op": "open", "core": "hostile", "t": 2 ** 2000}
+            ))
+            await writer.drain()
+            reply, _payload = await asyncio.wait_for(
+                read_frame(reader), timeout=10
+            )
+            fields, payload = encode_array(stim[:16])
+            writer.write(encode_frame(
+                {"op": "data", "session": reply.get("session", "none"),
+                 **fields},
+                payload,
+            ))
+            await writer.drain()
+            await honest.send(session, stim[16:], last=True)
+            windows, stats = await asyncio.wait_for(
+                honest.collect(session), timeout=10
+            )
+            writer.close()
+            await honest.aclose()
+            return reply, windows, stats
+        finally:
+            await server.close()
+
+    reply, windows, stats = asyncio.run(scenario())
+    np.testing.assert_array_equal(
+        windows.view(np.uint8),
+        reg.meter("v1", 4).read(stim).view(np.uint8),
+    )
+    assert stats["cycles"] == 40 and stats["done"]
+    assert reply["op"] == "error" and "accumulator" in reply["message"]
 
 
 # --------------------------------------------------------------------- #

@@ -17,9 +17,11 @@ from repro.errors import StreamError
 from repro.opm import OpmMeter, QuantizedModel
 from repro.rtl import ENGINES, RecordSpec, Simulator, ToggleTrace
 from repro.stream import (
+    BudgetWatcher,
+    DroopWatcher,
     MetricsRegistry,
     ProxyBlock,
-    RingBuffer,
+    SessionHooks,
     SimulatorSource,
     StreamConfig,
     StreamService,
@@ -59,20 +61,43 @@ def _offline_readings(nl, qmodel, stim, t, engine="uint8"):
     return toggles, per_cycle, windows
 
 
+class _Readings:
+    """A session's readings, collected through ``SessionHooks.on_ingest``."""
+
+    def __init__(self) -> None:
+        self.per_cycle: list[np.ndarray] = []
+        self.windows: list[np.ndarray] = []
+        self.hooks = SessionHooks(on_ingest=self._on_ingest)
+
+    def _on_ingest(self, _sess, per_cycle_mw, windows_mw) -> None:
+        self.per_cycle.append(per_cycle_mw)
+        self.windows.append(windows_mw)
+
+    def assert_equal(self, per_cycle, windows) -> None:
+        """Every reading equals the offline one, byte for byte."""
+        np.testing.assert_array_equal(
+            np.concatenate(self.per_cycle).view(np.uint8),
+            per_cycle.view(np.uint8),
+        )
+        np.testing.assert_array_equal(
+            np.concatenate(self.windows).view(np.uint8),
+            windows.view(np.uint8),
+        )
+
+
 def _streamed(nl, qmodel, stim, t, engine, chunk_cycles):
     source = SimulatorSource(
         nl, qmodel.proxies, stim, chunk_cycles=chunk_cycles, engine=engine
     )
     meter = OpmMeter(qmodel, t=t)
-    cfg = StreamConfig(
-        ring_capacity=stim.shape[0] + 1,
-        window_ring_capacity=stim.shape[0] + 1,
-        queue_depth=10_000,
+    readings = _Readings()
+    sess = StreamSession(
+        "s0", source, meter, config=StreamConfig(queue_depth=10_000),
+        hooks=readings.hooks,
     )
-    sess = StreamSession("s0", source, meter, config=cfg)
     service = StreamService(meter, [sess])
     service.run()
-    return sess
+    return sess, readings
 
 
 # --------------------------------------------------------------------- #
@@ -95,13 +120,8 @@ def test_stream_bit_identical_to_offline_meter(
     _toggles, per_cycle, windows = _offline_readings(
         nl, qmodel, stim, t, engine="uint8"
     )
-    sess = _streamed(nl, qmodel, stim, t, engine, chunk)
-    np.testing.assert_array_equal(
-        sess.ring.values().view(np.uint8), per_cycle.view(np.uint8)
-    )
-    np.testing.assert_array_equal(
-        sess.window_ring.values().view(np.uint8), windows.view(np.uint8)
-    )
+    sess, readings = _streamed(nl, qmodel, stim, t, engine, chunk)
+    readings.assert_equal(per_cycle, windows)
     assert sess.cycles_processed == cycles
     assert sess.opm_stream.pending_cycles == cycles % t
 
@@ -154,17 +174,13 @@ def test_trace_source_matches_offline_meter():
 
     source = TraceSource(res.trace, qmodel.proxies, chunk_cycles=17)
     meter = OpmMeter(qmodel, t=t)
-    cfg = StreamConfig(
-        ring_capacity=100, window_ring_capacity=100, queue_depth=100
+    readings = _Readings()
+    sess = StreamSession(
+        "replay", source, meter, config=StreamConfig(queue_depth=100),
+        hooks=readings.hooks,
     )
-    sess = StreamSession("replay", source, meter, config=cfg)
     StreamService(meter, [sess]).run()
-    np.testing.assert_array_equal(
-        sess.ring.values().view(np.uint8), per_cycle.view(np.uint8)
-    )
-    np.testing.assert_array_equal(
-        sess.window_ring.values().view(np.uint8), windows.view(np.uint8)
-    )
+    readings.assert_equal(per_cycle, windows)
 
 
 def test_four_session_long_run_bounded_memory():
@@ -174,7 +190,6 @@ def test_four_session_long_run_bounded_memory():
     qmodel = _qmodel(nl, q=5, seed=9)
     meter = OpmMeter(qmodel, t=8)
     cycles, chunk = 26_000, 512
-    cfg = StreamConfig(ring_capacity=1024, window_ring_capacity=256)
     sim = Simulator(nl)  # shared compiled simulator
     sessions = [
         StreamSession(
@@ -184,7 +199,6 @@ def test_four_session_long_run_bounded_memory():
                 chunk_cycles=chunk, simulator=sim,
             ),
             meter,
-            config=cfg,
         )
         for k in range(4)
     ]
@@ -195,7 +209,7 @@ def test_four_session_long_run_bounded_memory():
     tracemalloc.stop()
     assert snap["counters"]["cycles_processed"] == 4 * cycles
     assert all(s.done for s in sessions)
-    # One chunk of proxy columns per session plus rings — far below a
+    # One chunk of proxy columns per session — far below a
     # full-trace materialization (4 x 26k x n_nets bytes > 18 MB).
     assert peak < 12 * 1024 * 1024
     parsed = json.loads(json.dumps(snap))
@@ -268,7 +282,7 @@ def test_per_cycle_rejects_bad_inputs():
 
 
 # --------------------------------------------------------------------- #
-# Plumbing: sources, rings, metrics
+# Plumbing: sources, metrics
 # --------------------------------------------------------------------- #
 def test_source_validation():
     nl = random_netlist(2, n_gates=30)
@@ -282,22 +296,6 @@ def test_source_validation():
     res = Simulator(nl).run(_stim(nl, 10), RecordSpec(full_trace=True))
     with pytest.raises(StreamError):
         TraceSource(res.trace, qmodel.proxies, chunk_cycles=-1)
-
-
-def test_ring_buffer_wrap_and_oversize_push():
-    ring = RingBuffer(5)
-    ring.push([1.0, 2.0])
-    ring.push([3.0])
-    np.testing.assert_array_equal(ring.values(), [1.0, 2.0, 3.0])
-    ring.push([4.0, 5.0, 6.0])  # wraps
-    np.testing.assert_array_equal(
-        ring.values(), [2.0, 3.0, 4.0, 5.0, 6.0]
-    )
-    ring.push(np.arange(10, 18, dtype=np.float64))  # larger than cap
-    np.testing.assert_array_equal(
-        ring.values(), [13.0, 14.0, 15.0, 16.0, 17.0]
-    )
-    assert ring.total_pushed == 14 and len(ring) == 5
 
 
 def test_metrics_registry_snapshot_roundtrip():
@@ -384,26 +382,69 @@ def test_drop_oldest_backpressure_accounting():
     assert sess.done
 
 
+class _CountingDroop(DroopWatcher):
+    """A droop watcher that counts the cycles it observes."""
+
+    def __init__(self) -> None:
+        super().__init__(enter_ma=1e9)
+        self.cycles = 0
+
+    def observe(self, power_mw):
+        self.cycles += int(np.size(power_mw))
+        return super().observe(power_mw)
+
+
+def test_stepped_service_snapshot_matches_run():
+    """Totals are written at ``snapshot()``, not on every step: a
+    service stepped to completion and then snapshotted reports what
+    ``run()`` reports (timing gauges and histograms aside)."""
+
+    def service():
+        meter = _toy_meter()
+        return StreamService(meter, [
+            StreamSession(
+                f"s{k}", _blocks(12, 8, 3, seed=k), meter,
+                config=StreamConfig(queue_depth=2, pump_blocks=1 + k),
+                droop=DroopWatcher(enter_ma=0.5),
+                budget=BudgetWatcher(0.2),
+            )
+            for k in range(3)
+        ])
+
+    stepped = service()
+    while stepped.step():
+        pass
+    got, want = stepped.snapshot(), service().run()
+    timing = {"elapsed_seconds", "cycles_per_second"}
+    for snap in (got, want):
+        for name in timing:
+            del snap["gauges"][name]
+        del snap["hists"]
+    assert got == want
+    for name in ("blocks_dropped", "droop_alerts", "budget_violations"):
+        assert got["counters"][name] > 0
+
+
 def test_degraded_mode_t_cycle_fallback_and_recovery():
-    """While degraded, per-cycle products pause but T-window readings
-    keep flowing; the session recovers once its queue drains."""
+    """While degraded, droop detection pauses but every reading keeps
+    flowing; the session recovers once its queue drains."""
     meter = _toy_meter(t=4)
-    cfg = StreamConfig(
-        queue_depth=2, pump_blocks=4, drain_blocks=1,
-        ring_capacity=10_000, window_ring_capacity=10_000,
-    )
+    cfg = StreamConfig(queue_depth=2, pump_blocks=4, drain_blocks=1)
     blocks = _blocks(8, 8, 3, seed=1)
-    sess = StreamSession("s", blocks, meter, config=cfg)
+    droop = _CountingDroop()
+    readings = _Readings()
+    sess = StreamSession(
+        "s", blocks, meter, config=cfg, droop=droop, hooks=readings.hooks
+    )
     service = StreamService(meter, [sess])
     service.run()
     assert sess.dropped_blocks > 0 and sess.degraded_cycles > 0
-    # T-cycle fallback: every processed cycle still produced windows
+    # T-cycle fallback: every processed cycle still produced readings
     assert sess.window_count == sess.cycles_processed // 4
-    assert sess.window_ring.total_pushed == sess.window_count
-    # per-cycle ring paused during degradation
-    assert sess.ring.total_pushed == (
-        sess.cycles_processed - sess.degraded_cycles
-    )
+    assert sum(w.size for w in readings.windows) == sess.window_count
+    assert sum(p.size for p in readings.per_cycle) == sess.cycles_processed
+    # droop detection paused during degradation
+    assert droop.cycles == sess.cycles_processed - sess.degraded_cycles
     # recovered by the end (queue fully drained)
     assert sess.done and not sess.degraded
     stats = sess.stats()
@@ -414,11 +455,14 @@ def test_degraded_mode_t_cycle_fallback_and_recovery():
 def test_healthy_session_never_degrades():
     meter = _toy_meter()
     cfg = StreamConfig(queue_depth=8, pump_blocks=1, drain_blocks=1)
-    sess = StreamSession("s", _blocks(10, 8, 3, seed=2), meter, config=cfg)
+    droop = _CountingDroop()
+    sess = StreamSession(
+        "s", _blocks(10, 8, 3, seed=2), meter, config=cfg, droop=droop
+    )
     StreamService(meter, [sess]).run()
     assert sess.dropped_blocks == 0
     assert sess.degraded_entries == 0
-    assert sess.ring.total_pushed == sess.cycles_processed == 80
+    assert droop.cycles == sess.cycles_processed == 80
 
 
 # --------------------------------------------------------------------- #
@@ -508,7 +552,6 @@ def test_budget_watcher_matches_offline_dvfs_run():
     assert bw.violations == int(
         (readings > gov.policy.power_budget_mw).sum()
     )
-    assert bw.windows_seen == 60
 
 
 def test_dvfs_step_reproduces_run():
