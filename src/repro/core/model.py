@@ -10,8 +10,6 @@ emulator-assisted flow, and the hardware OPM generator.
 from __future__ import annotations
 
 import json
-import zipfile
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,13 +94,14 @@ def open_artifact(
     scalar belongs), surfaces as ``error``.  I/O errors pass through
     unchanged: a missing file or a failing disk is not a bad artifact.
     """
+    from repro.resilience.atomic import NPZ_DECODE_ERRORS
+
     npz = resolve_npz_path(path)
     try:
         check_artifact(path, kind)
         with np.load(npz) as data:
             yield data
-    except (EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile, zlib.error) as exc:
+    except NPZ_DECODE_ERRORS as exc:
         raise error(f"{npz} is not a readable {kind} artifact: {exc}") from exc
 
 

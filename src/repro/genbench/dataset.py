@@ -9,15 +9,13 @@ segment boundaries so Fig. 9(b)'s per-benchmark metrics can be computed.
 
 from __future__ import annotations
 
-import zipfile
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from repro.errors import DatasetError, SimulationError
-from repro.resilience.atomic import atomic_save_npz
+from repro.resilience.atomic import NPZ_DECODE_ERRORS, atomic_save_npz
 from repro.resilience.checkpoint import CheckpointStore
 from repro.genbench.ga import GaIndividual, GaResult
 from repro.genbench.handcrafted import testing_suite
@@ -155,8 +153,7 @@ class PowerDataset:
                         for n, b in zip(names, bounds)
                     ],
                 )
-        except (EOFError, KeyError, TypeError, ValueError, SimulationError,
-                zipfile.BadZipFile, zlib.error) as exc:
+        except (*NPZ_DECODE_ERRORS, SimulationError) as exc:
             raise DatasetError(
                 f"{path} is not a readable PowerDataset archive: {exc}"
             ) from exc

@@ -6,22 +6,57 @@ cycle, a T-cycle integer accumulator, and division by T realized by
 dropping the low ``log2(T)`` bits (T restricted to powers of two, §4.5).
 Useful both for the Fig. 15(b) accuracy/area sweep (fast) and as the
 reference the gate-level OPM netlist is verified against.
+
+This module is the only code that turns proxy toggles into OPM
+integers: :func:`binary_toggles` (the 0/1 check), :func:`opm_dot` (the
+per-cycle dot product) and :meth:`OpmStream.push_per_cycle` (the
+T-window sum).  Streams and the serve tick call them too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from repro.errors import OpmError
 from repro.opm.quantize import QuantizedModel
 
-__all__ = ["OpmMeter", "OpmStream"]
+__all__ = ["OpmMeter", "OpmStream", "binary_toggles", "opm_dot"]
 
 
 def _is_pow2(t: int) -> bool:
     return t >= 1 and (t & (t - 1)) == 0
+
+
+def binary_toggles(x_proxies, error: type[Exception] = OpmError) -> np.ndarray:
+    """``x_proxies`` as a uint8 array of 0/1 toggle bits, or ``error``.
+
+    Any real dtype but uint8 and bool must compare equal to 0 or 1
+    before the cast (a bare cast wraps 256 to 0 and -1 to 255).
+    """
+    X = np.asarray(x_proxies)
+    if X.dtype == np.uint8:
+        # Guarded ``max()``: ``max(initial=0)`` costs ~1 µs more a chunk.
+        if X.size and X.max() > 1:
+            raise error("OPM toggles must be 0 or 1")
+        return X
+    if X.dtype == np.bool_:
+        return X.view(np.uint8)
+    if X.dtype.kind not in "iuf" or ((X != 0) & (X != 1)).any():
+        raise error("OPM toggles must be 0 or 1")
+    return X.astype(np.uint8)
+
+
+def opm_dot(toggles, int_weights, int_intercept: int) -> np.ndarray:
+    """Per-cycle OPM integers: ``toggles . int_weights + int_intercept``.
+
+    With ``(cycles, Q)`` 0/1 toggles and int64 weights every partial
+    sum is an exact int64, whatever the summation order.  ``einsum``
+    widens the toggles in buffered tiles, not as a whole int64 copy.
+    """
+    return np.einsum("ij,j->i", toggles, int_weights) + int_intercept
 
 
 @dataclass
@@ -32,6 +67,9 @@ class OpmMeter:
     t: int = 1
 
     def __post_init__(self) -> None:
+        if isinstance(self.t, bool) or not isinstance(self.t, Integral):
+            raise OpmError(f"T must be an int, got {self.t!r:.80}")
+        self.t = int(self.t)
         if not _is_pow2(self.t):
             raise OpmError(
                 f"T must be a power of two for bit-drop division, got "
@@ -47,20 +85,18 @@ class OpmMeter:
         """Per-cycle integer accumulator inputs (before T-windowing).
 
         These are the values entering the Fig. 8 accumulator each cycle:
-        ``weights . toggles + intercept`` in integer arithmetic.  Accepts
-        an empty ``(0, Q)`` chunk (returns an empty array) so streaming
+        ``weights . toggles + intercept`` in int64 arithmetic.  Accepts
+        any real array of 0/1 values (:func:`binary_toggles`) and an
+        empty ``(0, Q)`` chunk (returns an empty array), so streaming
         callers can pass short or empty final chunks through unchanged.
         """
-        X = np.asarray(x_proxies)
+        X = binary_toggles(x_proxies)
         if X.ndim != 2 or X.shape[1] != self.qmodel.q:
             raise OpmError(
                 f"expected (N, {self.qmodel.q}) proxy toggles, got {X.shape}"
             )
-        if X.size and not np.isin(X, (0, 1)).all():
-            raise OpmError("OPM inputs must be binary toggle bits")
-        return (
-            X.astype(np.int64) @ self.qmodel.int_weights
-            + self.qmodel.int_intercept
+        return opm_dot(
+            X, self.qmodel.int_weights, self.qmodel.int_intercept
         )
 
     def accumulate(self, x_proxies: np.ndarray) -> np.ndarray:
@@ -70,15 +106,11 @@ class OpmMeter:
         holds after the bit-drop division.
         """
         per_cycle = self.per_cycle(x_proxies)
-        n = (per_cycle.size // self.t) * self.t
-        if n == 0:
+        if per_cycle.size < self.t:
             raise OpmError(
                 f"trace of {per_cycle.size} cycles shorter than T={self.t}"
             )
-        sums = per_cycle[:n].reshape(-1, self.t).sum(axis=1)
-        # Divide by T by dropping log2(T) bits (arithmetic shift).
-        shift = int(np.log2(self.t))
-        return sums >> shift
+        return OpmStream(self).push_per_cycle(per_cycle)
 
     def read(self, x_proxies: np.ndarray) -> np.ndarray:
         """Windowed power estimates in mW (integer outputs x step)."""
@@ -99,12 +131,9 @@ class OpmMeter:
     def max_abs_accumulator(self, x_proxies: np.ndarray) -> int:
         """Largest |value| seen in the T-cycle accumulator — must fit in
         :meth:`QuantizedModel.accumulator_bits`, asserted in tests."""
-        X = np.asarray(x_proxies).astype(np.int64)
-        per_cycle = X @ self.qmodel.int_weights + self.qmodel.int_intercept
+        per_cycle = self.per_cycle(x_proxies)
         n = (per_cycle.size // self.t) * self.t
-        sums = np.cumsum(
-            per_cycle[:n].reshape(-1, self.t), axis=1
-        )
+        sums = np.cumsum(per_cycle[:n].reshape(-1, self.t), axis=1)
         return int(np.abs(sums).max(initial=0))
 
 
@@ -122,47 +151,34 @@ class OpmStream:
 
     def __init__(self, meter: OpmMeter) -> None:
         self.meter = meter
-        self._partial = 0  # running sum of the open window
-        self._pending = 0  # cycles currently in the open window
+        self._open = np.empty(0, dtype=np.int64)  # the open window's cycles
         self.cycles_in = 0
         self.windows_out = 0
 
     @property
     def pending_cycles(self) -> int:
         """Cycles buffered in the open (incomplete) window."""
-        return self._pending
+        return int(self._open.size)
 
     def push(self, x_proxies: np.ndarray) -> np.ndarray:
         """Feed one toggle chunk; return completed raw window outputs."""
         return self.push_per_cycle(self.meter.per_cycle(x_proxies))
 
     def push_per_cycle(self, per_cycle: np.ndarray) -> np.ndarray:
-        """Feed precomputed per-cycle integers; return window outputs."""
+        """Feed precomputed per-cycle integers; return window outputs.
+
+        Each complete window's int64 sum is divided by T by dropping
+        ``log2(T)`` bits (an arithmetic shift, so it floors).
+        """
         vals = np.asarray(per_cycle, dtype=np.int64).ravel()
         self.cycles_in += int(vals.size)
+        if self._open.size:
+            vals = np.concatenate([self._open, vals])
         t = self.meter.t
-        shift = int(np.log2(t))
-        out: list[int] = []
-        if self._pending:
-            take = min(t - self._pending, vals.size)
-            self._partial += int(vals[:take].sum())
-            self._pending += take
-            vals = vals[take:]
-            if self._pending == t:
-                # Python's >> floors like the int64 arithmetic shift.
-                out.append(self._partial >> shift)
-                self._partial = 0
-                self._pending = 0
-        n_full = (vals.size // t) * t
-        full: np.ndarray | None = None
-        if n_full:
-            full = vals[:n_full].reshape(-1, t).sum(axis=1) >> shift
-        rem = vals[n_full:]
-        if rem.size:
-            self._partial = int(rem.sum())
-            self._pending = int(rem.size)
-        head = np.asarray(out, dtype=np.int64)
-        windows = head if full is None else np.concatenate([head, full])
+        n_full = vals.size - vals.size % t
+        # A copy: ``vals`` may view a buffer the caller reuses.
+        self._open = vals[n_full:].copy()
+        windows = vals[:n_full].reshape(-1, t).sum(axis=1) >> int(np.log2(t))
         self.windows_out += int(windows.size)
         return windows
 

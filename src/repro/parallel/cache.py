@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import zipfile
 from collections import OrderedDict
 from pathlib import Path
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from repro.errors import CacheCorruptionError, ParallelError
 from repro.obs.metrics import MetricsRegistry, default_registry
-from repro.resilience.atomic import atomic_save_npz
+from repro.resilience.atomic import NPZ_DECODE_ERRORS, atomic_save_npz
 from repro.resilience.retry import RetryPolicy
 
 __all__ = [
@@ -255,7 +254,7 @@ class EvalCache:
                     label="cache.read",
                     metrics=self.metrics,
                 )
-            except (OSError, ValueError, zipfile.BadZipFile) as exc:
+            except (OSError, *NPZ_DECODE_ERRORS) as exc:
                 # Not transience (retries are exhausted): the entry is
                 # corrupt.  Drop it so a future put() repairs the slot.
                 value = None

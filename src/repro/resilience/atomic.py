@@ -17,14 +17,28 @@ target.
 
 from __future__ import annotations
 
+import lzma
 import os
+import zipfile
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["atomic_write", "atomic_write_bytes", "atomic_save_npz"]
+__all__ = ["NPZ_DECODE_ERRORS", "atomic_write", "atomic_write_bytes",
+           "atomic_save_npz"]
+
+#: What ``np.load`` and reading the members of a torn, corrupt or
+#: foreign ``.npz`` raise (``RuntimeError`` covers a flipped compression
+#: method or flag).  ``OSError`` is left out: a missing file or a
+#: failing disk is not a bad archive.  A bad bzip2 stream is an
+#: ``OSError`` too, so loaders that call any unreadable file corrupt
+#: add it themselves.
+NPZ_DECODE_ERRORS = (EOFError, KeyError, RuntimeError, TypeError,
+                     ValueError, lzma.LZMAError, zipfile.BadZipFile,
+                     zlib.error)
 
 
 def _fsync_dir(path: Path) -> None:

@@ -32,7 +32,11 @@ import numpy as np
 from repro.errors import CheckpointError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import NULL_TRACER
-from repro.resilience.atomic import atomic_save_npz, atomic_write_bytes
+from repro.resilience.atomic import (
+    NPZ_DECODE_ERRORS,
+    atomic_save_npz,
+    atomic_write_bytes,
+)
 
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
@@ -191,7 +195,9 @@ class CheckpointStore:
 
     # ------------------------------------------------------------------ #
     def load(self, stage: str, step: int) -> Checkpoint:
-        """Load and verify one checkpoint; raise on any inconsistency."""
+        """Load and verify one checkpoint; raise :class:`CheckpointError`
+        on any inconsistency: a sidecar that is not a JSON object with
+        int fields, a hash mismatch, a payload that does not decode."""
         npz, sidecar = self._paths(stage, step)
         with self.tracer.span(
             "checkpoint.load", stage=stage, step=step
@@ -206,11 +212,19 @@ class CheckpointStore:
                 raise CheckpointError(
                     f"unreadable checkpoint sidecar {sidecar}: {exc}"
                 ) from exc
-            if record.get("format") != _FORMAT:
+            if not isinstance(record, dict) or record.get("format") != _FORMAT:
                 raise CheckpointError(
                     f"{sidecar} is not a {_FORMAT} sidecar"
                 )
-            version = int(record.get("schema_version", 0))
+            version = record.get("schema_version", 0)
+            saved_step = record.get("step", step)
+            meta = record.get("meta") or {}
+            if (type(version) is not int or type(saved_step) is not int
+                    or not isinstance(meta, dict)):
+                raise CheckpointError(
+                    f"{sidecar} needs int schema_version and step and an "
+                    "object meta"
+                )
             if version > CHECKPOINT_SCHEMA_VERSION:
                 raise CheckpointError(
                     f"{sidecar} uses checkpoint schema v{version}, newer "
@@ -226,17 +240,13 @@ class CheckpointStore:
             try:
                 with np.load(npz, allow_pickle=False) as data:
                     arrays = {k: data[k].copy() for k in data.files}
-            except (OSError, ValueError) as exc:
+            except (OSError, *NPZ_DECODE_ERRORS) as exc:
                 raise CheckpointError(
                     f"checkpoint payload {npz} failed to decode: {exc}"
                 ) from exc
         self.metrics.counter("resilience.checkpoint.loads").inc()
         return Checkpoint(
-            stage=stage,
-            step=int(record.get("step", step)),
-            arrays=arrays,
-            meta=record.get("meta") or {},
-            path=npz,
+            stage=stage, step=saved_step, arrays=arrays, meta=meta, path=npz
         )
 
     def latest(self, stage: str, strict: bool = False) -> Checkpoint | None:

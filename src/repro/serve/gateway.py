@@ -37,6 +37,7 @@ from repro.errors import AdmissionError, BreakerOpenError, ServeError
 from repro.obs.expo import render_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanContext
+from repro.opm.meter import binary_toggles, opm_dot
 from repro.parallel.shm import qmodel_digest
 from repro.resilience.breaker import CircuitBreaker
 from repro.serve.admission import (
@@ -57,8 +58,7 @@ from repro.serve.shard import (
     Shard,
     ShardRouter,
     ShmGemvTask,
-    _gemv,
-    serve_gemv_task,
+    serve_opm_task,
 )
 from repro.stream.session import (
     SessionHooks,
@@ -99,19 +99,6 @@ def _check_open_fields(t, version, priority, deadline_ticks) -> None:
         )
 
 
-def _toggle_bits(toggles) -> np.ndarray:
-    """``toggles`` as uint8 without wrapping: an input that needs a cast
-    must hold only 0/1 values (a cast turns 256 into 0 and -1 into 255).
-    A uint8 input passes unchanged; :meth:`PushSource.check` bounds it.
-    """
-    arr = np.asarray(toggles)
-    if arr.dtype == np.uint8:
-        return arr
-    if arr.dtype.kind not in "biuf" or ((arr != 0) & (arr != 1)).any():
-        raise ServeError("pushed toggles must be 0 or 1")
-    return arr.astype(np.uint8)
-
-
 class PushSource:
     """Client-pushed proxy blocks behind a bounded drop-oldest buffer.
 
@@ -142,17 +129,15 @@ class PushSource:
 
     def check(self, toggles) -> np.ndarray:
         """``toggles`` as a ``(cycles, q)`` uint8 chunk of 0/1 values
-        (what :meth:`~repro.opm.meter.OpmMeter.per_cycle` accepts), or
-        :class:`~repro.errors.ServeError`."""
-        arr = _toggle_bits(toggles)
+        (the meter's :func:`~repro.opm.meter.binary_toggles` check plus
+        the wire's shape rules), or :class:`~repro.errors.ServeError`."""
+        arr = binary_toggles(toggles, ServeError)
         if arr.ndim != 2 or arr.shape[1] != self.q:
             raise ServeError(
                 f"expected (cycles, {self.q}) toggles, got {arr.shape}"
             )
         if arr.shape[0] == 0:
             raise ServeError("pushed chunk must cover at least one cycle")
-        if arr.max() > 1:
-            raise ServeError("pushed toggles must be 0 or 1")
         return arr
 
     def push(self, toggles: np.ndarray, last: bool = False) -> bool:
@@ -793,7 +778,7 @@ class Gateway:
         mats = self._unit_mats(indices, flat)
         t_g = time.perf_counter()
         stacked = mats[0] if len(mats) == 1 else np.concatenate(mats, axis=0)
-        out = _gemv(stacked, qm.int_weights, qm.int_intercept)
+        out = opm_dot(stacked, qm.int_weights, qm.int_intercept)
         self.metrics.hist(
             f"serve.gemv.latency.{flat[indices[0]][1]}"
         ).observe(time.perf_counter() - t_g)
@@ -853,7 +838,7 @@ class Gateway:
             ctxs = [flat[unit_indices[k][0]][2] or fallback for k, _ in staged]
             timings: list = []
             receipts = self.pool.map(
-                serve_gemv_task, [task for _k, task in staged],
+                serve_opm_task, [task for _k, task in staged],
                 label="serve.gemv",
                 span_ctx=(
                     ctxs if any(c is not None for c in ctxs) else None
@@ -1202,7 +1187,7 @@ class InprocClient:
         return handle.name
 
     def push(self, name: str, toggles, last: bool = False, ctx=None) -> None:
-        fields, payload = encode_array(_toggle_bits(toggles))
+        fields, payload = encode_array(binary_toggles(toggles, ServeError))
         seq = self._seq.get(name, 0)
         head = {"op": "data", "session": name, "last": bool(last),
                 "seq": seq, **fields}
@@ -1509,7 +1494,7 @@ class AsyncTelemetryClient:
         return header["session"]
 
     async def send(self, session: str, toggles, last: bool = False) -> None:
-        fields, payload = encode_array(_toggle_bits(toggles))
+        fields, payload = encode_array(binary_toggles(toggles, ServeError))
         seq = self._seq.get(session, 0)
         self.writer.write(encode_frame(
             {"op": "data", "session": session, "last": bool(last),

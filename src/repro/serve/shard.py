@@ -20,10 +20,12 @@ Failure model (deterministic, test-injectable via :meth:`Shard.kill`):
   uninterrupted run whenever nothing was dropped.
 
 Inference reuse of :mod:`repro.parallel`: the per-shard batched GEMV is
-a pure function of ``(int weights, intercept, stacked toggles)``, so a
-:class:`~repro.parallel.pool.WorkerPool` with a shared-memory plane can
-run groups in separate processes with bit-identical results;
-:func:`serve_gemv_task` is the module-level (picklable) worker.
+:func:`repro.opm.meter.opm_dot`, the meter's one exact int64 kernel — a
+pure function of ``(stacked toggles, int weights, intercept)`` with no
+float path — so a :class:`~repro.parallel.pool.WorkerPool` with a
+shared-memory plane can run groups in separate processes with
+bit-identical results; :func:`serve_opm_task` is the module-level
+(picklable) worker.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 
 from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
+from repro.opm.meter import opm_dot
 from repro.parallel.shm import ShmRef, WeightRef, attach_view, resident_weights
 from repro.resilience.retry import HealthState
 from repro.stream.session import StreamService, StreamSession
@@ -43,57 +46,8 @@ __all__ = [
     "Shard",
     "ShardRouter",
     "ShmGemvTask",
-    "serve_gemv_task",
+    "serve_opm_task",
 ]
-
-
-#: Rows per GEMV block: 256 rows of a few-thousand-column uint8 stack fit
-#: comfortably in L2 once widened, where a whole-stack ``astype`` would
-#: stream an 8x-size intermediate through RAM.
-_GEMV_BLOCK = 256
-
-
-def _gemv(stacked: np.ndarray, int_weights, int_intercept) -> np.ndarray:
-    """The OPM integer GEMV, cache-blocked, bit-identical to int64 math.
-
-    Widening a ``(rows, q)`` uint8 stack to int64 before the matmul
-    materialises an 8x-size intermediate; blocking the widen+dot over
-    row tiles keeps the wide copy resident in cache.  For uint8 stacks
-    whose worst-case dot product fits in float64's exact-integer range
-    (``q * 255 * max|w| + |intercept| < 2**53`` — every partial sum is
-    then an exactly-representable integer, so BLAS reassociation cannot
-    round), the tile runs as a float64 dgemv; otherwise it runs in
-    int64.  Both paths equal :meth:`OpmMeter.per_cycle`'s arithmetic to
-    the bit, so pooled and inline inference agree exactly.
-    """
-    if stacked.ndim != 2:
-        stacked = np.atleast_2d(stacked)
-    rows, q = (int(n) for n in stacked.shape)
-    w64 = np.asarray(int_weights).astype(np.int64, copy=False)
-    out = np.empty(rows, dtype=np.int64)
-    if stacked.dtype == np.uint8 and w64.size:
-        bound = q * 255 * int(np.abs(w64).max()) + abs(int(int_intercept))
-        if bound < (1 << 53):
-            wf = w64.astype(np.float64)
-            buf = np.empty((min(_GEMV_BLOCK, rows), q), dtype=np.float64)
-            acc = np.empty(rows, dtype=np.float64)
-            for j in range(0, rows, _GEMV_BLOCK):
-                blk = stacked[j : j + _GEMV_BLOCK]
-                n = len(blk)
-                if n == len(buf):
-                    np.copyto(buf, blk)
-                    np.dot(buf, wf, out=acc[j : j + n])
-                else:
-                    np.dot(blk.astype(np.float64), wf, out=acc[j : j + n])
-            np.add(acc, float(int_intercept), out=acc)
-            return acc.astype(np.int64)
-    for j in range(0, rows, _GEMV_BLOCK):
-        blk = stacked[j : j + _GEMV_BLOCK]
-        np.dot(
-            blk.astype(np.int64, copy=False), w64, out=out[j : j + len(blk)]
-        )
-    out += np.int64(int_intercept)
-    return out
 
 
 @dataclass(frozen=True)
@@ -112,19 +66,19 @@ class ShmGemvTask:
     out: ShmRef
 
 
-def serve_gemv_task(task: ShmGemvTask):
+def serve_opm_task(task: ShmGemvTask):
     """Pool task for serve-tick inference over the shm data plane.
 
-    Maps the task's descriptors to shared-memory views, runs the GEMV,
-    and writes the result through the ``out`` view.  Returns a
-    ``(rows, weight_hit)`` receipt (the numbers come back through the
-    arena).  Runs identically in a worker or in the parent (serial
-    fallback).
+    Maps the task's descriptors to shared-memory views, runs
+    :func:`~repro.opm.meter.opm_dot`, and writes the result through the
+    ``out`` view.  Returns a ``(rows, weight_hit)`` receipt (the numbers
+    come back through the arena).  Runs identically in a worker or in
+    the parent (serial fallback).
     """
     stacked = attach_view(task.stacked)
     weights, intercept, hit = resident_weights(task.weights)
     out = attach_view(task.out)
-    out[:] = _gemv(stacked, weights, intercept)
+    out[:] = opm_dot(stacked, weights, intercept)
     return len(out), hit
 
 

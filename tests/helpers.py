@@ -274,6 +274,13 @@ def dedup_columns_oracle(X: np.ndarray) -> np.ndarray:
     return np.asarray(reps, dtype=np.int64)
 
 
+def opm_oracle(toggles, qmodel) -> np.ndarray:
+    """Per-cycle OPM integers by a whole-matrix int64 matmul: the
+    reference for :func:`repro.opm.meter.opm_dot`."""
+    w = np.asarray(qmodel.int_weights).astype(np.int64)
+    return np.asarray(toggles).astype(np.int64) @ w + qmodel.int_intercept
+
+
 def assert_schedules_identical(got: LevelSchedule, want: LevelSchedule):
     """Field-for-field equality: values, dtypes, group order and ops."""
     fields = ("levels", "reg_out", "reg_d", "reg_en", "reg_init",

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from helpers import opm_oracle
 from repro.core import ApolloModel
 from repro.errors import OpmError
 from repro.opm import (
     OpmMeter,
+    QuantizedModel,
     build_opm_netlist,
     estimate_opm_cost,
     quantize_model,
@@ -93,8 +96,7 @@ def test_meter_bit_drop_division_floor():
     X = _toggles(64, qm.q)
     meter = OpmMeter(qm, t=4)
     got = meter.accumulate(X)
-    per_cycle = X.astype(np.int64) @ qm.int_weights + qm.int_intercept
-    sums = per_cycle.reshape(-1, 4).sum(axis=1)
+    sums = opm_oracle(X, qm).reshape(-1, 4).sum(axis=1)
     np.testing.assert_array_equal(got, sums // 4)
 
 
@@ -115,6 +117,112 @@ def test_meter_accumulator_fits_declared_width():
     meter = OpmMeter(qm, t=64)
     peak = meter.max_abs_accumulator(X)
     assert peak < 2 ** (qm.accumulator_bits(64) - 1)
+
+
+def test_max_abs_accumulator_rejects_non_binary_toggles():
+    meter = OpmMeter(quantize_model(_model(), bits=10), t=8)
+    with pytest.raises(OpmError, match="0 or 1"):
+        meter.max_abs_accumulator(np.full((32, meter.qmodel.q), 2))
+
+
+def _widest_bits(q: int, t: int) -> int:
+    """Widest weight width whose T-window sum the gateway admits
+    (``accumulator_bits(t) <= 64``)."""
+    return 64 - (max(2, q) - 1).bit_length() - (t - 1).bit_length() - 1
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_per_cycle_equals_int64_oracle(data):
+    """Every real 0/1 dtype, any row count (0 too), signed intercepts and
+    weights up to the widest width admitted at (Q, T)."""
+    q = data.draw(st.integers(1, 32), label="q")
+    t = data.draw(st.sampled_from([1, 2, 8, 64]), label="t")
+    widest = _widest_bits(q, t)
+    bits = data.draw(
+        st.one_of(st.just(widest), st.integers(2, widest)), label="bits"
+    )
+    limit = (1 << (bits - 1)) - 1
+    ints = st.integers(-limit, limit)
+    qm = QuantizedModel(
+        proxies=np.arange(q),
+        int_weights=np.array(
+            data.draw(st.lists(ints, min_size=q, max_size=q)), np.int64
+        ),
+        int_intercept=data.draw(ints, label="intercept"),
+        step=0.01,
+        bits=bits,
+    )
+    assert qm.accumulator_bits(t) <= 64
+    rows = data.draw(st.integers(0, 300), label="rows")
+    bits01 = data.draw(
+        arrays(np.uint8, (rows, q), elements=st.integers(0, 1))
+    )
+    dtype = data.draw(
+        st.sampled_from([np.uint8, np.bool_, np.int64, np.float64])
+    )
+    got = OpmMeter(qm, t=t).per_cycle(bits01.astype(dtype))
+    assert got.dtype == np.int64 and got.shape == (rows,)
+    np.testing.assert_array_equal(got, opm_oracle(bits01, qm))
+
+
+def test_per_cycle_is_exact_where_float64_rounds():
+    # Q=24, T=8 admits B=55: per-cycle sums near 2^58 have low bits a
+    # float64 sum drops; the int64 kernel keeps every one.
+    q, bits = 24, _widest_bits(24, 8)
+    assert bits == 55
+    limit = (1 << (bits - 1)) - 1
+    qm = QuantizedModel(
+        proxies=np.arange(q),
+        int_weights=np.array([limit - k for k in range(q)], np.int64),
+        int_intercept=-limit,
+        step=1.0,
+        bits=bits,
+    )
+    X = np.ones((4, q), dtype=np.uint8)
+    X[1, ::2] = 0
+    exact = [sum(int(w) for w, x in zip(qm.int_weights, row) if x)
+             + qm.int_intercept for row in X]
+    got = OpmMeter(qm, t=8).per_cycle(X)
+    assert got.tolist() == exact
+    floats = X.astype(np.float64) @ qm.int_weights.astype(np.float64)
+    assert (floats + qm.int_intercept).astype(np.int64).tolist() != exact
+
+
+def test_int_weights_are_stored_as_int64():
+    # A sum in int32 wraps (2^30 + 2^30 -> -2^31), so weights of any
+    # integer dtype are widened when the model is built.
+    qm = QuantizedModel(
+        proxies=np.arange(2),
+        int_weights=np.array([2**30, 2**30], dtype=np.int32),
+        int_intercept=0,
+        step=1.0,
+        bits=32,
+    )
+    assert qm.int_weights.dtype == np.int64
+    got = OpmMeter(qm).per_cycle(np.ones((1, 2), dtype=np.uint8))
+    assert got.tolist() == [2**31]
+
+
+def test_quantized_model_rejects_int64_min_weight():
+    # np.abs(INT64_MIN) wraps onto itself, so the width check must not
+    # use it; no 64-bit signed weight may exceed 2^63 - 1 in magnitude.
+    with pytest.raises(OpmError, match="bit width"):
+        QuantizedModel(
+            proxies=np.arange(1),
+            int_weights=np.array([np.iinfo(np.int64).min]),
+            int_intercept=0,
+            step=1.0,
+            bits=64,
+        )
+
+
+@pytest.mark.parametrize("t", [True, 2.0, "4", None])
+def test_meter_rejects_non_int_t(t):
+    qm = quantize_model(_model(), bits=8)
+    with pytest.raises(OpmError, match="T must be an int"):
+        OpmMeter(qm, t=t)
+    assert OpmMeter(qm, t=np.int64(4)).t == 4
 
 
 # --------------------------------------------------------------------- #

@@ -11,11 +11,14 @@ fault injector makes deterministic.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.tuning import tune_ridge
 from repro.errors import (
@@ -152,6 +155,70 @@ class TestCheckpointStore:
         sidecar.write_text(json.dumps(record))
         with pytest.raises(CheckpointError, match="newer"):
             store.load("s", 1)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            [],
+            "x",
+            None,
+            {"schema_version": "x"},
+            {"step": "x"},
+            {"step": 2.0},
+            {"schema_version": True},
+            {"meta": [1, 2]},
+        ],
+    )
+    def test_foreign_sidecar_is_a_checkpoint_error(self, tmp_path, record):
+        # A sidecar that is not a JSON object of int fields is corrupt:
+        # load() says so and latest() falls back to the older step.
+        store = self._store(tmp_path)
+        store.save("ga", 1, {"x": np.arange(3.0)})
+        sidecar = store.save("ga", 2, {"x": np.arange(4.0)}).with_suffix(
+            ".json"
+        )
+        if isinstance(record, dict):
+            record = {**json.loads(sidecar.read_text()), **record}
+        sidecar.write_text(json.dumps(record))
+        with pytest.raises(CheckpointError):
+            store.load("ga", 2)
+        ck = store.latest("ga")
+        assert ck.step == 1
+        np.testing.assert_array_equal(ck.arrays["x"], np.arange(3.0))
+        with pytest.raises(CheckpointError):
+            store.latest("ga", strict=True)
+
+    @given(
+        keep=st.one_of(st.none(), st.floats(0.0, 0.999)),
+        where=st.floats(0.0, 0.999),
+        mask=st.integers(1, 255),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_damaged_payload_with_matching_hash_is_a_checkpoint_error(
+        self, tmp_path_factory, keep, where, mask
+    ):
+        # The recorded hash is rewritten to match, so only decoding can
+        # notice: a truncated or byte-flipped payload either still loads
+        # or raises CheckpointError, and latest() falls back either way.
+        store = self._store(tmp_path_factory.mktemp("ck"))
+        arrays = {"a": np.arange(35).reshape(7, 5), "s": np.array("hello")}
+        store.save("ga", 1, arrays)
+        npz = store.save("ga", 2, arrays)
+        if keep is None:
+            raw = bytearray(npz.read_bytes())
+            raw[int(where * len(raw))] ^= mask
+            npz.write_bytes(bytes(raw))
+        else:
+            truncate_file(npz, keep)
+        sidecar = npz.with_suffix(".json")
+        record = json.loads(sidecar.read_text())
+        record["sha256"] = hashlib.sha256(npz.read_bytes()).hexdigest()
+        sidecar.write_text(json.dumps(record))
+        try:
+            store.load("ga", 2)
+        except CheckpointError:
+            pass
+        assert store.latest("ga").step in (1, 2)
 
     def test_prune_keeps_newest(self, tmp_path):
         store = self._store(tmp_path, keep=2)
@@ -401,6 +468,27 @@ class TestEvalCacheResilience:
         (tmp_path / "bad.npz").write_bytes(b"junk")
         with pytest.raises(CacheCorruptionError):
             cache.get("bad")
+
+    def test_every_truncation_is_a_counted_corrupt_miss(self, tmp_path):
+        EvalCache(disk_dir=tmp_path, metrics=MetricsRegistry()).put(
+            "k", {"v": np.arange(64.0), "n": np.arange(5)}
+        )
+        path = tmp_path / "k.npz"
+        raw = path.read_bytes()
+        for n in range(len(raw)):
+            path.write_bytes(raw[:n])
+            cache = EvalCache(disk_dir=tmp_path, metrics=MetricsRegistry())
+            assert cache.get("k") is None, n
+            assert cache.stats()["corrupt"] == 1, n
+            assert not path.exists(), n
+            path.write_bytes(raw[:n])
+            strict = EvalCache(
+                disk_dir=tmp_path,
+                metrics=MetricsRegistry(),
+                strict_corruption=True,
+            )
+            with pytest.raises(CacheCorruptionError):
+                strict.get("k")
 
     def test_injected_corruption_is_detected(self, tmp_path):
         metrics = MetricsRegistry()

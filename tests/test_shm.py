@@ -39,7 +39,7 @@ from repro.parallel.shm import (
     resident_weights,
     weights_digest,
 )
-from repro.opm import QuantizedModel
+from repro.opm import OpmMeter, QuantizedModel
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.serve import Gateway, InprocClient, ModelRegistry
 from repro.serve.shard import ShmGemvTask
@@ -404,6 +404,69 @@ def test_gateway_shm_slab_overflow_falls_back_inline():
     np.testing.assert_array_equal(
         inline.view(np.uint8), shm_out.view(np.uint8)
     )
+
+
+def _wide_model_and_stims(n_sessions=6, cycles=64):
+    """B=55 weights at Q=24 (the widest the gateway admits at T=8), in
+    pairs ``(L - a, -(L - b))`` that toggle together: every per-cycle
+    sum is small, but its partial sums pass 2^54, where a float64 sum
+    would round away the low bits the windows then show."""
+    q, bits = 24, 55
+    big = (1 << (bits - 1)) - 1
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, 1000, size=(2, q // 2))
+    w = np.empty(q, dtype=np.int64)
+    w[0::2] = big - a
+    w[1::2] = -(big - b)
+    qm = QuantizedModel(proxies=np.arange(q), int_weights=w,
+                        int_intercept=-7, step=0.01, bits=bits)
+    stims = [
+        np.repeat(rng.integers(0, 2, size=(cycles, q // 2)), 2, axis=1)
+        .astype(np.uint8)
+        for _ in range(n_sessions)
+    ]
+    return qm, stims
+
+
+def _serve_wide(pool):
+    qm, stims = _wide_model_and_stims()
+    reg = ModelRegistry()
+    reg.publish("v1", qm, activate=True)
+    gw = Gateway(reg, n_shards=2, t=8, pool=pool)
+    client = InprocClient(gw)
+    names = [client.open(f"core{i}") for i in range(len(stims))]
+    # 12-cycle chunks leave T=8 windows open across ticks.
+    for lo in range(0, 64, 12):
+        for name, stim in zip(names, stims):
+            client.push(name, stim[lo:lo + 12], last=lo + 12 >= 64)
+        gw.tick()
+    gw.drain()
+    return (
+        [client.windows(n) for n in names],
+        [gw.handles[n].attributed_sum_int for n in names],
+    )
+
+
+@pytest.mark.parametrize("placement", ["inline", "shm"])
+def test_widest_admitted_model_served_exactly(placement):
+    qm, stims = _wide_model_and_stims()
+    meter = OpmMeter(qm, t=8)
+    pool = (
+        WorkerPool(2, transport="shm", slab_bytes=1 << 22)
+        if placement == "shm" else None
+    )
+    try:
+        windows, sums = _serve_wide(pool)
+        if pool is not None:
+            assert pool.active_plane.fallbacks == 0
+    finally:
+        if pool is not None:
+            pool.close()
+    for got, total, stim in zip(windows, sums, stims):
+        np.testing.assert_array_equal(
+            got.view(np.uint8), meter.read(stim).view(np.uint8)
+        )
+        assert total == sum(int(v) for v in meter.per_cycle(stim))
 
 
 def _run_chunked_fleet(pool, faults=None):

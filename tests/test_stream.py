@@ -242,6 +242,15 @@ def test_opm_stream_windows_match_accumulate_any_chunking():
         np.testing.assert_array_equal(np.concatenate(got), want)
         assert stream.pending_cycles == 101 % 8
         assert stream.windows_out == want.size
+        # Per-cycle integers pushed through one reused buffer: the open
+        # window must not alias it.
+        stream, buf, got, start = meter.stream(), np.empty(101, int), [], 0
+        for n in sizes:
+            buf[:n] = meter.per_cycle(X[start:start + n])
+            got.append(stream.push_per_cycle(buf[:n]))
+            buf[:] = 0
+            start += n
+        np.testing.assert_array_equal(np.concatenate(got), want)
 
 
 def test_opm_stream_empty_and_short_final_chunks():
