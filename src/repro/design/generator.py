@@ -61,8 +61,13 @@ class CoreDesign:
         return np.nonzero(mask)[0].astype(np.int64)
 
     def stimulus_for(self, activity: ActivityTrace) -> np.ndarray:
-        """Encode a pipeline activity trace for this design's inputs."""
-        if [n for n, _ in activity.schema] != [n for n, _ in self.schema]:
+        """Encode a pipeline activity trace for this design's inputs.
+
+        The trace's (channel, width) schema must equal the design's: a
+        width mismatch would shift every later channel onto the wrong
+        input pins.
+        """
+        if list(map(tuple, activity.schema)) != list(map(tuple, self.schema)):
             raise NetlistError(
                 "activity trace schema does not match design schema"
             )

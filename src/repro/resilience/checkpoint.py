@@ -25,6 +25,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -148,7 +149,9 @@ class CheckpointStore:
         The payload is published first, then the sidecar (with the
         payload's hash) — a crash between the two leaves a payload
         without a sidecar, which :meth:`steps` ignores, so a half-saved
-        checkpoint can never be resumed from.
+        checkpoint can never be resumed from.  Payloads are stored
+        uncompressed: a checkpoint is short-lived recovery state, and
+        zlib cost more than the rest of a GA generation's save.
         """
         npz, sidecar = self._paths(stage, step)
         npz.parent.mkdir(parents=True, exist_ok=True)
@@ -160,7 +163,11 @@ class CheckpointStore:
                 if self.faults is not None
                 else []
             )
-            atomic_save_npz(npz, {k: np.asarray(v) for k, v in arrays.items()})
+            atomic_save_npz(
+                npz,
+                {k: np.asarray(v) for k, v in arrays.items()},
+                compressed=False,
+            )
             record = {
                 "format": _FORMAT,
                 "schema_version": CHECKPOINT_SCHEMA_VERSION,
@@ -299,27 +306,29 @@ def restore_rng_state(rng: np.random.Generator, state: dict) -> None:
 def programs_to_arrays(programs) -> tuple[dict[str, np.ndarray], list[str]]:
     """Pack Programs into exact-integer arrays plus a name list.
 
-    Returns ``({"prog_fields": (total, 5) int64, "prog_offsets":
+    Returns ``({"prog_fields": (total, 5) int16, "prog_offsets":
     (n+1,) int64}, names)`` — offsets delimit each program's rows, and
-    the five columns are (opcode, dst, src1, src2, imm).
+    the five columns are (opcode, dst, src1, src2, imm).  Every field
+    fits int16 (the immediate is 12-bit signed); archives written with
+    int64 fields load the same, since :func:`programs_from_arrays`
+    widens whatever it reads.
     """
-    rows: list[tuple[int, int, int, int, int]] = []
-    offsets = [0]
-    names = []
-    for prog in programs:
-        for inst in prog.instructions:
-            rows.append(
-                (int(inst.opcode), inst.dst, inst.src1, inst.src2, inst.imm)
-            )
-        offsets.append(len(rows))
-        names.append(prog.name)
-    fields = np.asarray(rows, dtype=np.int64).reshape(-1, 5)
+    programs = list(programs)
+    rows = [
+        (int(inst.opcode), inst.dst, inst.src1, inst.src2, inst.imm)
+        for prog in programs
+        for inst in prog.instructions
+    ]
+    fields = np.fromiter(
+        chain.from_iterable(rows), dtype=np.int16, count=5 * len(rows)
+    )
+    offsets = np.cumsum([0] + [len(prog) for prog in programs])
     return (
         {
-            "prog_fields": fields,
-            "prog_offsets": np.asarray(offsets, dtype=np.int64),
+            "prog_fields": fields.reshape(-1, 5),
+            "prog_offsets": offsets.astype(np.int64),
         },
-        names,
+        [prog.name for prog in programs],
     )
 
 

@@ -134,9 +134,17 @@ class Backend:
         self.schedule = schedule
         #: Set by packed-layout backends; ``None`` for byte-wise ones.
         self.packed_schedule = None
+        self._reset: np.ndarray | None = None
 
     def initial_values(self, batch: int) -> np.ndarray:
-        return initial_values(self.schedule, batch)
+        """:func:`initial_values` for ``batch`` lanes, as a fresh array.
+
+        Every lane of the reset state is the same, so one lane is
+        evaluated on first use (not at compile time) and repeated.
+        """
+        if self._reset is None:
+            self._reset = initial_values(self.schedule, 1)
+        return np.repeat(self._reset, batch, axis=1)
 
     def run(
         self,

@@ -132,11 +132,6 @@ class Simulator:
         self._n = netlist.n_nets
 
     # ------------------------------------------------------------------ #
-    def _initial_values(self, batch: int) -> np.ndarray:
-        """State after reset: registers at init, everything else evaluated
-        with all-zero inputs."""
-        return _backends.initial_values(self.schedule, batch)
-
     def comb_eval(self, input_bits: np.ndarray) -> np.ndarray:
         """Evaluate combinational logic once with the given input values.
 
@@ -161,7 +156,7 @@ class Simulator:
                 f"got {bits.shape[0]} input bits, design has "
                 f"{self.schedule.input_ids.size}"
             )
-        vals = self._initial_values(bits.shape[1])
+        vals = self.backend.initial_values(bits.shape[1])
         if self.schedule.input_ids.size:
             vals[self.schedule.input_ids] = bits
         _backends.eval_comb(self.schedule, vals)

@@ -252,13 +252,16 @@ class SessionHandle:
     # per-cycle OPM integers equals weights . toggle_counts +
     # intercept * cycles — no float accumulation drift, so fleet
     # totals can be checked bit-exactly against offline readings.
+    # Summed in Python ints: every window fits the int64 accumulator
+    # admission checks, but a long session's total need not.
     # ------------------------------------------------------------ #
     @property
     def attributed_sum_int(self) -> int:
         qm = self.qmodel
-        return int(
-            self.toggle_counts @ qm.int_weights
-            + qm.int_intercept * self.session.cycles_processed
+        counts = self.toggle_counts.tolist()
+        weights = qm.int_weights.tolist()
+        return sum(c * w for c, w in zip(counts, weights)) + (
+            int(qm.int_intercept) * self.session.cycles_processed
         )
 
     @property

@@ -21,6 +21,9 @@ from repro.uarch.params import CoreParams
 
 __all__ = ["stimulus_schema", "ActivityTrace"]
 
+#: Cycles unpacked at a time by :meth:`ActivityTrace.encode_stimulus`.
+_ENCODE_BLOCK = 4096
+
 
 def _bits_for(n: int) -> int:
     """Bits needed to represent values 0..n inclusive."""
@@ -104,6 +107,8 @@ class ActivityTrace:
         names = [n for n, _ in self.schema]
         if len(set(names)) != len(names):
             raise StimulusError("duplicate channel names in schema")
+        if any(not 0 <= w <= 64 for _n, w in self.schema):
+            raise StimulusError("channel widths must be 0..64 bits")
         for name, _w in self.schema:
             if name not in self.channels:
                 self.channels[name] = np.zeros(self.n_cycles, dtype=np.uint64)
@@ -120,21 +125,35 @@ class ActivityTrace:
 
     def encode_stimulus(self) -> np.ndarray:
         """Flatten to a (n_cycles, total_bits) uint8 stimulus matrix."""
-        out = np.empty((self.n_cycles, self.total_bits), dtype=np.uint8)
-        col = 0
-        for name, width in self.schema:
-            vals = self.channels[name]
-            max_ok = (1 << width) - 1
-            if vals.size and int(vals.max()) > max_ok:
-                raise StimulusError(
-                    f"channel {name!r} value {int(vals.max())} exceeds "
-                    f"{width}-bit width"
-                )
-            shifts = np.arange(width, dtype=np.uint64)
-            out[:, col : col + width] = (
-                (vals[:, None] >> shifts) & np.uint64(1)
-            ).astype(np.uint8)
-            col += width
+        names = [n for n, _ in self.schema]
+        widths = [w for _n, w in self.schema]
+        # Each block of cycles stacks the channels, unpacks their
+        # little-endian bytes LSB first (bit b of channel k lands in
+        # column 64 k + b) and gathers the schema's bits in order.
+        # Blocks bound the 64 unpacked bytes per channel-cycle.
+        chan = np.repeat(np.arange(len(widths)), widths)
+        starts = np.cumsum(widths) - widths
+        cols = 64 * chan + np.arange(chan.size) - starts[chan]
+        out = np.empty((self.n_cycles, chan.size), dtype=np.uint8)
+        peaks = np.zeros(len(names), dtype=np.uint64)
+        for c0 in range(0, self.n_cycles if names else 0, _ENCODE_BLOCK):
+            block = slice(c0, c0 + _ENCODE_BLOCK)
+            vals = np.stack([self.channels[n][block] for n in names], axis=1)
+            np.maximum(peaks, vals.max(axis=0), out=peaks)
+            bits = np.unpackbits(
+                vals.astype("<u8", copy=False).view(np.uint8),
+                axis=1,
+                bitorder="little",
+            )
+            out[block] = bits[:, cols]
+        limits = np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)
+        over = np.flatnonzero(peaks > limits)
+        if over.size:
+            k = int(over[0])
+            raise StimulusError(
+                f"channel {names[k]!r} value {int(peaks[k])} exceeds "
+                f"{widths[k]}-bit width"
+            )
         return out
 
     def duty_cycle(self, name: str) -> float:

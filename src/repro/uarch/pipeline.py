@@ -12,17 +12,34 @@ channel values (operands flowing into each unit, occupancies, clock-gate
 enables) that the gate-level design consumes as stimulus.  Fidelity goals
 are behavioural, not RTL-exact: stalls, bursts, miss clusters, gated idle
 units — the structures that shape real per-cycle power.
+
+The cycle loop is plain Python over small tables built once per
+:class:`Pipeline`: each cycle fills one ``array("Q")`` row of channel
+values by schema column, and each static instruction is decoded once per
+run.  A
+unit's activity is marked in its ``*/clk_en`` column; after the loop one
+NumPy pass turns those marks into clock enables (``cycle - last_active <=
+gate_hysteresis``) and the rows into one (channels x cycles) matrix whose
+rows are the trace's channels.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.isa.instructions import IClass, Instruction, Opcode
+from repro.isa.instructions import (
+    N_VREGS,
+    N_XREGS,
+    IClass,
+    Instruction,
+    Opcode,
+)
 from repro.isa.program import Program
 from repro.isa.semantics import ArchState, ExecResult
 from repro.uarch.caches import Cache, CacheStats
@@ -52,6 +69,70 @@ _VEC_OPCODE_CODE = {
     Opcode.VST: 3,
 }
 
+#: Functional-unit pools: indices into the issue stage's free-unit counts.
+_ALU, _MUL, _VEC, _LSU = range(4)
+_NO_POOL = -1
+
+#: ``last_active`` of a unit that has not been active yet.
+_NEVER = -(10**9)
+
+#: Pool and ``CoreParams`` latency field of each instruction class
+#: (memory ops: the L1 hit latency, refined at issue; NOPs take 1 cycle).
+_CLASS_POOL = {
+    IClass.NOP: (_NO_POOL, None),
+    IClass.ALU: (_ALU, "alu_latency"),
+    IClass.BRANCH: (_ALU, "alu_latency"),
+    IClass.MUL: (_MUL, "mul_latency"),
+    IClass.VEC: (_VEC, "vec_latency"),
+    IClass.VMUL: (_VEC, "vmul_latency"),
+    IClass.MEM: (_LSU, "l1_hit_latency"),
+    IClass.VMEM: (_LSU, "l1_hit_latency"),
+}
+
+
+class _OpcodeFacts(NamedTuple):
+    """What decoding needs of an opcode, whatever its register fields."""
+
+    pool: int
+    latency: str | None
+    vector: bool  # stalled by a ``block_vector`` throttle
+    branch: bool
+    vmem: bool
+    store: bool
+    op: int  # ``alu{i}/op`` or ``vec{i}/op`` code
+    x_reads: tuple[str, ...]  # register fields read, scalar file
+    v_reads: tuple[str, ...]  # register fields read, vector file
+    x_write: str | None  # register field written, scalar file
+    v_write: str | None  # register field written, vector file
+
+
+def _opcode_facts(op: Opcode) -> _OpcodeFacts:
+    # The ISA's dependence properties return register numbers; a probe
+    # whose fields hold distinct registers maps them back to fields.
+    probe = Instruction(op, dst=1, src1=2, src2=3)
+    field_of = {1: "dst", 2: "src1", 3: "src2", None: None}
+    icls = probe.iclass
+    pool, latency = _CLASS_POOL[icls]
+    vmem = icls == IClass.VMEM
+    codes = _VEC_OPCODE_CODE if pool == _VEC or vmem else _ALU_OPCODE_CODE
+    return _OpcodeFacts(
+        pool=pool,
+        latency=latency,
+        vector=icls in (IClass.VEC, IClass.VMUL, IClass.VMEM),
+        branch=icls == IClass.BRANCH,
+        vmem=vmem,
+        store=op in (Opcode.ST, Opcode.VST),
+        op=codes.get(op, 0),
+        x_reads=tuple(field_of[r] for r in probe.reads_scalar),
+        v_reads=tuple(field_of[r] for r in probe.reads_vector),
+        x_write=field_of[probe.writes_scalar],
+        v_write=field_of[probe.writes_vector],
+    )
+
+
+#: Indexed by opcode value.
+_OPCODE_FACTS = [_opcode_facts(Opcode(v)) for v in range(len(Opcode))]
+
 
 @dataclass
 class PipelineStats:
@@ -70,15 +151,20 @@ class PipelineStats:
         return self.retired / self.cycles if self.cycles else 0.0
 
 
-@dataclass
-class _DynInst:
-    """One dynamic instruction with its architectural values."""
+class _Decoded(NamedTuple):
+    """What the cycle loop needs of one static instruction."""
 
-    seq: int
-    pc: int
     inst: Instruction
-    result: ExecResult
-    mispredicted: bool = False
+    pool: int  # _ALU.._LSU, or _NO_POOL (NOP)
+    latency: int  # memory ops: the L1 hit latency, refined at issue
+    vector: bool  # stalled by a ``block_vector`` throttle
+    srcs: tuple[int, ...]  # readiness slots read (x1-x15, then v0-v7)
+    dst: int  # readiness slot written, or -1
+    word: int  # 32-bit encoding, driven on ``fetch/inst{k}``
+    branch: bool
+    vmem: bool
+    store: bool
+    op: int  # ``alu{i}/op`` or ``vec{i}/op`` code
 
 
 class _BranchPredictor:
@@ -88,30 +174,102 @@ class _BranchPredictor:
         self.entries = entries
         self.table = [2] * entries  # weakly taken
 
-    def predict(self, pc: int) -> bool:
-        return self.table[pc % self.entries] >= 2
-
-    def update(self, pc: int, taken: bool) -> None:
+    def predict_update(self, pc: int, taken: bool) -> bool:
+        """Return the prediction for ``pc``, then train on ``taken``."""
         i = pc % self.entries
-        if taken:
-            self.table[i] = min(3, self.table[i] + 1)
-        else:
-            self.table[i] = max(0, self.table[i] - 1)
+        ctr = self.table[i]
+        self.table[i] = min(3, ctr + 1) if taken else max(0, ctr - 1)
+        return ctr >= 2
 
 
-@dataclass
-class _IqEntry:
-    di: _DynInst
-    src_tags: list[str]
-    dst_tag: str | None
+def _l2_access(l2: Cache, addr: int, row: array, cols: tuple) -> bool:
+    """Access the L2 and drive the ``l2ctl`` channels."""
+    clk, req, addr_col, hit_col = cols
+    hit = l2.access(addr)
+    row[clk] = 1
+    row[req] = 1
+    row[addr_col] = addr & 0xFFFF
+    row[hit_col] = int(hit)
+    return hit
+
+
+def _drive_vec(row: array, cols: tuple, op: int, va, vb) -> None:
+    """Drive one vector unit's channels; missing lanes read 0."""
+    valid, op_col, clk, a_cols, b_cols = cols
+    row[valid] = 1
+    row[op_col] = op
+    row[clk] = 1
+    na, nb = len(va), len(vb)
+    for lane, c in enumerate(a_cols):
+        row[c] = va[lane] & 0xFFFF if lane < na else 0
+    for lane, c in enumerate(b_cols):
+        row[c] = vb[lane] & 0xFFFF if lane < nb else 0
 
 
 class Pipeline:
     """Cycle-level model of one core configuration."""
 
     def __init__(self, params: CoreParams) -> None:
-        self.params = params
+        p = self.params = params
         self.schema = stimulus_schema(params)
+        self._names = [name for name, _w in self.schema]
+        col = self._col = {name: i for i, name in enumerate(self._names)}
+        self._clk_cols = [col[f"{u}/clk_en"] for u in p.unit_names]
+
+        def cols(unit: str, *channels: str) -> tuple[int, ...]:
+            return tuple([col[f"{unit}/{c}"] for c in channels])
+
+        # Per-unit column tuples, indexed by unit number within a pool.
+        self._alu_cols = [
+            cols(f"alu{i}", "valid", "op", "a", "b", "clk_en")
+            for i in range(p.n_alu)
+        ]
+        self._mul_cols = [
+            cols(f"mul{i}", "valid", "a", "b", "acc", "clk_en")
+            for i in range(p.n_mul)
+        ]
+        a_lanes = [f"a{k}" for k in range(p.vec_lanes)]
+        b_lanes = [f"b{k}" for k in range(p.vec_lanes)]
+        self._vec_cols = [
+            cols(f"vec{i}", "valid", "op", "clk_en")
+            + (cols(f"vec{i}", *a_lanes), cols(f"vec{i}", *b_lanes))
+            for i in range(p.n_vec)
+        ]
+        self._lsu_cols = [
+            cols(f"lsu{i}", "valid", "is_store", "addr", "wdata", "hit",
+                 "clk_en")
+            for i in range(p.lsu_ports)
+        ]
+        self._fetch_cols = cols("fetch", "clk_en", "valid", "pc") + (
+            cols("fetch", *[f"inst{k}" for k in range(p.fetch_width)]),
+        )
+        self._l2_cols = cols("l2ctl", "clk_en", "req", "addr", "hit")
+
+    def _decode(self, inst: Instruction) -> _Decoded:
+        f = _OPCODE_FACTS[inst.opcode]
+        # x0 is hardwired zero: reading it never waits, and writing it
+        # publishes nothing.
+        srcs = [r for r in (getattr(inst, n) for n in f.x_reads) if r != 0]
+        srcs += [N_XREGS + getattr(inst, n) for n in f.v_reads]
+        if f.x_write is not None:
+            dst = getattr(inst, f.x_write) or -1
+        elif f.v_write is not None:
+            dst = N_XREGS + getattr(inst, f.v_write)
+        else:
+            dst = -1
+        return _Decoded(
+            inst,
+            f.pool,
+            1 if f.latency is None else getattr(self.params, f.latency),
+            f.vector,
+            tuple(srcs),
+            dst,
+            inst.encode(),
+            f.branch,
+            f.vmem,
+            f.store,
+            f.op,
+        )
 
     # ------------------------------------------------------------------ #
     def run(self, program: Program, n_cycles: int) -> tuple[
@@ -121,269 +279,249 @@ class Pipeline:
         if n_cycles <= 0:
             raise ReproError("n_cycles must be positive")
         p = self.params
-        trace = ActivityTrace(self.schema, n_cycles)
-        stats = PipelineStats()
+        col = self._col
         arch = ArchState(lanes=p.vec_lanes)
         predictor = _BranchPredictor(p.bp_entries)
         l1i = Cache(p.l1i_sets, p.l1i_assoc, p.l1i_line)
         l1d = Cache(p.l1d_sets, p.l1d_assoc, p.l1d_line)
         l2 = Cache(p.l2_sets, p.l2_assoc, p.l2_line)
+        decoded = [self._decode(inst) for inst in program.instructions]
+        n_prog = len(decoded)
 
-        seq_counter = 0
+        throttle = p.throttle
+        totals = (p.n_alu, p.n_mul, p.n_vec, p.lsu_ports)
+        fetch_width, issue_width = p.fetch_width, p.issue_width
+        retire_width, fetch_buffer = p.retire_width, p.fetch_buffer
+        alu_cols, mul_cols = self._alu_cols, self._mul_cols
+        vec_cols, lsu_cols = self._vec_cols, self._lsu_cols
+        fetch_clk, fetch_valid, fetch_pc, inst_cols = self._fetch_cols
+        l2_cols = self._l2_cols
+        decode_clk, decode_valid = col["decode/clk_en"], col["decode/valid"]
+        rename_clk, rename_count = col["rename/clk_en"], col["rename/count"]
+        issue_clk, issue_occ = col["issue/clk_en"], col["issue/occ"]
+        rob_clk, rob_occ, rob_retire = (
+            col["rob/clk_en"], col["rob/occ"], col["rob/retire"]
+        )
+
+        fetched = retired_total = mispredicts = 0
         fetch_stall_until = 0
-        fetch_queue: deque[_DynInst] = deque()
-        iq: list[_IqEntry] = []
-        rob: deque[list] = deque()  # [seq, done_cycle or None]
-        reg_ready: dict[str, int] = {}
+        fetch_queue: deque[tuple[_Decoded, ExecResult]] = deque()
+        # IQ entries are (decoded, result, rob slot); a ROB slot is a
+        # one-item list holding the done cycle (None until issue).
+        iq: list[tuple[_Decoded, ExecResult, list]] = []
+        rob: deque[list] = deque()
+        ready = [0] * (N_XREGS + N_VREGS)  # cycle each register is ready
+        ready_at = ready.__getitem__
         outstanding_misses: list[int] = []  # completion cycles
-        last_active = {u: -(10**9) for u in p.unit_names}
-
-        def unit_active(unit: str, cycle: int) -> None:
-            last_active[unit] = cycle
+        # One row of uint64 channel values per cycle, in schema order.
+        blank = array("Q", bytes(8 * len(self._names)))
+        rows: list[array] = []
 
         for cycle in range(n_cycles):
+            row = blank[:]
+            rows.append(row)
             # ---------------- retire (in order) ---------------- #
             retired = 0
-            while (
-                rob
-                and retired < p.retire_width
-                and rob[0][1] is not None
-                and rob[0][1] <= cycle
-            ):
+            while rob and retired < retire_width:
+                done = rob[0][0]
+                if done is None or done > cycle:
+                    break
                 rob.popleft()
                 retired += 1
             if retired:
-                stats.retired += retired
-                unit_active("rob", cycle)
-            trace.set("rob/retire", cycle, retired)
+                retired_total += retired
+                row[rob_clk] = 1
+            row[rob_retire] = retired
 
             # ---------------- miss completion ---------------- #
-            outstanding_misses = [
-                c for c in outstanding_misses if c > cycle
-            ]
+            if outstanding_misses:
+                outstanding_misses = [
+                    c for c in outstanding_misses if c > cycle
+                ]
 
             # ---------------- issue (out of order) ---------------- #
-            throttled = p.throttle is not None and p.throttle.active(cycle)
-            issue_cap = p.issue_width
-            if throttled and p.throttle.max_issue is not None:
-                issue_cap = min(issue_cap, p.throttle.max_issue)
-            free = {
-                "alu": p.n_alu,
-                "mul": p.n_mul,
-                "vec": p.n_vec,
-                "lsu": p.lsu_ports,
-            }
-            issued_entries: list[_IqEntry] = []
             n_issued = 0
-            for entry in iq:
-                if n_issued >= issue_cap:
-                    break
-                di = entry.di
-                icls = di.inst.iclass
-                if throttled and p.throttle.block_vector and icls in (
-                    IClass.VEC, IClass.VMUL, IClass.VMEM
-                ):
-                    continue
-                if not all(
-                    reg_ready.get(t, 0) <= cycle for t in entry.src_tags
-                ):
-                    continue
-                pool, latency = self._unit_for(icls)
-                if pool is not None and free[pool] <= 0:
-                    continue
-                if icls in (IClass.MEM, IClass.VMEM):
-                    if len(outstanding_misses) >= p.max_outstanding_misses:
-                        continue
-                    latency = self._memory_access(
-                        di, cycle, l1d, l2, trace, stats,
-                        port=p.lsu_ports - free["lsu"],
-                        outstanding=outstanding_misses,
-                        unit_active=unit_active,
-                    )
-                if pool is not None:
-                    idx = (
-                        {"alu": p.n_alu, "mul": p.n_mul,
-                         "vec": p.n_vec, "lsu": p.lsu_ports}[pool]
-                        - free[pool]
-                    )
-                    free[pool] -= 1
-                    self._drive_unit_channels(
-                        di, pool, idx, cycle, trace, unit_active
-                    )
-                done = cycle + latency
-                if entry.dst_tag is not None:
-                    reg_ready[entry.dst_tag] = done
-                for slot in rob:
-                    if slot[0] == di.seq:
-                        slot[1] = done
+            if iq:
+                issue_cap = issue_width
+                block_vector = False
+                if throttle is not None and throttle.active(cycle):
+                    if throttle.max_issue is not None:
+                        issue_cap = min(issue_cap, throttle.max_issue)
+                    block_vector = throttle.block_vector
+                free = list(totals)
+                waiting: list[tuple[_Decoded, ExecResult, list]] = []
+                for k, entry in enumerate(iq):
+                    if n_issued >= issue_cap:
+                        waiting += iq[k:]
                         break
-                issued_entries.append(entry)
-                n_issued += 1
-            for entry in issued_entries:
-                iq.remove(entry)
-            # The IQ clock gates on *events* (issue or dispatch), not on
-            # occupancy: a full-but-stalled queue holds state untouched.
-            if n_issued:
-                unit_active("issue", cycle)
-            trace.set("issue/occ", cycle, len(iq))
+                    d, res, slot = entry
+                    pool = d.pool
+                    if (
+                        (pool != _NO_POOL and free[pool] <= 0)
+                        or (block_vector and d.vector)
+                        or (d.srcs and max(map(ready_at, d.srcs)) > cycle)
+                        or (pool == _LSU and len(outstanding_misses)
+                            >= p.max_outstanding_misses)
+                    ):
+                        waiting.append(entry)
+                        continue
+                    latency = d.latency
+                    if pool != _NO_POOL:
+                        idx = totals[pool] - free[pool]
+                        free[pool] -= 1
+                        if pool == _ALU:
+                            valid, op_c, a_c, b_c, clk = alu_cols[idx]
+                            ops = res.operands
+                            row[valid] = 1
+                            row[op_c] = d.op
+                            row[a_c] = ops[0] & 0xFFFF if ops else 0
+                            row[b_c] = (
+                                ops[1] & 0xFFFF if len(ops) > 1 else 0
+                            )
+                            row[clk] = 1
+                        elif pool == _MUL:
+                            valid, a_c, b_c, acc_c, clk = mul_cols[idx]
+                            ops = res.operands
+                            n_ops = len(ops)
+                            row[valid] = 1
+                            row[a_c] = ops[0] & 0xFFFF if n_ops else 0
+                            row[b_c] = ops[1] & 0xFFFF if n_ops > 1 else 0
+                            row[acc_c] = (
+                                ops[2] & 0xFFFF if n_ops > 2 else 0
+                            )
+                            row[clk] = 1
+                        elif pool == _VEC:
+                            vops = res.vector_operands
+                            _drive_vec(
+                                row, vec_cols[idx], d.op,
+                                vops[0] if vops else (),
+                                vops[1] if len(vops) > 1 else (),
+                            )
+                        else:
+                            latency = self._memory_access(
+                                d, res, cycle, row, lsu_cols[idx], l1d, l2,
+                                l2_cols, outstanding_misses,
+                            )
+                    done = cycle + latency
+                    if d.dst >= 0:
+                        ready[d.dst] = done
+                    slot[0] = done
+                    n_issued += 1
+                iq = waiting
+                # The IQ clock gates on *events* (issue or dispatch), not
+                # on occupancy: a full-but-stalled queue holds state
+                # untouched.
+                if n_issued:
+                    row[issue_clk] = 1
+                row[issue_occ] = len(iq)
 
             # ---------------- dispatch (decode -> IQ/ROB) ---------------- #
-            dispatched = 0
-            valid_mask = 0
-            while (
-                fetch_queue
-                and dispatched < p.issue_width
-                and len(iq) < p.iq_size
-                and len(rob) < p.rob_size
-            ):
-                di = fetch_queue.popleft()
-                entry = _IqEntry(
-                    di=di,
-                    src_tags=self._source_tags(di.inst),
-                    dst_tag=self._dest_tag(di.inst),
-                )
-                iq.append(entry)
-                rob.append([di.seq, None])
-                valid_mask |= 1 << dispatched
-                dispatched += 1
-            if dispatched:
-                unit_active("decode", cycle)
-                unit_active("rename", cycle)
-                unit_active("issue", cycle)
-                unit_active("rob", cycle)
-            trace.set("decode/valid", cycle, valid_mask)
-            trace.set("rename/count", cycle, dispatched)
-            trace.set("rob/occ", cycle, len(rob))
+            dispatched = min(
+                len(fetch_queue),
+                issue_width,
+                p.iq_size - len(iq),
+                p.rob_size - len(rob),
+            )
+            if dispatched > 0:
+                for _ in range(dispatched):
+                    d, res = fetch_queue.popleft()
+                    slot = [None]
+                    iq.append((d, res, slot))
+                    rob.append(slot)
+                row[decode_clk] = row[rename_clk] = 1
+                row[issue_clk] = row[rob_clk] = 1
+                row[decode_valid] = (1 << dispatched) - 1
+                row[rename_count] = dispatched
+            row[rob_occ] = len(rob)
 
             # ---------------- fetch ---------------- #
-            if cycle >= fetch_stall_until and len(fetch_queue) < p.fetch_buffer:
-                fetched_insts: list[_DynInst] = []
+            room = min(fetch_width, fetch_buffer - len(fetch_queue))
+            if cycle >= fetch_stall_until and room > 0:
                 first_pc = arch.pc
-                for _slot in range(p.fetch_width):
-                    if len(fetch_queue) + len(fetched_insts) >= p.fetch_buffer:
-                        break
+                n_fetched = 0
+                for _slot in range(room):
                     pc = arch.pc
-                    hit = l1i.access(pc)
-                    if not hit:
-                        miss_latency = (
+                    if not l1i.access(pc):
+                        fetch_stall_until = cycle + (
                             p.l2_hit_latency
-                            if self._l2_access(pc + 0x8000, cycle, l2, trace,
-                                               stats, unit_active)
+                            if _l2_access(l2, pc + 0x8000, row, l2_cols)
                             else p.mem_latency
                         )
-                        fetch_stall_until = cycle + miss_latency
                         break
-                    inst = program[pc]
-                    result = arch.execute(inst, len(program))
-                    di = _DynInst(
-                        seq=seq_counter, pc=pc, inst=inst, result=result
-                    )
-                    seq_counter += 1
-                    fetched_insts.append(di)
-                    stats.fetched += 1
-                    if inst.iclass == IClass.BRANCH:
-                        pred = predictor.predict(pc)
-                        predictor.update(pc, result.branch_taken)
-                        if pred != result.branch_taken:
-                            di.mispredicted = True
-                            stats.mispredicts += 1
+                    d = decoded[pc]
+                    res = arch.execute(d.inst, n_prog)
+                    fetch_queue.append((d, res))
+                    row[inst_cols[n_fetched]] = d.word
+                    n_fetched += 1
+                    if d.branch:
+                        taken = res.branch_taken
+                        if predictor.predict_update(pc, taken) != taken:
+                            mispredicts += 1
                             fetch_stall_until = (
                                 cycle + p.mispredict_penalty
                             )
                         break  # redirect: stop fetching this cycle
-                if fetched_insts:
-                    unit_active("fetch", cycle)
-                    trace.set("fetch/valid", cycle, 1)
-                    trace.set("fetch/pc", cycle, first_pc & 0xFFF)
-                    for k, di in enumerate(fetched_insts):
-                        trace.set(
-                            f"fetch/inst{k}", cycle, di.inst.encode()
-                        )
-                    fetch_queue.extend(fetched_insts)
+                if n_fetched:
+                    fetched += n_fetched
+                    row[fetch_clk] = row[fetch_valid] = 1
+                    row[fetch_pc] = first_pc & 0xFFF
 
-            # ---------------- clock enables ---------------- #
-            for unit in p.unit_names:
-                en = int(cycle - last_active[unit] <= p.gate_hysteresis)
-                trace.set(f"{unit}/clk_en", cycle, en)
+        # One (channels x cycles) matrix; its rows are the channels.
+        flat = np.frombuffer(b"".join(rows), dtype=np.uint64)
+        del rows
+        mat = flat.reshape(n_cycles, -1).T.copy()
+        # ---------------- clock enables ---------------- #
+        # The loop marked each unit's active cycles in its clk_en row; a
+        # clock stays enabled while cycle - last_active <= hysteresis.
+        clk = self._clk_cols
+        cycles = np.arange(n_cycles)
+        last_active = np.maximum.accumulate(
+            np.where(mat[clk] != 0, cycles, _NEVER), axis=1
+        )
+        mat[clk] = cycles - last_active <= p.gate_hysteresis
 
-        stats.cycles = n_cycles
-        stats.l1i = l1i.stats
-        stats.l1d = l1d.stats
-        stats.l2 = l2.stats
+        stats = PipelineStats(
+            cycles=n_cycles,
+            fetched=fetched,
+            retired=retired_total,
+            mispredicts=mispredicts,
+            l1i=l1i.stats,
+            l1d=l1d.stats,
+            l2=l2.stats,
+        )
+        trace = ActivityTrace(
+            self.schema, n_cycles, dict(zip(self._names, mat))
+        )
         return trace, stats
 
     # ------------------------------------------------------------------ #
-    def _unit_for(self, icls: IClass) -> tuple[str | None, int]:
-        p = self.params
-        if icls == IClass.ALU or icls == IClass.BRANCH:
-            return "alu", p.alu_latency
-        if icls == IClass.MUL:
-            return "mul", p.mul_latency
-        if icls == IClass.VEC:
-            return "vec", p.vec_latency
-        if icls == IClass.VMUL:
-            return "vec", p.vmul_latency
-        if icls in (IClass.MEM, IClass.VMEM):
-            return "lsu", p.l1_hit_latency  # refined by _memory_access
-        return None, 1  # NOP
-
-    @staticmethod
-    def _source_tags(inst: Instruction) -> list[str]:
-        tags = [f"x{r}" for r in inst.reads_scalar if r != 0]
-        tags += [f"v{r}" for r in inst.reads_vector]
-        return tags
-
-    @staticmethod
-    def _dest_tag(inst: Instruction) -> str | None:
-        if inst.writes_scalar is not None:
-            return f"x{inst.writes_scalar}"
-        if inst.writes_vector is not None:
-            return f"v{inst.writes_vector}"
-        return None
-
-    def _l2_access(
-        self,
-        addr: int,
-        cycle: int,
-        l2: Cache,
-        trace: ActivityTrace,
-        stats: PipelineStats,
-        unit_active,
-    ) -> bool:
-        hit = l2.access(addr)
-        unit_active("l2ctl", cycle)
-        trace.set("l2ctl/req", cycle, 1)
-        trace.set("l2ctl/addr", cycle, addr & 0xFFFF)
-        trace.set("l2ctl/hit", cycle, int(hit))
-        return hit
-
     def _memory_access(
         self,
-        di: _DynInst,
+        d: _Decoded,
+        res: ExecResult,
         cycle: int,
+        row: array,
+        cols: tuple,
         l1d: Cache,
         l2: Cache,
-        trace: ActivityTrace,
-        stats: PipelineStats,
-        port: int,
+        l2_cols: tuple,
         outstanding: list[int],
-        unit_active,
     ) -> int:
+        """Access the D-cache (and L2 on a miss), drive the port's
+        channels, and return the access latency."""
         p = self.params
-        inst = di.inst
-        res = di.result
         addr = res.addresses[0] if res.addresses else 0
         hit = l1d.access(addr)
         if hit:
             latency = p.l1_hit_latency
         else:
-            l2_hit = self._l2_access(
-                addr, cycle, l2, trace, stats, unit_active
+            latency = (
+                p.l2_hit_latency
+                if _l2_access(l2, addr, row, l2_cols)
+                else p.mem_latency
             )
-            latency = p.l2_hit_latency if l2_hit else p.mem_latency
             outstanding.append(cycle + latency)
-        is_store = inst.opcode in (Opcode.ST, Opcode.VST)
-        if is_store:
+        if d.store:
             wdata = res.operands[1] if len(res.operands) > 1 else (
                 res.vector_operands[0][0] if res.vector_operands else 0
             )
@@ -391,85 +529,20 @@ class Pipeline:
             wdata = res.results[0] if res.results else (
                 res.vector_results[0] if res.vector_results else 0
             )
-        trace.set(f"lsu{port}/valid", cycle, 1)
-        trace.set(f"lsu{port}/is_store", cycle, int(is_store))
-        trace.set(f"lsu{port}/addr", cycle, addr & 0xFFFF)
-        trace.set(f"lsu{port}/wdata", cycle, wdata & 0xFFFF)
-        trace.set(f"lsu{port}/hit", cycle, int(hit))
-        unit_active(f"lsu{port}", cycle)
+        valid, is_store, addr_c, wdata_c, hit_c, clk = cols
+        row[valid] = 1
+        row[is_store] = int(d.store)
+        row[addr_c] = addr & 0xFFFF
+        row[wdata_c] = wdata & 0xFFFF
+        row[hit_c] = int(hit)
+        row[clk] = 1
         # Vector memory ops also move data through the vector unit's
         # register-file write path.
-        if inst.iclass == IClass.VMEM:
+        if d.vmem:
             lanes = (
                 res.vector_results
                 if res.vector_results
                 else (res.vector_operands[0] if res.vector_operands else ())
             )
-            self._drive_vec_lanes(0, cycle, inst, lanes, (), trace,
-                                  unit_active)
+            _drive_vec(row, self._vec_cols[0], d.op, lanes, ())
         return latency
-
-    def _drive_unit_channels(
-        self,
-        di: _DynInst,
-        pool: str,
-        idx: int,
-        cycle: int,
-        trace: ActivityTrace,
-        unit_active,
-    ) -> None:
-        inst = di.inst
-        res = di.result
-        if pool == "alu":
-            unit = f"alu{idx}"
-            a = res.operands[0] if res.operands else 0
-            b = res.operands[1] if len(res.operands) > 1 else 0
-            trace.set(f"{unit}/valid", cycle, 1)
-            trace.set(
-                f"{unit}/op", cycle, _ALU_OPCODE_CODE.get(inst.opcode, 0)
-            )
-            trace.set(f"{unit}/a", cycle, a & 0xFFFF)
-            trace.set(f"{unit}/b", cycle, b & 0xFFFF)
-            unit_active(unit, cycle)
-        elif pool == "mul":
-            unit = f"mul{idx}"
-            a = res.operands[0] if res.operands else 0
-            b = res.operands[1] if len(res.operands) > 1 else 0
-            acc = res.operands[2] if len(res.operands) > 2 else 0
-            trace.set(f"{unit}/valid", cycle, 1)
-            trace.set(f"{unit}/a", cycle, a & 0xFFFF)
-            trace.set(f"{unit}/b", cycle, b & 0xFFFF)
-            trace.set(f"{unit}/acc", cycle, acc & 0xFFFF)
-            unit_active(unit, cycle)
-        elif pool == "vec":
-            va = res.vector_operands[0] if res.vector_operands else ()
-            vb = (
-                res.vector_operands[1]
-                if len(res.vector_operands) > 1
-                else ()
-            )
-            self._drive_vec_lanes(idx, cycle, inst, va, vb, trace,
-                                  unit_active)
-        elif pool == "lsu":
-            pass  # handled by _memory_access
-
-    def _drive_vec_lanes(
-        self,
-        idx: int,
-        cycle: int,
-        inst: Instruction,
-        va,
-        vb,
-        trace: ActivityTrace,
-        unit_active,
-    ) -> None:
-        p = self.params
-        unit = f"vec{idx}"
-        trace.set(f"{unit}/valid", cycle, 1)
-        trace.set(f"{unit}/op", cycle, _VEC_OPCODE_CODE.get(inst.opcode, 0))
-        for lane in range(p.vec_lanes):
-            a = va[lane] if lane < len(va) else 0
-            b = vb[lane] if lane < len(vb) else 0
-            trace.set(f"{unit}/a{lane}", cycle, a & 0xFFFF)
-            trace.set(f"{unit}/b{lane}", cycle, b & 0xFFFF)
-        unit_active(unit, cycle)

@@ -86,6 +86,19 @@ def test_stimulus_schema_mismatch_rejected(n1_core):
         n1_core.stimulus_for(wrong)
 
 
+def test_stimulus_schema_width_mismatch_rejected(n1_core):
+    """Same channel names and the same total width, but ``issue/occ``
+    one bit wider and ``rob/occ`` one bit narrower: the bits would land
+    on the wrong input pins, so the trace is refused."""
+    from repro.uarch.events import ActivityTrace
+
+    delta = {"issue/occ": 1, "rob/occ": -1}
+    schema = [(n, w + delta.get(n, 0)) for n, w in n1_core.schema]
+    assert sum(w for _n, w in schema) == len(n1_core.netlist.input_ids)
+    with pytest.raises(NetlistError):
+        n1_core.stimulus_for(ActivityTrace(schema, 4))
+
+
 def test_gated_unit_is_quiet_when_idle(n1_core, n1_sim):
     """A scalar-only program must produce ~zero vector-unit power."""
     act = _activity(

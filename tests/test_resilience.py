@@ -33,7 +33,8 @@ from repro.genbench import (
     build_testing_dataset,
     build_training_dataset,
 )
-from repro.isa.program import DEFAULT_MIX, random_program
+from repro.isa.instructions import Instruction, Opcode
+from repro.isa.program import DEFAULT_MIX, Program, random_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import RunManifest
 from repro.parallel import EvalCache, WorkerPool, program_fingerprint
@@ -249,6 +250,24 @@ class TestCheckpointStore:
             program_fingerprint(p) for p in programs
         ]
         assert [p.name for p in back] == [p.name for p in programs]
+
+    def test_program_fields_are_int16_and_int64_archives_load(self):
+        """Every field fits int16 (the widest is the 12-bit signed
+        immediate); archives written with int64 fields load the same."""
+        extremes = Program("x", tuple(
+            Instruction(op, dst=15, src1=15, src2=15, imm=imm)
+            for op in (Opcode.MOVI, Opcode.BNE)
+            for imm in (-(1 << 11), (1 << 11) - 1)
+        ))
+        programs = [extremes, random_program(np.random.default_rng(4), 16)]
+        arrays, names = programs_to_arrays(programs)
+        assert arrays["prog_fields"].dtype == np.int16
+        assert programs_from_arrays(arrays, names) == programs
+        wide = {k: v.astype(np.int64) for k, v in arrays.items()}
+        assert programs_from_arrays(wide, names) == programs
+        empty, none = programs_to_arrays([])
+        assert empty["prog_fields"].shape == (0, 5) and none == []
+        assert programs_from_arrays(empty, none) == []
 
 
 # --------------------------------------------------------------------- #

@@ -27,8 +27,11 @@ from repro.resilience import (
     FaultSpec,
 )
 from repro.rtl import ENGINES, RecordSpec, Simulator
+from repro.design import build_core
 from repro.rtl.backends import PackedBackend, backend_names, cc, get_backend
+from repro.rtl.backends import base
 from repro.rtl.backends.base import acc_reduce
+from repro.uarch import N1_LIKE
 
 from helpers import SIM_PATHS, random_netlist
 
@@ -340,3 +343,39 @@ def test_run_sharded_serial_pool_matches():
     with WorkerPool(workers=1, metrics=MetricsRegistry()) as pool:
         sharded = run_sharded(nl, stim, record, pool)
     np.testing.assert_array_equal(mono.trace.packed, sharded.trace.packed)
+
+
+@pytest.mark.parametrize("design", ["small", "n1", "random"])
+def test_reset_state_is_one_lane_evaluated_on_first_use(
+    design, small_core, monkeypatch
+):
+    """Every lane of the reset state is the same, so a backend evaluates
+    one lane on its first run (never while compiling) and hands out
+    fresh repeats of it, equal to the whole-batch evaluation.
+    ``small_core`` has the benchmark core's parameters."""
+    nl = {
+        "small": lambda: small_core.netlist,
+        "n1": lambda: build_core(N1_LIKE).netlist,
+        "random": lambda: random_netlist(5, n_gates=80),
+    }[design]()
+    full = base.initial_values
+    calls = []
+
+    def counted(schedule, batch):
+        calls.append(batch)
+        return full(schedule, batch)
+
+    monkeypatch.setattr(base, "initial_values", counted)
+    for engine in ENGINES:
+        backend = Simulator(nl, engine=engine).backend
+        assert calls == []
+        for batch in (1, 6, 64, 70):
+            want = full(backend.schedule, batch)
+            got = backend.initial_values(batch)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+            got ^= 1  # the caller owns the array it got
+            assert backend.initial_values(batch).tobytes() == want.tobytes()
+        assert calls == [1]
+        calls.clear()
+

@@ -386,6 +386,38 @@ def test_gateway_session_lifecycle_push_mode():
     assert stats["model_version"] == "v1"
 
 
+def test_attributed_sum_is_exact_past_int64():
+    """The widest weights admission allows (B=55 at Q=24, T=8: a 64-bit
+    accumulator) overflow int64 over a 64-cycle session; the session
+    total, its mean and the fleet energy stay exact."""
+    q, bits = 24, 55
+    qm = QuantizedModel(
+        proxies=np.arange(q, dtype=np.int64),
+        int_weights=np.full(q, (1 << 54) - 1, dtype=np.int64),
+        int_intercept=0,
+        step=0.01,
+        bits=bits,
+    )
+    assert qm.accumulator_bits(8) == 64
+    reg = ModelRegistry()
+    reg.publish("v1", qm, activate=True)
+    gw = Gateway(reg, n_shards=1, t=8)
+    client = InprocClient(gw)
+    name = client.open("core0")
+    stim = np.ones((64, q), dtype=np.uint8)
+    client.push(name, stim, last=True)
+    gw.drain()
+
+    meter = reg.meter("v1", 8)
+    np.testing.assert_array_equal(client.windows(name), meter.read(stim))
+    exact = sum(int(v) for v in meter.per_cycle(stim).tolist())
+    assert exact > (1 << 63)
+    handle = gw.handles[name]
+    assert handle.attributed_sum_int == exact
+    assert handle.mean_mw == exact * qm.step / 64
+    assert build_report(gw).total_energy_mwc == exact * qm.step
+
+
 def test_gateway_rejects_misuse():
     reg = _registry()
     gw = Gateway(reg, n_shards=1)

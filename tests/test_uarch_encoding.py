@@ -65,3 +65,18 @@ def test_duty_cycle_helper():
     trace.set("v", 0, 1)
     trace.set("v", 2, 1)
     assert trace.duty_cycle("v") == pytest.approx(0.5)
+
+
+def test_channel_widths_outside_0_to_64_rejected():
+    """Channel values are uint64, so a wider channel could only ever
+    encode zeros above bit 63; the schema is refused instead."""
+    from repro.errors import StimulusError
+
+    for width in (65, -1):
+        with pytest.raises(StimulusError):
+            ActivityTrace([("a", 1), ("w", width)], 3)
+    trace = ActivityTrace([("z", 0), ("w", 64)], 2)
+    trace.set("w", 1, (1 << 64) - 1)
+    stim = trace.encode_stimulus()
+    assert stim.shape == (2, 64)
+    assert stim[0].sum() == 0 and stim[1].sum() == 64

@@ -1,19 +1,27 @@
 """Tests for the pipeline timing model and activity traces."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.design import build_core
 from repro.errors import ReproError, StimulusError
-from repro.isa import assemble, random_program, Program
+from repro.isa import IClass, InstructionMix, assemble, random_program, Program
 from repro.uarch import (
     A77_LIKE,
     ActivityTrace,
     CoreParams,
+    M0_LIKE,
     N1_LIKE,
     Pipeline,
     ThrottleScheme,
     stimulus_schema,
 )
+
+from helpers import PipelineOracle, encode_stimulus_oracle
 
 
 def _prog(src, name="t"):
@@ -182,3 +190,123 @@ def test_retire_rate_bounded():
     prog = random_program(np.random.default_rng(5), 60)
     trace, _ = Pipeline(N1_LIKE).run(prog, 400)
     assert trace.get("rob/retire").max() <= N1_LIKE.retire_width
+
+
+# ---------------------------------------------------------------------- #
+# Oracle: the per-channel ``trace.set`` model in ``tests/helpers.py``
+# ---------------------------------------------------------------------- #
+#: The three presets and a 2-wide shape (the benchmark core's).
+ORACLE_CORES = {
+    "n1": N1_LIKE,
+    "a77": A77_LIKE,
+    "m0": M0_LIKE,
+    "2wide": CoreParams(
+        name="2wide", fetch_width=2, issue_width=2, retire_width=2,
+        n_alu=2, n_mul=1, n_vec=1, vec_lanes=2, lsu_ports=1, iq_size=8,
+        rob_size=16, bp_entries=16,
+    ),
+}
+THROTTLES = (
+    None,
+    ThrottleScheme(max_issue=1),
+    ThrottleScheme(max_issue=2, period=8, duty=0.5),  # duty-cycled
+    ThrottleScheme(block_vector=True),
+    ThrottleScheme(max_issue=1, period=4, duty=0.25, block_vector=True),
+)
+
+
+@pytest.fixture(scope="module")
+def oracle_cores():
+    return {name: build_core(p) for name, p in ORACLE_CORES.items()}
+
+
+def _random_mix_program(seed: int, length: int) -> Program:
+    rng = np.random.default_rng(seed)
+    mix = InstructionMix(
+        weights={c: float(rng.random()) + 1e-3 for c in IClass},
+        mem_stride=int(rng.integers(1, 128)),
+        mem_region_words=int(rng.integers(8, 4096)),
+        branch_backward_frac=float(rng.random()),
+    )
+    return random_program(rng, length, mix)
+
+
+def _assert_matches_oracle(params, prog, cycles, core):
+    got, got_stats = Pipeline(params).run(prog, cycles)
+    want, want_stats = PipelineOracle(params).run(prog, cycles)
+    assert got_stats == want_stats
+    assert list(got.channels) == list(want.channels)
+    for name, arr in want.channels.items():
+        g = got.channels[name]
+        assert g.dtype == arr.dtype and g.shape == arr.shape, name
+        np.testing.assert_array_equal(g, arr, err_msg=name)
+    stim = core.stimulus_for(got)
+    ref = encode_stimulus_oracle(want)
+    assert stim.dtype == ref.dtype and stim.shape == ref.shape
+    assert stim.flags.c_contiguous
+    assert stim.tobytes() == ref.tobytes()
+
+
+@given(
+    core=st.sampled_from(sorted(ORACLE_CORES)),
+    throttle=st.sampled_from(THROTTLES),
+    hysteresis=st.sampled_from((0, 1, 2, 5)),
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(4, 64),
+    cycles=st.integers(1, 400),
+)
+@settings(max_examples=80, deadline=None)
+def test_pipeline_matches_oracle(oracle_cores, core, throttle, hysteresis,
+                                 seed, length, cycles):
+    """Every channel (values and dtype), every stat and every stimulus
+    bit equal the per-channel model's, on random-mix programs."""
+    params = replace(
+        ORACLE_CORES[core], gate_hysteresis=hysteresis, throttle=throttle
+    )
+    _assert_matches_oracle(
+        params, _random_mix_program(seed, length), cycles,
+        oracle_cores[core],
+    )
+
+
+def test_overwide_channel_error_matches_oracle():
+    """A width overflow names the first offending channel in schema
+    order, with the per-channel encoder's message."""
+    trace = ActivityTrace([("a", 2), ("b", 1), ("c", 3)], 4)
+    trace.set("a", 0, 3)
+    trace.set("b", 1, 2)
+    trace.set("c", 3, 9)
+    with pytest.raises(StimulusError) as got:
+        trace.encode_stimulus()
+    with pytest.raises(StimulusError) as want:
+        encode_stimulus_oracle(trace)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "channel 'b' value 2 exceeds 1-bit width"
+
+    # A 1-wide fetch under a 4-wide dispatch overflows decode/valid.
+    params = replace(N1_LIKE, name="narrow-fetch", fetch_width=1)
+    prog = random_program(np.random.default_rng(4), 16)
+    with pytest.raises(StimulusError) as got:
+        Pipeline(params).run(prog, 200)[0].encode_stimulus()
+    with pytest.raises(StimulusError) as want:
+        encode_stimulus_oracle(PipelineOracle(params).run(prog, 200)[0])
+    assert str(got.value) == str(want.value)
+    assert "'decode/valid'" in str(got.value)
+
+
+def test_long_trace_encodes_like_oracle():
+    """Traces longer than one unpack block (4096 cycles) encode, block
+    boundaries included, exactly as the per-channel encoder does."""
+    trace, _ = Pipeline(N1_LIKE).run(_random_mix_program(7, 40), 9001)
+    stim = trace.encode_stimulus()
+    assert stim.flags.c_contiguous
+    assert stim.tobytes() == encode_stimulus_oracle(trace).tobytes()
+
+
+def test_channels_are_rows_of_one_matrix():
+    trace, _ = Pipeline(N1_LIKE).run(ALU_LOOP, 64)
+    rows = list(trace.channels.values())
+    base = rows[0].base
+    assert base is not None and base.shape == (len(rows), 64)
+    assert all(r.base is base and r.flags.c_contiguous for r in rows)
+
