@@ -49,7 +49,8 @@ bench-resilience:
 
 # Serving-layer benchmarks: the same seeded load through a direct
 # StreamService vs the gateway (1 shard and 4 shards), plus an
-# inline-vs-shm-pool placement race on a large-block fleet, asserting
+# inline-vs-shm-pool placement race on a large-block fleet (the pool
+# stages every unit in its anonymous shared-memory plane), asserting
 # bit-identical readings and reporting sessions/sec, p99 tick latency,
 # and the pool's speedup over inline.
 bench-serve:
@@ -78,7 +79,7 @@ chaos:
 # overflowing shm slabs, and flooding admission with best-effort opens;
 # verify the fleet report, every session's windows, and the sequence
 # accounting are bit-identical to a fault-free baseline, with no shed
-# spillover and no leaked shm segments.  Exit 1 on mismatch.
+# spillover.  Exit 1 on mismatch.
 chaos-serve:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos-serve --seed 5 --workers 2 \
 		--out results/chaos-serve

@@ -265,10 +265,6 @@ def _serve_pool(args):
 
 def _cmd_serve(args) -> int:
     from repro.errors import ServeError
-    from repro.parallel.shm import install_signal_cleanup
-
-    # A SIGTERM'd gateway must still unlink its shared-memory segments.
-    install_signal_cleanup()
 
     if args.demo:
         from repro.serve.demo import main as demo_main

@@ -25,20 +25,14 @@ from repro.parallel.cache import (
     program_fingerprint,
     throttle_fingerprint,
 )
-from repro.parallel.pool import WorkerPool, default_workers, payload_nbytes
+from repro.parallel.pool import WorkerPool, default_workers
 from repro.parallel.sharding import lane_shards, run_sharded
 from repro.parallel.shm import (
-    HAVE_SHM,
     ShmArena,
     ShmDataPlane,
     ShmError,
     ShmRef,
-    WeightRef,
-    WeightVault,
     attach_view,
-    leaked_segments,
-    resident_weights,
-    weights_digest,
 )
 from repro.parallel.tasks import CoreState, seed_state, state_key_for
 
@@ -47,18 +41,11 @@ __all__ = [
     "EvalCache",
     "CoreState",
     "default_workers",
-    "payload_nbytes",
-    "HAVE_SHM",
     "ShmArena",
     "ShmDataPlane",
     "ShmError",
     "ShmRef",
-    "WeightRef",
-    "WeightVault",
     "attach_view",
-    "leaked_segments",
-    "resident_weights",
-    "weights_digest",
     "lane_shards",
     "run_sharded",
     "seed_state",

@@ -40,15 +40,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from repro.errors import ParallelError, TransientFault
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import NULL_TRACER
 from repro.parallel import shm as _shm
 from repro.resilience.retry import HealthState
 
-__all__ = ["WorkerPool", "default_workers", "payload_nbytes"]
+__all__ = ["WorkerPool", "default_workers"]
 
 #: Exceptions that mean "the pool broke", as opposed to "the task
 #: failed"; only these trigger the respawn retry / serial fallback.
@@ -74,35 +72,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def payload_nbytes(obj) -> int:
-    """Cheap wire-size estimate of a task payload, without pickling.
-
-    Arrays dominate real payloads, and their pickled size is ``nbytes``
-    plus a small frame — so summing ``nbytes`` over the structure gives
-    a faithful IPC-bytes signal at nearly zero cost (measuring with
-    ``pickle.dumps`` would double the hot path's serialization work).
-    Non-array leaves are charged a small flat overhead.
-    """
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes + 64
-    if isinstance(obj, (bytes, bytearray)):
-        return len(obj) + 8
-    if isinstance(obj, str):
-        return len(obj) + 8
-    if isinstance(obj, (tuple, list)):
-        return 16 + sum(payload_nbytes(x) for x in obj)
-    if isinstance(obj, dict):
-        return 16 + sum(
-            payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items()
-        )
-    if hasattr(obj, "__dataclass_fields__"):
-        return 64 + sum(
-            payload_nbytes(getattr(obj, f))
-            for f in obj.__dataclass_fields__
-        )
-    return 32
-
-
 _SPAWN_FALLBACK_WARNED = False
 
 #: How often pool workers check that their parent is still alive.
@@ -112,11 +81,11 @@ _WATCHDOG_INTERVAL_S = 2.0
 def _parent_watchdog(parent_pid: int) -> None:
     """Hard-exit the worker once its parent is gone.
 
-    A SIGKILLed parent never runs atexit, and the shared
-    ``resource_tracker`` only unlinks leftover shared-memory segments
-    after *every* process holding its pipe has died — which orphaned
-    executor workers, blocked forever on a dead call queue, never
-    would.  Reparenting (``getppid`` changing) is the death signal;
+    A SIGKILLed parent never shuts its executor down, and its orphaned
+    workers would block forever on a call queue nobody writes to
+    (each holds a copy of the queue's write end, so no EOF ever
+    arrives), keeping their processes and inherited shared mappings
+    alive.  Reparenting (``getppid`` changing) is the death signal;
     ``os._exit`` skips Python teardown on a process whose work can no
     longer be collected by anyone.
     """
@@ -197,13 +166,13 @@ class WorkerPool:
         and serial-fallback paths deterministically.
     transport:
         ``"pickle"`` (default, fully portable) ships task payloads
-        through the executor pipes; ``"shm"`` additionally owns a
-        :class:`~repro.parallel.shm.ShmDataPlane` (``pool.plane``) so
-        shm-aware callers can pass ~100-byte descriptors instead of
-        arrays.  The serve gateway dispatches to a pool only through
-        that plane.  ``transport="shm"`` on a platform without
-        ``multiprocessing.shared_memory`` warns once and behaves
-        exactly like ``"pickle"``.
+        through the executor pipes; ``"shm"`` additionally maps a
+        :class:`~repro.parallel.shm.ShmDataPlane` (``pool.plane``) at
+        construction, before any worker forks, so shm-aware callers
+        can pass small descriptors instead of arrays.  The serve
+        gateway dispatches to a pool only through that plane.  Workers
+        can inherit the plane only when they fork: under another start
+        method (``spawn``, ``forkserver``) the pool has no plane.
     slab_bytes:
         Per-lane capacity of the shm request arena's two slabs; the
         result arena gets ``slab_bytes // 4`` per lane.  Ignored for
@@ -227,18 +196,13 @@ class WorkerPool:
             raise ParallelError(
                 f"transport must be 'pickle' or 'shm', got {transport!r}"
             )
-        if transport == "shm" and not _shm.HAVE_SHM:
-            warnings.warn(
-                "multiprocessing.shared_memory unavailable; WorkerPool "
-                "transport falls back to pickle",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            transport = "pickle"
         self.workers = default_workers() if workers == 0 else workers
         self.transport = transport
         self._slab_bytes = slab_bytes
-        self._plane: _shm.ShmDataPlane | None = None
+        #: The shm data plane; None on the pickle transport, under a
+        #: start method other than fork, and once the pool is closed.
+        #: ``close()`` unmaps it; only :meth:`reset` maps a fresh one.
+        self.plane: _shm.ShmDataPlane | None = None
         self._initializer = initializer
         self._initargs = initargs
         self.tracer = tracer or NULL_TRACER
@@ -248,9 +212,7 @@ class WorkerPool:
         self._closed = False
         self.health = HealthState()
         self._last_failure: str | None = None
-        self._task_bytes = self.metrics.hist(
-            "parallel.pool.task_bytes", lo=1.0, hi=float(2 << 40), growth=2.0
-        )
+        self._open_plane()
         self._publish_health()
 
     def _publish_health(self) -> None:
@@ -275,34 +237,16 @@ class WorkerPool:
         """Whether this pool may run tasks out-of-process."""
         return self.workers > 1 and self.health.ok and not self._closed
 
-    @property
-    def plane(self) -> "_shm.ShmDataPlane | None":
-        """The shm data plane (lazily created); None on pickle transport.
-
-        The plane's lifetime follows the pool: ``close()`` unlinks its
-        segments **and pins the pool closed** — a closed pool never
-        resurrects a fresh plane (that silently leaked segments when a
-        dispatch raced ``close()``); only an explicit :meth:`reset`
-        reopens it.  ``reset()`` recycles the plane alongside the
-        executor.
-        """
-        if self.transport != "shm" or self._closed:
-            return None
-        if self._plane is None or self._plane.closed:
-            self._plane = _shm.ShmDataPlane(slab_bytes=self._slab_bytes)
-        return self._plane
-
-    @property
-    def active_plane(self) -> "_shm.ShmDataPlane | None":
-        """The plane only if one is already open (never creates one)."""
-        if self._plane is not None and not self._plane.closed:
-            return self._plane
-        return None
+    def _open_plane(self) -> None:
+        """Map a fresh plane while no worker is alive to miss it."""
+        self._close_plane()
+        if self.transport == "shm" and _start_method() == "fork":
+            self.plane = _shm.ShmDataPlane(slab_bytes=self._slab_bytes)
 
     def _close_plane(self) -> None:
-        if self._plane is not None:
-            self._plane.close()
-            self._plane = None
+        if self.plane is not None:
+            self.plane.close()
+            self.plane = None
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._executor is None:
@@ -344,13 +288,12 @@ class WorkerPool:
 
         Drops any broken executor so the next ``map`` spawns fresh
         workers, and returns health to OK.  The shm plane (if any) is
-        recycled too — old segments are unlinked now and a fresh plane
-        appears on next use, so a reset never strands ``/dev/shm``
-        entries.  Safe to call on a healthy pool (no-op beyond the
-        recycles).
+        recycled too: the old one is unmapped and a fresh one mapped
+        before the next workers fork.  Safe to call on a healthy pool
+        (no-op beyond the recycles).
         """
         self._shutdown_executor()
-        self._close_plane()
+        self._open_plane()
         self._closed = False  # reset is the documented way to revive
         self.health.reset("pool reset")
         self.metrics.counter("parallel.pool.resets").inc()
@@ -403,9 +346,6 @@ class WorkerPool:
                 self._degrade(f"task not picklable: {exc}")
                 serial = True
         traced = span_ctx is not None and not serial
-        if not serial:
-            for x in items:
-                self._task_bytes.observe(payload_nbytes(x))
 
         def dispatch() -> list:
             if not traced:
@@ -500,11 +440,11 @@ class WorkerPool:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down workers and unlink shm segments (idempotent).
+        """Shut down workers and unmap the shm plane (idempotent).
 
         A closed pool stays usable for *serial* maps (the fallback the
         serving layer leans on during teardown races) but never spawns
-        workers or shm segments again; :meth:`reset` revives it.
+        workers or maps a plane again; :meth:`reset` revives it.
         """
         self._closed = True
         self._shutdown_executor()

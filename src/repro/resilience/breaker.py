@@ -1,4 +1,4 @@
-"""Deterministic circuit breaker for the serving and disk-I/O paths.
+"""Deterministic circuit breaker for the model registry's disk I/O.
 
 :class:`CircuitBreaker` is the classic three-state machine — *closed*
 (calls pass through), *open* (calls fast-fail with
@@ -31,8 +31,8 @@ duplicating it:
 
 :class:`~repro.errors.BreakerOpenError` is *not* retryable by
 :class:`RetryPolicy` defaults — callers are expected to take their
-fallback path (inline inference, skipping a cache) instead of spinning
-on an open breaker.
+fallback path (serving from memory, skipping a cache) instead of
+spinning on an open breaker.
 """
 
 from __future__ import annotations

@@ -539,7 +539,6 @@ def _drive_serve(
     ``workers > 1`` the pool owns a shared-memory plane, so inference
     dispatches over it (the gateway's only pool placement)."""
     from repro.parallel.pool import WorkerPool
-    from repro.parallel.shm import leaked_segments
     from repro.serve.gateway import Gateway
     from repro.serve.registry import ModelRegistry
 
@@ -612,7 +611,6 @@ def _drive_serve(
         if stats.get("take_seq") != stats.get("ingest_seq"):
             seq_gaps += 1
     gateway.close()
-    leaked = leaked_segments()
     return {
         "report": fleet,
         "windows": windows,
@@ -622,7 +620,6 @@ def _drive_serve(
         "floods_admitted": floods_admitted,
         "requeued_blocks": requeued,
         "seq_gaps": seq_gaps,
-        "leaked": list(leaked),
     }
 
 
@@ -680,7 +677,7 @@ def run_chaos_serve(
       stimulus;
     * no session saw a sequence gap (``take_seq == ingest_seq``,
       ``seq_gaps == 0`` — loss-free failover);
-    * every flood open was shed and no shared-memory segment leaked.
+    * every flood open was shed.
     """
     from repro.obs.provenance import RunManifest, config_hash
     from repro.obs.trace import NULL_TRACER as _NULL
@@ -776,11 +773,6 @@ def run_chaos_serve(
             faulted["floods_attempted"] == 0
         ):
             mismatches.append("flood faults planned but never attempted")
-        for run_name, res in (("baseline", baseline), ("faulted", faulted)):
-            if res["leaked"]:
-                mismatches.append(
-                    f"{run_name} leaked shm segments: {res['leaked']}"
-                )
 
         report = ServeChaosReport(
             seed=seed,

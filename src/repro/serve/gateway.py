@@ -33,13 +33,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import AdmissionError, BreakerOpenError, ServeError
+from repro.errors import AdmissionError, ServeError
 from repro.obs.expo import render_openmetrics
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NULL_TRACER, SpanContext
 from repro.opm.meter import binary_toggles, opm_dot
-from repro.parallel.shm import qmodel_digest
-from repro.resilience.breaker import CircuitBreaker
+from repro.parallel.shm import attach_view
 from repro.serve.admission import (
     PRIORITY_BEST_EFFORT,
     PRIORITY_CRITICAL,
@@ -331,7 +330,6 @@ class Gateway:
         postmortem_dir: str | Path | None = None,
         admission: AdmissionConfig | AdmissionController | None = None,
         idle_timeout_ticks: int | None = None,
-        dispatch_breaker: CircuitBreaker | None = None,
         faults=None,
     ) -> None:
         if n_shards < 1:
@@ -380,18 +378,10 @@ class Gateway:
         #: and overflow the shm slabs on schedule.
         self.faults = faults
         self._overflow_ticks = 0
-        #: Breaker around pool dispatch: while open, inference runs
-        #: inline (slower, still bit-identical) instead of hammering a
-        #: failing pool; closes again via a half-open probe.
-        self.dispatch_breaker = dispatch_breaker or CircuitBreaker(
-            name="serve.dispatch",
-            metrics=self.metrics,
-            flightrec=self.flightrec,
-        )
         # Lifecycle: close() during an in-flight tick (a dispatch
         # callback or another thread) defers teardown until the tick
         # completes, so results staged in the shm plane are copied out
-        # before the plane is unlinked.
+        # before the pool closes the plane.
         self._lock = threading.RLock()
         self._closed = False
         self._close_requested = False
@@ -642,15 +632,9 @@ class Gateway:
     # Fleet control
     # -------------------------------------------------------------- #
     def swap_model(self, version: str) -> None:
-        """Hot swap: new sessions pin ``version``; in-flight unaffected.
-
-        With a shared-memory plane, resident weights whose digest no
-        live session references any more are retired from the vault —
-        workers re-publish lazily if the digest ever comes back.
-        """
+        """Hot swap: new sessions pin ``version``; in-flight unaffected."""
         self.registry.activate(version)
         self.metrics.counter("serve.model.swaps").inc()
-        self._retire_unused_weights()
         with self.tracer.span("serve.model.swap", version=version):
             pass
 
@@ -675,7 +659,7 @@ class Gateway:
         pool, or a pool without a plane all serve inline.
         """
         pool = self.pool
-        if pool is None or not pool.parallel or pool.transport != "shm":
+        if pool is None or not pool.parallel:
             return None
         return pool.plane
 
@@ -683,47 +667,32 @@ class Gateway:
         """Run every gathered group's GEMV; returns per-group results.
 
         ``flat`` is ``(group, version, gather_ctx)`` per drain group in
-        shard order.  Groups sharing a weights digest (possibly on
+        shard order.  Groups sharing a model object (possibly on
         different shards) fuse into one inference unit.  With a
-        dispatch plane the units ship to the pool as ~100-byte
-        shared-memory descriptors; otherwise they run inline.  Unit
-        results are sliced back to group order by row ranges, which is
+        dispatch plane the units ship to the pool as
+        :class:`ShmGemvTask` s; otherwise they run inline.  Unit results
+        are sliced back to group order by row ranges, which is
         bit-identical to per-group inference because every output row
         is an independent integer dot product.
         """
         if not flat:
             return []
         t_inf = time.perf_counter()
-        by_digest: dict[str, list[int]] = {}
+        by_model: dict[int, list[int]] = {}
         for i, (group, _v, _c) in enumerate(flat):
-            by_digest.setdefault(
-                qmodel_digest(group.meter.qmodel), []
-            ).append(i)
-        unit_indices = list(by_digest.values())
+            by_model.setdefault(id(group.meter.qmodel), []).append(i)
+        unit_indices = list(by_model.values())
         plane = self._dispatch_plane()
         if plane is not None:
             # Fusing must amortize, not serialize: a homogeneous fleet
             # would fuse to a single unit and starve the pool, so fused
             # units are split back up to the worker count (at group
-            # granularity, balanced by rows).  Weight dedup is kept —
-            # sibling units share the digest.
+            # granularity, balanced by rows).
             unit_indices = self._split_units(
                 unit_indices, flat, self.pool.workers
             )
         if plane is not None and len(unit_indices) > 1:
-            # Dispatch runs under the breaker: repeated pool-path
-            # failures trip it open and inference falls back inline
-            # (slower, still bit-identical) until a half-open probe
-            # finds the pool healthy again.
-            try:
-                unit_results = self.dispatch_breaker.call(
-                    self._dispatch_units, plane, unit_indices, flat, sp,
-                )
-            except (BreakerOpenError, *self.dispatch_breaker.trip_on):
-                self.metrics.counter("serve.breaker.inline_fallbacks").inc()
-                unit_results = [
-                    self._inline_unit(u, flat) for u in unit_indices
-                ]
+            unit_results = self._dispatch_units(plane, unit_indices, flat, sp)
         else:
             unit_results = [self._inline_unit(u, flat) for u in unit_indices]
         results: list = [None] * len(flat)
@@ -793,8 +762,7 @@ class Gateway:
         The stacked toggle matrix is written block-by-block straight
         into a request slab (the path's single memcpy); the result
         region is parent-preallocated so the worker writes output in
-        place and a dead worker can never leak a segment it owns;
-        weights go to (or are found in) the vault by digest.
+        place; the model's int64 weights ride in the task by value.
         """
         if self._overflow_ticks > 0:
             # Injected slab overflow (chaos ``slab_overflow`` kind):
@@ -807,18 +775,15 @@ class Gateway:
         if out is None:
             return None
         qm = flat[indices[0]][0].meter.qmodel
-        wref = plane.vault.ensure(
-            qmodel_digest(qm), qm.int_weights, qm.int_intercept
-        )
-        return ShmGemvTask(stacked, wref, out[0])
+        return ShmGemvTask(stacked, qm.int_weights, qm.int_intercept, out[0])
 
     def _dispatch_units(self, plane, unit_indices: list, flat: list, sp):
         """Pool dispatch of inference units over the shm plane.
 
-        Each unit ships as a :class:`ShmGemvTask` of descriptors.  A
-        unit that cannot be staged (arena full, or an injected slab
-        overflow) runs inline instead and is counted in
-        ``plane.fallbacks`` — the plane degrades per unit, never fails.
+        Each unit ships as a :class:`ShmGemvTask`.  A unit that cannot
+        be staged (arena full, or an injected slab overflow) runs
+        inline instead and is counted in ``plane.fallbacks`` — the
+        plane degrades per unit, never fails.
         Results come back in unit order.
         """
         m = self.metrics
@@ -840,7 +805,7 @@ class Gateway:
             fallback = sp.ctx if sp else None
             ctxs = [flat[unit_indices[k][0]][2] or fallback for k, _ in staged]
             timings: list = []
-            receipts = self.pool.map(
+            self.pool.map(
                 serve_opm_task, [task for _k, task in staged],
                 label="serve.gemv",
                 span_ctx=(
@@ -848,42 +813,19 @@ class Gateway:
                 ),
                 timings=timings,
             )
-            hits = 0
-            for (k, task), (_rows, hit) in zip(staged, receipts):
-                hits += bool(hit)
+            for k, task in staged:
                 # Copy out of the ring before the next tick reuses the
                 # slab (sessions keep reading-window slices across ticks).
-                results[k] = np.array(plane.results.view(task.out))
+                results[k] = np.array(attach_view(task.out))
             if len(timings) == len(staged):
                 for (k, _task), (_pid, _t0, dur) in zip(staged, timings):
                     m.hist(
                         f"serve.gemv.latency.{flat[unit_indices[k][0]][1]}"
                     ).observe(dur)
-            if hits:
-                m.counter("serve.weights.cache_hits").inc(hits)
-            if len(staged) > hits:
-                m.counter("serve.weights.cache_misses").inc(
-                    len(staged) - hits
-                )
         m.gauge("serve.shm.request_occupancy").set(plane.requests.occupancy)
         m.gauge("serve.shm.result_occupancy").set(plane.results.occupancy)
-        m.gauge("serve.weights.resident").set(len(plane.vault.digests()))
         m.gauge("serve.shm.fallbacks").set(plane.fallbacks)
         return results
-
-    def _retire_unused_weights(self) -> None:
-        """Drop vault digests no live session references (post-swap)."""
-        plane = self.pool.active_plane if self.pool is not None else None
-        if plane is None:
-            return
-        live = {
-            qmodel_digest(h.qmodel)
-            for h in self.handles.values()
-            if not h.done
-        }
-        for digest in plane.vault.digests() - live:
-            if plane.vault.retire(digest):
-                self.metrics.counter("serve.weights.retired").inc()
 
     # -------------------------------------------------------------- #
     # The tick
@@ -1050,8 +992,8 @@ class Gateway:
         Safe to call mid-dispatch: if a tick is in flight — this
         thread's own tick (a callback) or another thread's — teardown
         is deferred until that tick completes, so results staged in
-        the shm data plane are copied out before the plane is
-        unlinked.  With ``close_pool`` the owned worker pool is closed
+        the shm data plane are copied out before the pool closes the
+        plane.  With ``close_pool`` the owned worker pool is closed
         too (its ``close`` is idempotent, so callers that also close
         the pool themselves are unaffected).
         """
@@ -1146,7 +1088,6 @@ class Gateway:
         snap["shards"] = [s.stats() for s in self.shards]
         snap["sessions"] = self.session_records()
         snap["pump_latency_p99_s"] = self.pump_latency_p99()
-        snap["dispatch_breaker"] = self.dispatch_breaker.as_dict()
         if self.admission is not None:
             snap["admission"] = self.admission.snapshot()
         return snap
@@ -1247,6 +1188,12 @@ class InprocClient:
 # ------------------------------------------------------------------ #
 # asyncio transport
 # ------------------------------------------------------------------ #
+#: Longest request head the metrics side port reads.  The port shares
+#: the event loop with the tick pump, so an unbounded head would stall
+#: serving while the loop rescans it.
+_METRICS_HEAD_BYTES = 8 << 10
+
+
 class GatewayServer:
     """Asyncio front-end: framed protocol over TCP, one shared gateway.
 
@@ -1305,17 +1252,27 @@ class GatewayServer:
             self._metrics_server = None
 
     async def _handle_metrics(self, reader, writer) -> None:
-        """One ``GET /metrics`` scrape: HTTP/1.0, render, close."""
+        """One ``GET /metrics`` scrape: HTTP/1.0, render, close.
+
+        A request head longer than ``_METRICS_HEAD_BYTES`` is answered
+        ``431`` without reading the rest of it.
+        """
         try:
-            data = b""
-            while b"\r\n\r\n" not in data and b"\n\n" not in data:
+            head = b""
+            while b"\r\n\r\n" not in head and b"\n\n" not in head:
                 chunk = await reader.read(1024)
                 if not chunk:
                     break
-                data += chunk
-            parts = data.decode("latin-1", "replace").split()
+                head += chunk
+                if len(head) > _METRICS_HEAD_BYTES:
+                    break
+            parts = head.decode("latin-1", "replace").split()
             path = parts[1] if len(parts) > 1 else "/"
-            if path.split("?")[0] in ("/metrics", "/"):
+            if len(head) > _METRICS_HEAD_BYTES:
+                body = b"request head too large\n"
+                status = "431 Request Header Fields Too Large"
+                ctype = "text/plain; charset=utf-8"
+            elif path.split("?")[0] in ("/metrics", "/"):
                 body = render_openmetrics(self.gateway.metrics).encode()
                 status = "200 OK"
                 ctype = (

@@ -38,7 +38,7 @@ import numpy as np
 from repro.errors import ServeError
 from repro.obs.trace import NULL_TRACER
 from repro.opm.meter import opm_dot
-from repro.parallel.shm import ShmRef, WeightRef, attach_view, resident_weights
+from repro.parallel.shm import ShmRef, attach_view
 from repro.resilience.retry import HealthState
 from repro.stream.session import StreamService, StreamSession
 
@@ -52,34 +52,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShmGemvTask:
-    """Descriptor-only GEMV envelope for pool dispatch (~300 B).
+    """GEMV envelope for pool dispatch.
 
     ``stacked`` names the request-arena region holding the fused toggle
-    matrix, ``weights`` the digest-addressed resident weights, and
-    ``out`` a parent-preallocated result-arena region the worker writes
-    the per-cycle integers into — so the pipe carries descriptors both
-    ways and the arrays never leave shared memory.
+    matrix and ``out`` a parent-preallocated result-arena region the
+    worker writes the per-cycle integers into, so the toggles and the
+    results never cross the pipe.  The model's int64 ``weights`` and
+    ``intercept`` ride by value: 8 bytes per proxy.
     """
 
     stacked: ShmRef
-    weights: WeightRef
+    weights: np.ndarray
+    intercept: int
     out: ShmRef
 
 
-def serve_opm_task(task: ShmGemvTask):
+def serve_opm_task(task: ShmGemvTask) -> None:
     """Pool task for serve-tick inference over the shm data plane.
 
     Maps the task's descriptors to shared-memory views, runs
     :func:`~repro.opm.meter.opm_dot`, and writes the result through the
-    ``out`` view.  Returns a ``(rows, weight_hit)`` receipt (the numbers
-    come back through the arena).  Runs identically in a worker or in
-    the parent (serial fallback).
+    ``out`` view (the numbers come back through the arena).  Runs
+    identically in a worker or in the parent (serial fallback).
     """
-    stacked = attach_view(task.stacked)
-    weights, intercept, hit = resident_weights(task.weights)
     out = attach_view(task.out)
-    out[:] = opm_dot(stacked, weights, intercept)
-    return len(out), hit
+    out[:] = opm_dot(attach_view(task.stacked), task.weights, task.intercept)
 
 
 class Shard:

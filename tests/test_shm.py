@@ -3,15 +3,16 @@
 Three contracts under test:
 
 * **correctness** — descriptors round-trip arrays bit-exactly, stale
-  generations are fenced, the digest-addressed weight vault publishes
-  once, and a gateway dispatching over the plane matches the inline
-  path through a hot swap, fused dispatch, an injected shard death,
-  and units that cannot be staged (which run inline);
-* **hygiene** — no ``/dev/shm`` segment survives pool close, ``reset``,
-  an injected worker death, SIGTERM, or even a SIGKILLed parent (the
-  autouse fixture sweeps after every test);
-* **placement** — fused units re-split across workers so weight dedup
-  never serializes the fleet.
+  generations and unmapped slabs are fenced, and a gateway dispatching
+  over the plane matches the inline path through a hot swap, fused
+  dispatch, an injected shard death, a worker death after the pool's
+  warm-up, and units that cannot be staged (which run inline);
+* **lifecycle** — the plane is anonymous memory mapped before the
+  workers fork: closing or resetting the pool unmaps it, a pool that
+  cannot fork has none, no test adds or removes a ``/dev/shm`` entry
+  (the autouse fixture checks), and a SIGKILLed parent's workers exit;
+* **placement** — fused units re-split across workers so fusing never
+  serializes the fleet.
 """
 
 import os
@@ -27,17 +28,11 @@ import pytest
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import WorkerPool
 from repro.parallel.shm import (
-    HAVE_SHM,
     ShmArena,
     ShmDataPlane,
     ShmError,
     ShmRef,
-    WeightVault,
     attach_view,
-    leaked_segments,
-    qmodel_digest,
-    resident_weights,
-    weights_digest,
 )
 from repro.opm import OpmMeter, QuantizedModel
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultSpec
@@ -45,17 +40,17 @@ from repro.serve import Gateway, InprocClient, ModelRegistry
 from repro.serve.shard import ShmGemvTask
 from repro.stream.session import DrainGroup
 
-pytestmark = pytest.mark.skipif(
-    not HAVE_SHM, reason="multiprocessing.shared_memory unavailable"
-)
+
+def _dev_shm() -> set:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
 
 
 @pytest.fixture(autouse=True)
-def shm_hygiene():
-    """Every test starts and ends with a clean ``/dev/shm``."""
-    assert leaked_segments() == []
+def dev_shm_unchanged():
+    """The plane names nothing: no test touches ``/dev/shm``."""
+    before = _dev_shm()
     yield
-    assert leaked_segments() == []
+    assert _dev_shm() == before
 
 
 def _qmodel(q=6, seed=0):
@@ -76,6 +71,15 @@ def _registry(q=6):
     return reg
 
 
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` is a running (not exited or zombie) process."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 # --------------------------------------------------------------------- #
 # Arena: descriptors, rings, generations
 # --------------------------------------------------------------------- #
@@ -86,7 +90,6 @@ class TestShmArena:
             arr = np.arange(300, dtype=np.int64).reshape(30, 10)
             ref = arena.write(arr)
             assert ref is not None
-            np.testing.assert_array_equal(arena.view(ref), arr)
             np.testing.assert_array_equal(attach_view(ref), arr)
             assert ref.nbytes == arr.nbytes
             assert 0.0 < arena.occupancy <= 1.0
@@ -103,7 +106,7 @@ class TestShmArena:
             ]
             ref = arena.write_concat(mats)
             np.testing.assert_array_equal(
-                arena.view(ref), np.concatenate(mats)
+                attach_view(ref), np.concatenate(mats)
             )
         finally:
             arena.close()
@@ -123,8 +126,6 @@ class TestShmArena:
             ref = arena.write(np.arange(8))
             arena.begin_tick()  # all prior descriptors go stale
             with pytest.raises(ShmError, match="stale"):
-                arena.view(ref)
-            with pytest.raises(ShmError, match="stale"):
                 attach_view(ref)
         finally:
             arena.close()
@@ -132,9 +133,9 @@ class TestShmArena:
     def test_foreign_segment_rejected(self):
         arena = ShmArena(lanes=1, slab_bytes=1 << 12)
         try:
-            ref = ShmRef("apollo-not-mine", 0, "<i8", (4,), 0)
-            with pytest.raises(ShmError, match="foreign"):
-                arena.view(ref)
+            ref = ShmRef(-1, 0, "<i8", (4,), 1)
+            with pytest.raises(ShmError, match="not mapped"):
+                attach_view(ref)
         finally:
             arena.close()
 
@@ -142,95 +143,69 @@ class TestShmArena:
         arena = ShmArena(lanes=1, slab_bytes=1 << 12)
         ref = arena.write(np.arange(8))
         arena.close()
-        with pytest.raises(ShmError):
+        with pytest.raises(ShmError, match="not mapped"):
             attach_view(ref)
 
 
 # --------------------------------------------------------------------- #
-# Weight vault: publish-once, digests, retirement
-# --------------------------------------------------------------------- #
-class TestWeightVault:
-    def test_publish_once_per_digest(self):
-        vault = WeightVault()
-        try:
-            w = np.arange(6, dtype=np.int64)
-            d = weights_digest(w, 40)
-            ref1 = vault.ensure(d, w, 40)
-            ref2 = vault.ensure(d, w, 40)
-            assert ref1 is ref2 and vault.published == 1
-            assert d in vault
-            view, intercept, _hit = resident_weights(ref1)
-            np.testing.assert_array_equal(view, w)
-            assert intercept == 40
-            assert not view.flags.writeable  # workers read, never write
-        finally:
-            vault.close()
-
-    def test_retire_unlinks_segment(self):
-        vault = WeightVault()
-        try:
-            w = np.arange(6, dtype=np.int64)
-            d = weights_digest(w, 0)
-            vault.ensure(d, w, 0)
-            assert vault.retire(d)
-            assert not vault.retire(d)  # second retire is a no-op
-            assert d not in vault and vault.retired == 1
-            assert leaked_segments() == []
-        finally:
-            vault.close()
-
-    def test_digest_covers_values_dtype_and_intercept(self):
-        w = np.arange(6, dtype=np.int64)
-        assert weights_digest(w, 1) != weights_digest(w, 2)
-        assert weights_digest(w, 1) != weights_digest(w + 1, 1)
-        assert weights_digest(w, 1) != weights_digest(
-            w.astype(np.int32), 1
-        )
-
-    def test_qmodel_digest_is_content_addressed(self):
-        a, b = _qmodel(seed=5), _qmodel(seed=5)
-        assert qmodel_digest(a) == qmodel_digest(b)  # equal content
-        assert qmodel_digest(a) == qmodel_digest(a)  # cached
-        assert qmodel_digest(a) != qmodel_digest(_qmodel(seed=6))
-
-
-# --------------------------------------------------------------------- #
-# Plane lifecycle + pool hygiene
+# Plane lifecycle
 # --------------------------------------------------------------------- #
 class TestPlaneHygiene:
     def test_plane_close_is_idempotent(self):
         plane = ShmDataPlane(lanes=2, slab_bytes=1 << 14)
-        names = plane.segment_names()
-        assert names and leaked_segments() == sorted(names)
-        stats = plane.stats()
-        assert stats["weights_published"] == 0
+        ref = plane.requests.write(np.arange(8))
+        np.testing.assert_array_equal(attach_view(ref), np.arange(8))
         plane.close()
         plane.close()
-        assert plane.closed and leaked_segments() == []
+        assert plane.closed
+        with pytest.raises(ShmError, match="not mapped"):
+            attach_view(ref)
 
     def test_plane_context_manager(self):
         with ShmDataPlane(lanes=1, slab_bytes=1 << 14) as plane:
-            assert leaked_segments() == sorted(plane.segment_names())
-        assert leaked_segments() == []
+            ref, view = plane.results.alloc((4,), np.int64)
+            view[:] = 7
+            np.testing.assert_array_equal(attach_view(ref), [7] * 4)
+        assert plane.closed
+        with pytest.raises(ShmError, match="not mapped"):
+            attach_view(ref)
 
     def test_pool_close_unlinks_segments(self):
         pool = WorkerPool(2, transport="shm", slab_bytes=1 << 14)
-        assert pool.plane is not None  # lazy-create
-        assert leaked_segments() != []
+        plane = pool.plane
+        assert plane is not None  # mapped at construction
         pool.close()
-        assert leaked_segments() == []
+        assert pool.plane is None and plane.closed
 
     def test_pool_reset_recycles_plane(self):
         pool = WorkerPool(2, transport="shm", slab_bytes=1 << 14)
         try:
-            old = pool.plane.segment_names()
+            old = pool.plane
             pool.reset()
-            assert all(n not in leaked_segments() for n in old)
-            fresh = pool.plane.segment_names()  # new plane on next use
-            assert fresh and set(fresh).isdisjoint(old)
+            fresh = pool.plane
+            assert old.closed and not fresh.closed
+            keys = {s.key for s in fresh.requests.slabs}
+            assert keys.isdisjoint(s.key for s in old.requests.slabs)
         finally:
             pool.close()
-        assert leaked_segments() == []
+
+    def test_pool_without_fork_has_no_plane(self, monkeypatch):
+        """Spawned workers cannot inherit a mapping: no plane, so the
+        gateway serves inline."""
+        inline, _ = _run_fleet(None)
+        monkeypatch.setenv("REPRO_MP_START", "spawn")
+        pool = WorkerPool(2, transport="shm", slab_bytes=1 << 14)
+        calls = []
+        pool.map = lambda *args, **kw: calls.append(args)
+        try:
+            assert pool.plane is None
+            served, _ = _run_fleet(pool)
+        finally:
+            pool.close()
+        assert calls == []
+        np.testing.assert_array_equal(
+            inline.view(np.uint8), served.view(np.uint8)
+        )
 
     def test_injected_worker_death_leaves_no_segments(self):
         metrics = MetricsRegistry()
@@ -254,18 +229,49 @@ class TestPlaneHygiene:
                 name = client.open(f"c{i}")
                 client.push(name, stim, last=True)
             gw.drain()  # worker dies mid-flight; dispatch recovers
+            assert faults.fired and pool.plane.requests.ticks > 0
         finally:
             pool.close()
-        assert leaked_segments() == []
+
+    def test_worker_death_after_warm_up_keeps_serving(self):
+        """Workers forked before the plane's first tick, and the ones
+        the pool respawns after a worker dies, all see every slab."""
+        qm = _qmodel(seed=1)
+        reg = ModelRegistry()
+        reg.publish("v1", qm, activate=True)
+        rng = np.random.default_rng(5)
+        stims = [
+            rng.integers(0, 2, size=(64, 6), dtype=np.uint8)
+            for _ in range(4)
+        ]
+        pool = WorkerPool(2, transport="shm", slab_bytes=1 << 20)
+        try:
+            pool.map(abs, range(2))  # fork the workers before any tick
+            gw = Gateway(reg, n_shards=2, t=4, pool=pool)
+            client = InprocClient(gw)
+            names = [client.open(f"c{i}") for i in range(4)]
+            for name, stim in zip(names, stims):
+                client.push(name, stim[:32])
+            gw.tick()
+            os.kill(next(iter(pool._executor._processes)), signal.SIGKILL)
+            time.sleep(0.5)  # let whatever the death triggers happen
+            for name, stim in zip(names, stims):
+                client.push(name, stim[32:], last=True)
+            gw.drain()
+            assert pool.plane.requests.ticks >= 2 and not pool.degraded
+        finally:
+            pool.close()
+        meter = OpmMeter(qm, t=4)
+        for name, stim in zip(names, stims):
+            np.testing.assert_array_equal(
+                client.windows(name).view(np.uint8),
+                meter.read(stim).view(np.uint8),
+            )
 
     def test_sigkill_cleans_up_via_worker_watchdog(self):
-        """Even SIGKILL (no atexit) leaves ``/dev/shm`` clean.
-
-        The parent's registrations live in the shared resource
-        tracker, which unlinks them once every holder of its pipe is
-        gone; the pool workers' parent watchdog guarantees the orphans
-        exit instead of blocking forever on the dead call queue.
-        """
+        """A SIGKILLed parent runs no cleanup at all; its pool workers
+        must still exit (the parent watchdog) rather than block forever
+        on a dead call queue, holding the plane's memory."""
         script = textwrap.dedent("""
             import time
             import numpy as np
@@ -288,64 +294,31 @@ class TestPlaneHygiene:
             for i in range(4):
                 name = client.open(f"c{i}")
                 client.push(name, stim, last=True)
-            gw.drain()  # workers live, segments published
-            print("ready", flush=True)
+            gw.drain()  # workers live, plane in use
+            print(*pool._executor._processes, flush=True)
             time.sleep(120)
         """)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in ("src", env.get("PYTHONPATH", "")) if p
         )
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-c", script],
             stdout=subprocess.PIPE, text=True, env=env,
             cwd=os.path.dirname(os.path.dirname(__file__)),
-        )
-        try:
-            assert proc.stdout.readline().strip() == "ready"
-            prefix = f"apollo{proc.pid}"
-            assert leaked_segments(prefix=prefix) != []
-            proc.send_signal(signal.SIGKILL)
-            proc.wait(timeout=30)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if leaked_segments(prefix=prefix) == []:
-                    break
-                time.sleep(0.5)
-        finally:
-            proc.kill()
-        assert leaked_segments(prefix=prefix) == []
-
-    def test_sigterm_sweeps_planes(self, tmp_path):
-        """A SIGTERM'd serve process leaves ``/dev/shm`` clean."""
-        script = textwrap.dedent("""
-            import os, signal, sys, time
-            from repro.parallel.shm import (
-                ShmDataPlane, install_signal_cleanup,
-            )
-            install_signal_cleanup()
-            plane = ShmDataPlane(lanes=2, slab_bytes=1 << 14)
-            print("ready", flush=True)
-            while True:
-                time.sleep(0.05)
-        """)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in ("src", env.get("PYTHONPATH", "")) if p
-        )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE, text=True, env=env,
-            cwd=os.path.dirname(os.path.dirname(__file__)),
-        )
-        try:
-            assert proc.stdout.readline().strip() == "ready"
-            proc.send_signal(signal.SIGTERM)
-            rc = proc.wait(timeout=30)
-        finally:
-            proc.kill()
-        assert rc == 128 + signal.SIGTERM
-        assert leaked_segments(prefix=f"apollo{proc.pid}") == []
+        ) as proc:
+            try:
+                workers = [int(pid) for pid in proc.stdout.readline().split()]
+                assert len(workers) == 2 and all(map(_alive, workers))
+                proc.send_signal(signal.SIGKILL)
+                proc.wait(timeout=30)
+                deadline = time.monotonic() + 30
+                while (any(map(_alive, workers))
+                       and time.monotonic() < deadline):
+                    time.sleep(0.2)
+            finally:
+                proc.kill()
+        assert not any(map(_alive, workers))
 
 
 # --------------------------------------------------------------------- #
@@ -378,18 +351,14 @@ def test_gateway_shm_matches_inline_through_swap_and_death():
     pool = WorkerPool(2, transport="shm", slab_bytes=1 << 22)
     try:
         shm_out, v_shm = _run_fleet(pool)
-        plane = pool.active_plane
-        assert plane is not None
-        # both model versions went resident exactly once each
-        assert plane.vault.published == 2
-        assert plane.fallbacks == 0
+        assert pool.plane.requests.ticks > 0  # units were staged
+        assert pool.plane.fallbacks == 0
     finally:
         pool.close()
     assert v_inline == v_shm == ["v1"] * 4 + ["v2"] * 2
     np.testing.assert_array_equal(
         inline.view(np.uint8), shm_out.view(np.uint8)
     )
-    assert leaked_segments() == []
 
 
 def test_gateway_shm_slab_overflow_falls_back_inline():
@@ -398,7 +367,7 @@ def test_gateway_shm_slab_overflow_falls_back_inline():
     pool = WorkerPool(2, transport="shm", slab_bytes=1 << 10)
     try:
         shm_out, _ = _run_fleet(pool)
-        assert pool.active_plane.fallbacks > 0
+        assert pool.plane.fallbacks > 0
     finally:
         pool.close()
     np.testing.assert_array_equal(
@@ -458,7 +427,7 @@ def test_widest_admitted_model_served_exactly(placement):
     try:
         windows, sums = _serve_wide(pool)
         if pool is not None:
-            assert pool.active_plane.fallbacks == 0
+            assert pool.plane.fallbacks == 0
     finally:
         if pool is not None:
             pool.close()
@@ -505,7 +474,7 @@ def test_injected_slab_overflow_runs_units_inline():
     pool.map = spy_map
     try:
         shm_out = _run_chunked_fleet(pool, faults=FaultInjector(plan))
-        assert pool.active_plane.fallbacks > 0
+        assert pool.plane.fallbacks > 0
     finally:
         pool.close()
     assert shipped  # the ticks around the overflow dispatched
