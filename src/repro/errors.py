@@ -27,7 +27,6 @@ __all__ = [
     "CheckpointError",
     "CacheCorruptionError",
     "TransientFault",
-    "BreakerOpenError",
 ]
 
 
@@ -120,12 +119,3 @@ class CacheCorruptionError(ResilienceError):
 class TransientFault(ResilienceError):
     """A recoverable injected or transient fault; retry policies treat
     it as retryable by default."""
-
-
-class BreakerOpenError(ResilienceError):
-    """Raised when a :class:`~repro.resilience.breaker.CircuitBreaker`
-    fast-fails a call because the protected dependency is tripped.
-
-    Deliberately *not* a :class:`TransientFault` subclass: retry
-    policies must not spin on an open breaker — the breaker itself
-    decides when a probe is allowed again."""

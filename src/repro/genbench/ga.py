@@ -40,8 +40,8 @@ from repro.isa.program import (
     DEFAULT_MIX,
     InstructionMix,
     Program,
+    random_instruction,
     random_program,
-    _random_instruction,
 )
 from repro.isa.instructions import IClass, Opcode
 
@@ -409,7 +409,7 @@ class BenchmarkEvolver:
             if self._rng.random() < self.config.mutation_rate:
                 op = Opcode(int(self._rng.integers(0, len(Opcode))))
                 insts.append(
-                    _random_instruction(
+                    random_instruction(
                         self._rng, op, DEFAULT_MIX,
                         mem_offset=int(self._rng.integers(0, 512)),
                     )

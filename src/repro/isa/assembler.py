@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from repro.errors import IsaError
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import OPCODE_TABLE, Instruction, Opcode
 
 __all__ = ["assemble", "assemble_line", "disassemble"]
 
@@ -50,53 +50,18 @@ def assemble_line(line: str) -> Instruction | None:
         op = Opcode[mnemonic.upper()]
     except KeyError as exc:
         raise IsaError(f"unknown mnemonic {mnemonic!r}") from exc
-
-    if op == Opcode.NOP:
-        return Instruction(op)
-    if op == Opcode.MOVI:
-        _expect(args, 2, text)
-        return Instruction(op, dst=_parse_reg(args[0], "x"),
-                           imm=_parse_imm(args[1]))
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
-        _expect(args, 3, text)
-        return Instruction(
-            op,
-            dst=_parse_reg(args[0], "x"),
-            src1=_parse_reg(args[1], "x"),
-            src2=_parse_reg(args[2], "x"),
-        )
-    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
-        _expect(args, 3, text)
-        return Instruction(
-            op,
-            dst=_parse_reg(args[0], "v"),
-            src1=_parse_reg(args[1], "v"),
-            src2=_parse_reg(args[2], "v"),
-        )
-    if op in (Opcode.LD, Opcode.VLD):
-        _expect(args, 2, text)
-        imm, base = _parse_mem(args[1])
-        kind = "x" if op == Opcode.LD else "v"
-        return Instruction(
-            op, dst=_parse_reg(args[0], kind), src1=base, imm=imm
-        )
-    if op in (Opcode.ST, Opcode.VST):
-        _expect(args, 2, text)
-        imm, base = _parse_mem(args[1])
-        kind = "x" if op == Opcode.ST else "v"
-        return Instruction(
-            op, src2=_parse_reg(args[0], kind), src1=base, imm=imm
-        )
-    if op in (Opcode.BEQ, Opcode.BNE):
-        _expect(args, 3, text)
-        return Instruction(
-            op,
-            src1=_parse_reg(args[0], "x"),
-            src2=_parse_reg(args[1], "x"),
-            imm=_parse_imm(args[2]),
-        )
-    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+    operands = OPCODE_TABLE[op].operands
+    if operands:  # ``nop`` ignores whatever follows it
+        _expect(args, len(operands), text)
+    fields = {}
+    for token, (kind, field) in zip(args, operands):
+        if kind == "imm":
+            fields["imm"] = _parse_imm(token)
+        elif kind == "mem":
+            fields["imm"], fields["src1"] = _parse_mem(token)
+        else:
+            fields[field] = _parse_reg(token, kind)
+    return Instruction(op, **fields)
 
 
 def _expect(args: list[str], n: int, text: str) -> None:
@@ -126,25 +91,11 @@ def assemble(source: str) -> list[Instruction]:
 
 def disassemble(inst: Instruction) -> str:
     """Render an instruction back to assembly text."""
-    op = inst.opcode
-    name = op.name.lower()
-    if op == Opcode.NOP:
-        return "nop"
-    if op == Opcode.MOVI:
-        return f"movi x{inst.dst}, {inst.imm}"
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
-        return f"{name} x{inst.dst}, x{inst.src1}, x{inst.src2}"
-    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
-        return f"{name} v{inst.dst}, v{inst.src1}, v{inst.src2}"
-    if op == Opcode.LD:
-        return f"ld x{inst.dst}, {inst.imm}(x{inst.src1})"
-    if op == Opcode.VLD:
-        return f"vld v{inst.dst}, {inst.imm}(x{inst.src1})"
-    if op == Opcode.ST:
-        return f"st x{inst.src2}, {inst.imm}(x{inst.src1})"
-    if op == Opcode.VST:
-        return f"vst v{inst.src2}, {inst.imm}(x{inst.src1})"
-    if op in (Opcode.BEQ, Opcode.BNE):
-        return f"{name} x{inst.src1}, x{inst.src2}, {inst.imm}"
-    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+    name = inst.opcode.name.lower()
+    operands = ", ".join([
+        f"{inst.imm}" if kind == "imm"
+        else f"{inst.imm}(x{inst.src1})" if kind == "mem"
+        else f"{kind}{getattr(inst, field)}"
+        for kind, field in OPCODE_TABLE[inst.opcode].operands
+    ])
+    return f"{name} {operands}" if operands else name

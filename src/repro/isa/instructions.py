@@ -4,12 +4,17 @@
 lane count is a core parameter, 16-bit data words, word-addressed memory.
 Encodings are 32-bit and deterministic, so fetch/decode datapath toggles
 depend on real instruction bits.
+
+Every per-opcode fact is one row of :data:`OPCODE_TABLE`; the assembler,
+the program generator, the semantics and the pipeline's decode read the
+row instead of naming opcodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from typing import Callable, NamedTuple
 
 from repro.errors import IsaError
 
@@ -17,6 +22,8 @@ __all__ = [
     "Opcode",
     "IClass",
     "Instruction",
+    "OpcodeInfo",
+    "OPCODE_TABLE",
     "CLASS_OF",
     "ALL_OPCODES",
     "N_XREGS",
@@ -69,27 +76,115 @@ class IClass(Enum):
     BRANCH = "branch"
 
 
+_REG_FIELDS = ("dst", "src1", "src2")
+
+
+class OpcodeInfo(NamedTuple):
+    """One opcode's row of :data:`OPCODE_TABLE`.
+
+    ``fmt`` is the operand format the generator and the semantics
+    dispatch on.  ``operands`` lists the assembly operands in order as
+    ``(kind, field)``: a register (``kind`` ``"x"`` or ``"v"``, its
+    file), the immediate (``"imm"``) or a memory operand ``imm(xN)``
+    with its base in ``src1`` (``"mem"``).  ``fn`` computes the result
+    from operand values: ``(a, b)`` for ``rrr``, ``(a, b, acc)`` for
+    ``mac``, one lane's ``(d, a, b)`` for ``vvv``, and the taken flag
+    from ``(a, b)`` for ``branch``.  The last two fields follow from the
+    vector reads and write.
+    """
+
+    opcode: Opcode
+    iclass: IClass
+    fmt: str
+    operands: tuple[tuple[str, str], ...]
+    x_reads: tuple[str, ...]  # register fields read, scalar file
+    v_reads: tuple[str, ...]  # register fields read, vector file
+    x_write: str | None  # register field written, scalar file
+    v_write: str | None  # register field written, vector file
+    unit_op: int  # ``alu{i}/op`` or ``vec{i}/op`` code
+    fn: Callable | None
+    vector_fields: frozenset[str]  # fields indexing the vector file
+    limits: tuple[int, int, int]  # register-file size of dst, src1, src2
+
+
+def _op(opcode, iclass, fmt, operands, reads="", write="", unit_op=0,
+        fn=None) -> OpcodeInfo:
+    """One row, from space-separated ``file.field`` words: the assembly
+    ``operands`` in order (``imm`` and ``mem`` are not registers), the
+    fields ``reads`` reads in field order, and the one it ``write``s."""
+    read = [w.split(".") for w in reads.split()]
+    w_file, _, w_field = write.partition(".")
+    v_reads = tuple(f for file, f in read if file == "v")
+    v_write = w_field if w_file == "v" else None
+    vector_fields = frozenset(v_reads + ((v_write,) if v_write else ()))
+    return OpcodeInfo(
+        opcode,
+        iclass,
+        fmt,
+        tuple(tuple(w.partition(".")[::2]) for w in operands.split()),
+        tuple(f for file, f in read if file == "x"),
+        v_reads,
+        w_field if w_file == "x" else None,
+        v_write,
+        unit_op,
+        fn,
+        vector_fields,
+        tuple(N_VREGS if f in vector_fields else N_XREGS
+              for f in _REG_FIELDS),
+    )
+
+
+_X3 = "x.dst x.src1 x.src2"
+_V3 = "v.dst v.src1 v.src2"
+_XAB = "x.src1 x.src2"
+_VAB = "v.src1 v.src2"
+
+#: Every opcode's row, keyed by opcode.  Rows are grouped by class and,
+#: within a class, in the order the program generator draws them.  The
+#: unit op is the code driven on ``alu{i}/op`` (branches compare via
+#: subtract) or ``vec{i}/op`` (vector memory ops move data through the
+#: vector unit); other units have no op channel.
+OPCODE_TABLE: dict[Opcode, OpcodeInfo] = {row.opcode: row for row in (
+    _op(Opcode.NOP, IClass.NOP, "nop", ""),
+    _op(Opcode.ADD, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 0,
+        lambda a, b: (a + b) & WORD_MASK),
+    _op(Opcode.SUB, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 1,
+        lambda a, b: (a - b) & WORD_MASK),
+    _op(Opcode.AND, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 2,
+        lambda a, b: a & b),
+    _op(Opcode.OR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 3,
+        lambda a, b: a | b),
+    _op(Opcode.XOR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 4,
+        lambda a, b: a ^ b),
+    _op(Opcode.SHL, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 5,
+        lambda a, b: (a << (b & 0xF)) & WORD_MASK),
+    _op(Opcode.SHR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 6,
+        lambda a, b: (a >> (b & 0xF)) & WORD_MASK),
+    _op(Opcode.MOVI, IClass.ALU, "movi", "x.dst imm", "", "x.dst", 7),
+    _op(Opcode.MUL, IClass.MUL, "rrr", _X3, _XAB, "x.dst", 0,
+        lambda a, b: (a * b) & WORD_MASK),
+    _op(Opcode.MAC, IClass.MUL, "mac", _X3, "x.dst " + _XAB, "x.dst", 0,
+        lambda a, b, acc: (acc + a * b) & WORD_MASK),
+    _op(Opcode.VADD, IClass.VEC, "vvv", _V3, _VAB, "v.dst", 0,
+        lambda d, a, b: (a + b) & WORD_MASK),
+    _op(Opcode.VMUL, IClass.VMUL, "vvv", _V3, _VAB, "v.dst", 1,
+        lambda d, a, b: (a * b) & WORD_MASK),
+    _op(Opcode.VMAC, IClass.VMUL, "vvv", _V3, "v.dst " + _VAB, "v.dst", 2,
+        lambda d, a, b: (d + a * b) & WORD_MASK),
+    _op(Opcode.LD, IClass.MEM, "load", "x.dst mem", "x.src1", "x.dst"),
+    _op(Opcode.ST, IClass.MEM, "store", "x.src2 mem", _XAB),
+    _op(Opcode.VLD, IClass.VMEM, "vload", "v.dst mem", "x.src1", "v.dst",
+        3),
+    _op(Opcode.VST, IClass.VMEM, "vstore", "v.src2 mem",
+        "x.src1 v.src2", "", 3),
+    _op(Opcode.BEQ, IClass.BRANCH, "branch", "x.src1 x.src2 imm", _XAB,
+        "", 1, lambda a, b: a == b),
+    _op(Opcode.BNE, IClass.BRANCH, "branch", "x.src1 x.src2 imm", _XAB,
+        "", 1, lambda a, b: a != b),
+)}
+
 CLASS_OF: dict[Opcode, IClass] = {
-    Opcode.NOP: IClass.NOP,
-    Opcode.MOVI: IClass.ALU,
-    Opcode.ADD: IClass.ALU,
-    Opcode.SUB: IClass.ALU,
-    Opcode.AND: IClass.ALU,
-    Opcode.OR: IClass.ALU,
-    Opcode.XOR: IClass.ALU,
-    Opcode.SHL: IClass.ALU,
-    Opcode.SHR: IClass.ALU,
-    Opcode.MUL: IClass.MUL,
-    Opcode.MAC: IClass.MUL,
-    Opcode.VADD: IClass.VEC,
-    Opcode.VMUL: IClass.VMUL,
-    Opcode.VMAC: IClass.VMUL,
-    Opcode.LD: IClass.MEM,
-    Opcode.ST: IClass.MEM,
-    Opcode.VLD: IClass.VMEM,
-    Opcode.VST: IClass.VMEM,
-    Opcode.BEQ: IClass.BRANCH,
-    Opcode.BNE: IClass.BRANCH,
+    code: OPCODE_TABLE[code].iclass for code in Opcode
 }
 
 ALL_OPCODES: tuple[Opcode, ...] = tuple(Opcode)
@@ -111,12 +206,11 @@ class Instruction:
     imm: int = 0
 
     def __post_init__(self) -> None:
-        for field_name, v in (
-            ("dst", self.dst),
-            ("src1", self.src1),
-            ("src2", self.src2),
+        for field_name, v, limit in zip(
+            _REG_FIELDS,
+            (self.dst, self.src1, self.src2),
+            OPCODE_TABLE[self.opcode].limits,
         ):
-            limit = N_VREGS if field_name in self.vector_fields else N_XREGS
             if not (0 <= v < limit):
                 raise IsaError(
                     f"{self.opcode.name}: register field {field_name}={v} "
@@ -130,19 +224,12 @@ class Instruction:
 
     @property
     def iclass(self) -> IClass:
-        return CLASS_OF[self.opcode]
+        return OPCODE_TABLE[self.opcode].iclass
 
     @property
     def vector_fields(self) -> frozenset[str]:
         """Names of register fields indexing the vector register file."""
-        op = self.opcode
-        if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
-            return frozenset(("dst", "src1", "src2"))
-        if op == Opcode.VLD:
-            return frozenset(("dst",))
-        if op == Opcode.VST:
-            return frozenset(("src2",))
-        return frozenset()
+        return OPCODE_TABLE[self.opcode].vector_fields
 
     @property
     def uses_vector_regs(self) -> bool:
@@ -180,58 +267,22 @@ class Instruction:
     @property
     def reads_scalar(self) -> list[int]:
         """Scalar register reads (for dependence tracking)."""
-        op = self.opcode
-        if op in (Opcode.NOP, Opcode.MOVI):
-            return []
-        if op in (Opcode.LD, Opcode.VLD):
-            return [self.src1]
-        if op == Opcode.ST:
-            return [self.src1, self.src2]
-        if op == Opcode.VST:
-            return [self.src1]
-        if op in (Opcode.BEQ, Opcode.BNE):
-            return [self.src1, self.src2]
-        if op == Opcode.MAC:
-            return [self.dst, self.src1, self.src2]
-        if self.uses_vector_regs:
-            return []
-        return [self.src1, self.src2]
+        return [getattr(self, f) for f in OPCODE_TABLE[self.opcode].x_reads]
 
     @property
     def reads_vector(self) -> list[int]:
-        op = self.opcode
-        if op in (Opcode.VADD, Opcode.VMUL):
-            return [self.src1, self.src2]
-        if op == Opcode.VMAC:
-            return [self.dst, self.src1, self.src2]
-        if op == Opcode.VST:
-            return [self.src2]
-        return []
+        return [getattr(self, f) for f in OPCODE_TABLE[self.opcode].v_reads]
 
     @property
     def writes_scalar(self) -> int | None:
-        op = self.opcode
-        if op in (
-            Opcode.MOVI,
-            Opcode.ADD,
-            Opcode.SUB,
-            Opcode.AND,
-            Opcode.OR,
-            Opcode.XOR,
-            Opcode.SHL,
-            Opcode.SHR,
-            Opcode.MUL,
-            Opcode.MAC,
-            Opcode.LD,
-        ):
-            return self.dst if self.dst != 0 else None
-        return None
+        """The scalar register written; ``None`` for x0 (hardwired zero)."""
+        field = OPCODE_TABLE[self.opcode].x_write
+        return (getattr(self, field) or None) if field else None
 
     @property
     def writes_vector(self) -> int | None:
-        if self.opcode in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC, Opcode.VLD):
-            return self.dst
-        return None
+        field = OPCODE_TABLE[self.opcode].v_write
+        return getattr(self, field) if field else None
 
     def __str__(self) -> str:
         from repro.isa.assembler import disassemble

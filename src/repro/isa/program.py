@@ -14,6 +14,7 @@ import numpy as np
 from repro.errors import IsaError
 from repro.isa.assembler import disassemble
 from repro.isa.instructions import (
+    OPCODE_TABLE,
     IClass,
     Instruction,
     N_VREGS,
@@ -21,27 +22,22 @@ from repro.isa.instructions import (
     Opcode,
 )
 
-__all__ = ["Program", "InstructionMix", "random_program", "DEFAULT_MIX"]
+__all__ = [
+    "Program",
+    "InstructionMix",
+    "random_program",
+    "random_instruction",
+    "DEFAULT_MIX",
+]
 
-_CLASS_OPCODES: dict[IClass, tuple[Opcode, ...]] = {
-    IClass.NOP: (Opcode.NOP,),
-    IClass.ALU: (
-        Opcode.ADD,
-        Opcode.SUB,
-        Opcode.AND,
-        Opcode.OR,
-        Opcode.XOR,
-        Opcode.SHL,
-        Opcode.SHR,
-        Opcode.MOVI,
-    ),
-    IClass.MUL: (Opcode.MUL, Opcode.MAC),
-    IClass.VEC: (Opcode.VADD,),
-    IClass.VMUL: (Opcode.VMUL, Opcode.VMAC),
-    IClass.MEM: (Opcode.LD, Opcode.ST),
-    IClass.VMEM: (Opcode.VLD, Opcode.VST),
-    IClass.BRANCH: (Opcode.BEQ, Opcode.BNE),
+#: Each class's opcodes, in the table's (draw) order.
+_CLASS_DRAWS: dict[IClass, tuple[Opcode, ...]] = {
+    c: tuple(op for op, row in OPCODE_TABLE.items() if row.iclass is c)
+    for c in IClass
 }
+
+#: Base registers of memory ops, seeded by ``random_program``'s preamble.
+_BASE_REGS = (13, 14, 15)
 
 
 @dataclass(frozen=True)
@@ -142,9 +138,8 @@ def random_program(
     classes, probs = mix.normalized()
     insts: list[Instruction] = []
 
-    base_regs = (13, 14, 15)
     region = max(8, mix.mem_region_words)
-    for i, reg in enumerate(base_regs):
+    for reg in _BASE_REGS:
         insts.append(
             Instruction(
                 Opcode.MOVI,
@@ -156,10 +151,9 @@ def random_program(
     mem_offset = 0
     while len(insts) < length:
         iclass = classes[int(rng.choice(len(classes), p=probs))]
-        op = _CLASS_OPCODES[iclass][
-            int(rng.integers(0, len(_CLASS_OPCODES[iclass])))
-        ]
-        insts.append(_random_instruction(rng, op, mix, mem_offset))
+        ops = _CLASS_DRAWS[iclass]
+        op = ops[int(rng.integers(0, len(ops)))]
+        insts.append(random_instruction(rng, op, mix, mem_offset))
         if iclass in (IClass.MEM, IClass.VMEM):
             mem_offset = (mem_offset + mix.mem_stride) % max(
                 1, mix.mem_region_words
@@ -167,35 +161,44 @@ def random_program(
     return Program(name=name, instructions=tuple(insts[:length]))
 
 
-def _random_instruction(
+def random_instruction(
     rng: np.random.Generator,
     op: Opcode,
-    mix: InstructionMix,
-    mem_offset: int,
+    mix: InstructionMix = DEFAULT_MIX,
+    mem_offset: int = 0,
 ) -> Instruction:
-    xr = lambda: int(rng.integers(0, N_XREGS))  # noqa: E731
-    vr = lambda: int(rng.integers(0, N_VREGS))  # noqa: E731
-    if op == Opcode.NOP:
+    """Draw random operands for one ``op`` instruction.
+
+    Memory ops address ``mem_offset`` off a preamble base register;
+    branches jump 1-5 instructions, backward with the mix's
+    ``branch_backward_frac``.
+    """
+    draw = {
+        "x": lambda: int(rng.integers(0, N_XREGS)),
+        "v": lambda: int(rng.integers(0, N_VREGS)),
+    }
+    row = OPCODE_TABLE[op]
+    if row.fmt == "nop":
         return Instruction(op)
-    if op == Opcode.MOVI:
-        return Instruction(op, dst=xr(), imm=int(rng.integers(-2048, 2048)))
-    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
-        return Instruction(op, dst=xr(), src1=xr(), src2=xr())
-    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
-        return Instruction(op, dst=vr(), src1=vr(), src2=vr())
-    if op in (Opcode.LD, Opcode.ST, Opcode.VLD, Opcode.VST):
-        base = int(rng.choice((13, 14, 15)))
-        imm = min(2047, mem_offset)
-        if op in (Opcode.LD, Opcode.VLD):
-            dst = xr() if op == Opcode.LD else vr()
-            return Instruction(op, dst=dst, src1=base, imm=imm)
-        data = xr() if op == Opcode.ST else vr()
-        return Instruction(op, src1=base, src2=data, imm=imm)
-    if op in (Opcode.BEQ, Opcode.BNE):
+    if row.fmt == "movi":
+        return Instruction(
+            op, dst=draw["x"](), imm=int(rng.integers(-2048, 2048))
+        )
+    if row.fmt == "branch":
         backward = rng.random() < mix.branch_backward_frac
         dist = int(rng.integers(1, 6))
         return Instruction(
-            op, src1=xr(), src2=xr(), imm=-dist if backward else dist
+            op, src1=draw["x"](), src2=draw["x"](),
+            imm=-dist if backward else dist,
         )
-    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+    if row.fmt in ("rrr", "mac", "vvv"):  # three registers, dst first
+        return Instruction(
+            op, **{field: draw[file]() for file, field in row.operands}
+        )
+    # A memory op: its base register, then its data register (the first
+    # assembly operand: a load's dst, a store's src2).
+    base = int(rng.choice(_BASE_REGS))
+    file, field = row.operands[0]
+    return Instruction(
+        op, src1=base, imm=min(2047, mem_offset), **{field: draw[file]()}
+    )

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import IsaError
 from repro.isa.instructions import (
+    OPCODE_TABLE,
     Instruction,
     N_VREGS,
     N_XREGS,
-    Opcode,
     WORD_MASK,
 )
 
@@ -80,7 +80,8 @@ class ArchState:
 
     def read_mem(self, addr: int) -> int:
         addr &= _ADDR_MASK
-        return self.memory.get(addr, default_memory_value(addr))
+        v = self.memory.get(addr)
+        return default_memory_value(addr) if v is None else v
 
     def write_mem(self, addr: int, value: int) -> None:
         self.memory[addr & _ADDR_MASK] = value & WORD_MASK
@@ -95,130 +96,76 @@ class ArchState:
         """
         if program_len <= 0:
             raise IsaError("program_len must be positive")
-        op = inst.opcode
-        res = ExecResult()
+        row = OPCODE_TABLE[inst.opcode]
+        fmt, fn = row.fmt, row.fn
+        read_x, lanes = self.read_x, self.lanes
         nxt = (self.pc + 1) % program_len
-
-        if op == Opcode.NOP:
-            pass
-        elif op == Opcode.MOVI:
+        if fmt == "rrr":
+            a, b = read_x(inst.src1), read_x(inst.src2)
+            v = fn(a, b)
+            res = ExecResult(operands=(a, b), results=(v,), next_pc=nxt)
+            self.write_x(inst.dst, v)
+        elif fmt == "load":
+            addr = (read_x(inst.src1) + inst.imm) & _ADDR_MASK
+            v = self.read_mem(addr)
+            res = ExecResult(
+                operands=(addr,), results=(v,), addresses=(addr,),
+                next_pc=nxt,
+            )
+            self.write_x(inst.dst, v)
+        elif fmt == "store":
+            addr = (read_x(inst.src1) + inst.imm) & _ADDR_MASK
+            v = read_x(inst.src2)
+            res = ExecResult(
+                operands=(addr, v), addresses=(addr,), next_pc=nxt
+            )
+            self.write_mem(addr, v)
+        elif fmt == "movi":
             v = inst.imm & WORD_MASK
-            res = ExecResult(operands=(inst.imm,), results=(v,))
+            res = ExecResult(operands=(inst.imm,), results=(v,), next_pc=nxt)
             self.write_x(inst.dst, v)
-        elif op in (
-            Opcode.ADD,
-            Opcode.SUB,
-            Opcode.AND,
-            Opcode.OR,
-            Opcode.XOR,
-            Opcode.SHL,
-            Opcode.SHR,
-        ):
-            a = self.read_x(inst.src1)
-            b = self.read_x(inst.src2)
-            v = _scalar_alu(op, a, b)
-            res = ExecResult(operands=(a, b), results=(v,))
-            self.write_x(inst.dst, v)
-        elif op == Opcode.MUL:
-            a = self.read_x(inst.src1)
-            b = self.read_x(inst.src2)
-            v = (a * b) & WORD_MASK
-            res = ExecResult(operands=(a, b), results=(v,))
-            self.write_x(inst.dst, v)
-        elif op == Opcode.MAC:
-            a = self.read_x(inst.src1)
-            b = self.read_x(inst.src2)
-            acc = self.read_x(inst.dst)
-            v = (acc + a * b) & WORD_MASK
-            res = ExecResult(operands=(a, b, acc), results=(v,))
-            self.write_x(inst.dst, v)
-        elif op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
-            va = self.vregs[inst.src1]
-            vb = self.vregs[inst.src2]
+        elif fmt == "branch":
+            a, b = read_x(inst.src1), read_x(inst.src2)
+            taken = fn(a, b)
+            if taken:
+                nxt = (self.pc + inst.imm) % program_len
+            res = ExecResult(operands=(a, b), branch_taken=taken, next_pc=nxt)
+        elif fmt == "vvv":
+            va, vb = self.vregs[inst.src1], self.vregs[inst.src2]
             vd = self.vregs[inst.dst]
-            out = []
-            for lane in range(self.lanes):
-                if op == Opcode.VADD:
-                    out.append((va[lane] + vb[lane]) & WORD_MASK)
-                elif op == Opcode.VMUL:
-                    out.append((va[lane] * vb[lane]) & WORD_MASK)
-                else:
-                    out.append(
-                        (vd[lane] + va[lane] * vb[lane]) & WORD_MASK
-                    )
+            out = [fn(vd[i], va[i], vb[i]) for i in range(lanes)]
             res = ExecResult(
                 vector_operands=(tuple(va), tuple(vb)),
                 vector_results=tuple(out),
+                next_pc=nxt,
             )
             self.vregs[inst.dst] = out
-        elif op == Opcode.LD:
-            addr = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK
-            v = self.read_mem(addr)
-            res = ExecResult(
-                operands=(addr,), results=(v,), addresses=(addr,)
-            )
+        elif fmt == "mac":
+            a, b = read_x(inst.src1), read_x(inst.src2)
+            acc = read_x(inst.dst)
+            v = fn(a, b, acc)
+            res = ExecResult(operands=(a, b, acc), results=(v,), next_pc=nxt)
             self.write_x(inst.dst, v)
-        elif op == Opcode.ST:
-            addr = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK
-            v = self.read_x(inst.src2)
+        elif fmt == "vload":
+            base = (read_x(inst.src1) + inst.imm) & _ADDR_MASK
+            addrs = tuple([(base + i) & _ADDR_MASK for i in range(lanes)])
+            vals = [self.read_mem(a) for a in addrs]
             res = ExecResult(
-                operands=(addr, v), results=(), addresses=(addr,)
-            )
-            self.write_mem(addr, v)
-        elif op == Opcode.VLD:
-            base = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK
-            vals = [
-                self.read_mem(base + lane) for lane in range(self.lanes)
-            ]
-            res = ExecResult(
-                operands=(base,),
-                addresses=tuple(
-                    (base + lane) & _ADDR_MASK for lane in range(self.lanes)
-                ),
-                vector_results=tuple(vals),
+                operands=(base,), addresses=addrs,
+                vector_results=tuple(vals), next_pc=nxt,
             )
             self.vregs[inst.dst] = vals
-        elif op == Opcode.VST:
-            base = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK
+        elif fmt == "vstore":
+            base = (read_x(inst.src1) + inst.imm) & _ADDR_MASK
+            addrs = tuple([(base + i) & _ADDR_MASK for i in range(lanes)])
             vals = self.vregs[inst.src2]
-            for lane in range(self.lanes):
-                self.write_mem(base + lane, vals[lane])
+            for i, a in enumerate(addrs):
+                self.write_mem(a, vals[i])
             res = ExecResult(
-                operands=(base,),
-                addresses=tuple(
-                    (base + lane) & _ADDR_MASK for lane in range(self.lanes)
-                ),
-                vector_operands=(tuple(vals),),
+                operands=(base,), addresses=addrs,
+                vector_operands=(tuple(vals),), next_pc=nxt,
             )
-        elif op in (Opcode.BEQ, Opcode.BNE):
-            a = self.read_x(inst.src1)
-            b = self.read_x(inst.src2)
-            taken = (a == b) if op == Opcode.BEQ else (a != b)
-            if taken:
-                nxt = (self.pc + inst.imm) % program_len
-            res = ExecResult(operands=(a, b), branch_taken=taken)
-        else:  # pragma: no cover - exhaustive over Opcode
-            raise IsaError(f"unimplemented opcode {op!r}")
-
+        else:  # nop
+            res = ExecResult(next_pc=nxt)
         self.pc = nxt
-        if res.next_pc is None:
-            res.next_pc = nxt
         return res
-
-
-def _scalar_alu(op: Opcode, a: int, b: int) -> int:
-    if op == Opcode.ADD:
-        return (a + b) & WORD_MASK
-    if op == Opcode.SUB:
-        return (a - b) & WORD_MASK
-    if op == Opcode.AND:
-        return a & b
-    if op == Opcode.OR:
-        return a | b
-    if op == Opcode.XOR:
-        return a ^ b
-    if op == Opcode.SHL:
-        return (a << (b & 0xF)) & WORD_MASK
-    if op == Opcode.SHR:
-        return (a >> (b & 0xF)) & WORD_MASK
-    raise IsaError(f"{op!r} is not a scalar ALU op")

@@ -41,7 +41,6 @@ from repro.resilience.faults import (
     FaultySource,
     truncate_file,
 )
-from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import Health, HealthState, RetryPolicy
 
 # chaos imports pipeline modules that themselves depend on the layers
@@ -74,7 +73,6 @@ __all__ = [
     "RetryPolicy",
     "Health",
     "HealthState",
-    "CircuitBreaker",
     "CHAOS_SITES",
     "SERVE_CHAOS_SITES",
     "ChaosReport",

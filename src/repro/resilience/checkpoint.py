@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, IsaError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.trace import NULL_TRACER
 from repro.resilience.atomic import (
@@ -335,24 +335,45 @@ def programs_to_arrays(programs) -> tuple[dict[str, np.ndarray], list[str]]:
 def programs_from_arrays(
     arrays: dict[str, np.ndarray], names: list[str]
 ) -> list:
-    """Inverse of :func:`programs_to_arrays`."""
+    """Inverse of :func:`programs_to_arrays`.
+
+    Raises :class:`CheckpointError` unless the arrays split into one
+    valid program per name: ``prog_fields`` is (N, 5), the offsets run
+    non-decreasing from 0 to N, and every row decodes.
+    """
     from repro.isa.instructions import Instruction, Opcode
     from repro.isa.program import Program
 
     fields = np.asarray(arrays["prog_fields"], dtype=np.int64)
     offsets = np.asarray(arrays["prog_offsets"], dtype=np.int64)
-    if offsets.size != len(names) + 1:
+    if fields.ndim != 2 or fields.shape[1] != 5:
         raise CheckpointError(
-            f"program offsets ({offsets.size}) inconsistent with "
-            f"{len(names)} names"
+            f"program fields of shape {fields.shape}, want (N, 5)"
         )
-    programs = []
-    for i, name in enumerate(names):
-        insts = tuple(
-            Instruction(
-                Opcode(int(op)), int(d), int(s1), int(s2), int(imm)
+    if (
+        offsets.shape != (len(names) + 1,)
+        or offsets[0] != 0
+        or offsets[-1] != len(fields)
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise CheckpointError(
+            f"program offsets {offsets.tolist()} do not split "
+            f"{len(fields)} rows into {len(names)} programs"
+        )
+    try:
+        return [
+            Program(
+                str(name),
+                tuple(
+                    Instruction(
+                        Opcode(int(op)), int(d), int(s1), int(s2), int(imm)
+                    )
+                    for op, d, s1, s2, imm in fields[lo:hi]
+                ),
             )
-            for op, d, s1, s2, imm in fields[offsets[i]:offsets[i + 1]]
-        )
-        programs.append(Program(str(name), insts))
-    return programs
+            for name, lo, hi in zip(names, offsets[:-1], offsets[1:])
+        ]
+    except (ValueError, IsaError) as exc:
+        raise CheckpointError(
+            f"checkpoint program does not decode: {exc}"
+        ) from exc

@@ -53,32 +53,17 @@ class ModelRegistry:
     :meth:`open`.
     """
 
-    def __init__(
-        self, root: str | Path | None = None, breaker=None,
-    ) -> None:
+    def __init__(self, root: str | Path | None = None) -> None:
         self.root = Path(root) if root is not None else None
         if self.root is not None:
             self.root.mkdir(parents=True, exist_ok=True)
-        #: Optional :class:`~repro.resilience.breaker.CircuitBreaker`
-        #: guarding every disk touch (artifact loads/saves, the ACTIVE
-        #: pointer).  While open, disk I/O fast-fails with
-        #: :class:`~repro.errors.BreakerOpenError` instead of hanging
-        #: the gateway on a sick filesystem; the in-memory fleet state
-        #: keeps serving.
-        self.breaker = breaker
         self._models: dict[str, QuantizedModel] = {}
         self._active: str | None = None
         self._meters: dict[tuple[str, int], OpmMeter] = {}
 
-    def _disk(self, fn, *args):
-        """Run one disk operation, through the breaker when attached."""
-        if self.breaker is not None:
-            return self.breaker.call(fn, *args)
-        return fn(*args)
-
     # -------------------------------------------------------------- #
     @classmethod
-    def open(cls, root: str | Path, breaker=None) -> "ModelRegistry":
+    def open(cls, root: str | Path) -> "ModelRegistry":
         """Reopen a disk-backed registry from its artifacts.
 
         Loads every ``<version>.npz`` with a ``QuantizedModel`` sidecar
@@ -87,12 +72,12 @@ class ModelRegistry:
         root = Path(root)
         if not root.is_dir():
             raise ServeError(f"registry directory {root} does not exist")
-        reg = cls(root, breaker=breaker)
+        reg = cls(root)
         for npz in sorted(root.glob("*.npz")):
             version = npz.name[: -len(".npz")]
             try:
                 _check_version(version)
-                model = reg._disk(QuantizedModel.load, npz)
+                model = QuantizedModel.load(npz)
             except Exception as exc:
                 raise ServeError(
                     f"registry artifact {npz} failed to load: {exc}"
@@ -128,7 +113,7 @@ class ModelRegistry:
                 "(versions are immutable; publish a new name)"
             )
         if self.root is not None:
-            self._disk(model.save, self.root / f"{version}.npz")
+            model.save(self.root / f"{version}.npz")
         self._models[version] = model
         if activate or self._active is None:
             self.activate(version)
@@ -165,10 +150,8 @@ class ModelRegistry:
         if self.root is not None:
             from repro.resilience.atomic import atomic_write_bytes
 
-            self._disk(
-                atomic_write_bytes,
-                self.root / ACTIVE_POINTER,
-                (version + "\n").encode(),
+            atomic_write_bytes(
+                self.root / ACTIVE_POINTER, (version + "\n").encode()
             )
         self._active = version
 

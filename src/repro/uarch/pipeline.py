@@ -36,9 +36,9 @@ from repro.errors import ReproError
 from repro.isa.instructions import (
     N_VREGS,
     N_XREGS,
+    OPCODE_TABLE,
     IClass,
     Instruction,
-    Opcode,
 )
 from repro.isa.program import Program
 from repro.isa.semantics import ArchState, ExecResult
@@ -48,27 +48,6 @@ from repro.uarch.params import CoreParams
 
 __all__ = ["Pipeline", "PipelineStats"]
 
-_ALU_OPCODE_CODE = {
-    Opcode.ADD: 0,
-    Opcode.SUB: 1,
-    Opcode.AND: 2,
-    Opcode.OR: 3,
-    Opcode.XOR: 4,
-    Opcode.SHL: 5,
-    Opcode.SHR: 6,
-    Opcode.MOVI: 7,
-    Opcode.BEQ: 1,  # branches compare via subtract
-    Opcode.BNE: 1,
-}
-
-_VEC_OPCODE_CODE = {
-    Opcode.VADD: 0,
-    Opcode.VMUL: 1,
-    Opcode.VMAC: 2,
-    Opcode.VLD: 3,
-    Opcode.VST: 3,
-}
-
 #: Functional-unit pools: indices into the issue stage's free-unit counts.
 _ALU, _MUL, _VEC, _LSU = range(4)
 _NO_POOL = -1
@@ -76,62 +55,19 @@ _NO_POOL = -1
 #: ``last_active`` of a unit that has not been active yet.
 _NEVER = -(10**9)
 
-#: Pool and ``CoreParams`` latency field of each instruction class
-#: (memory ops: the L1 hit latency, refined at issue; NOPs take 1 cycle).
+#: Pool, ``CoreParams`` latency field and ``block_vector`` stall of each
+#: instruction class (memory ops: the L1 hit latency, refined at issue;
+#: NOPs take 1 cycle).
 _CLASS_POOL = {
-    IClass.NOP: (_NO_POOL, None),
-    IClass.ALU: (_ALU, "alu_latency"),
-    IClass.BRANCH: (_ALU, "alu_latency"),
-    IClass.MUL: (_MUL, "mul_latency"),
-    IClass.VEC: (_VEC, "vec_latency"),
-    IClass.VMUL: (_VEC, "vmul_latency"),
-    IClass.MEM: (_LSU, "l1_hit_latency"),
-    IClass.VMEM: (_LSU, "l1_hit_latency"),
+    IClass.NOP: (_NO_POOL, None, False),
+    IClass.ALU: (_ALU, "alu_latency", False),
+    IClass.BRANCH: (_ALU, "alu_latency", False),
+    IClass.MUL: (_MUL, "mul_latency", False),
+    IClass.VEC: (_VEC, "vec_latency", True),
+    IClass.VMUL: (_VEC, "vmul_latency", True),
+    IClass.MEM: (_LSU, "l1_hit_latency", False),
+    IClass.VMEM: (_LSU, "l1_hit_latency", True),
 }
-
-
-class _OpcodeFacts(NamedTuple):
-    """What decoding needs of an opcode, whatever its register fields."""
-
-    pool: int
-    latency: str | None
-    vector: bool  # stalled by a ``block_vector`` throttle
-    branch: bool
-    vmem: bool
-    store: bool
-    op: int  # ``alu{i}/op`` or ``vec{i}/op`` code
-    x_reads: tuple[str, ...]  # register fields read, scalar file
-    v_reads: tuple[str, ...]  # register fields read, vector file
-    x_write: str | None  # register field written, scalar file
-    v_write: str | None  # register field written, vector file
-
-
-def _opcode_facts(op: Opcode) -> _OpcodeFacts:
-    # The ISA's dependence properties return register numbers; a probe
-    # whose fields hold distinct registers maps them back to fields.
-    probe = Instruction(op, dst=1, src1=2, src2=3)
-    field_of = {1: "dst", 2: "src1", 3: "src2", None: None}
-    icls = probe.iclass
-    pool, latency = _CLASS_POOL[icls]
-    vmem = icls == IClass.VMEM
-    codes = _VEC_OPCODE_CODE if pool == _VEC or vmem else _ALU_OPCODE_CODE
-    return _OpcodeFacts(
-        pool=pool,
-        latency=latency,
-        vector=icls in (IClass.VEC, IClass.VMUL, IClass.VMEM),
-        branch=icls == IClass.BRANCH,
-        vmem=vmem,
-        store=op in (Opcode.ST, Opcode.VST),
-        op=codes.get(op, 0),
-        x_reads=tuple(field_of[r] for r in probe.reads_scalar),
-        v_reads=tuple(field_of[r] for r in probe.reads_vector),
-        x_write=field_of[probe.writes_scalar],
-        v_write=field_of[probe.writes_vector],
-    )
-
-
-#: Indexed by opcode value.
-_OPCODE_FACTS = [_opcode_facts(Opcode(v)) for v in range(len(Opcode))]
 
 
 @dataclass
@@ -246,29 +182,30 @@ class Pipeline:
         self._l2_cols = cols("l2ctl", "clk_en", "req", "addr", "hit")
 
     def _decode(self, inst: Instruction) -> _Decoded:
-        f = _OPCODE_FACTS[inst.opcode]
+        row = OPCODE_TABLE[inst.opcode]
+        pool, latency, vector = _CLASS_POOL[row.iclass]
         # x0 is hardwired zero: reading it never waits, and writing it
         # publishes nothing.
-        srcs = [r for r in (getattr(inst, n) for n in f.x_reads) if r != 0]
-        srcs += [N_XREGS + getattr(inst, n) for n in f.v_reads]
-        if f.x_write is not None:
-            dst = getattr(inst, f.x_write) or -1
-        elif f.v_write is not None:
-            dst = N_XREGS + getattr(inst, f.v_write)
+        srcs = [r for r in (getattr(inst, n) for n in row.x_reads) if r != 0]
+        srcs += [N_XREGS + getattr(inst, n) for n in row.v_reads]
+        if row.x_write is not None:
+            dst = getattr(inst, row.x_write) or -1
+        elif row.v_write is not None:
+            dst = N_XREGS + getattr(inst, row.v_write)
         else:
             dst = -1
         return _Decoded(
             inst,
-            f.pool,
-            1 if f.latency is None else getattr(self.params, f.latency),
-            f.vector,
+            pool,
+            1 if latency is None else getattr(self.params, latency),
+            vector,
             tuple(srcs),
             dst,
             inst.encode(),
-            f.branch,
-            f.vmem,
-            f.store,
-            f.op,
+            row.iclass is IClass.BRANCH,
+            row.iclass is IClass.VMEM,
+            row.fmt in ("store", "vstore"),
+            row.unit_op,
         )
 
     # ------------------------------------------------------------------ #

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.errors import ReproError, StimulusError
-from repro.isa.instructions import IClass, Instruction, Opcode
-from repro.isa.program import Program
-from repro.isa.semantics import ArchState, ExecResult
+from repro.errors import IsaError, ReproError, StimulusError
+from repro.isa.instructions import (
+    N_VREGS,
+    N_XREGS,
+    WORD_MASK,
+    IClass,
+    Opcode,
+)
+from repro.isa.program import DEFAULT_MIX, InstructionMix, Program
 from repro.rtl import Netlist, Op, Simulator
 from repro.rtl.cells import CELL_LIBRARY, EVAL_OPS, N_FANIN
 from repro.rtl.levelize import EvalGroup, LevelSchedule
@@ -311,9 +317,616 @@ def assert_schedules_identical(got: LevelSchedule, want: LevelSchedule):
 
 
 # ---------------------------------------------------------------------- #
+# ISA oracle: the per-opcode code that the table in
+# ``repro.isa.instructions`` replaced, kept verbatim (renamed) --
+# instruction validation and dependence facts, semantics, assembler and
+# program generator.
+# ---------------------------------------------------------------------- #
+
+CLASS_OF_ORACLE: dict[Opcode, IClass] = {
+    Opcode.NOP: IClass.NOP,
+    Opcode.MOVI: IClass.ALU,
+    Opcode.ADD: IClass.ALU,
+    Opcode.SUB: IClass.ALU,
+    Opcode.AND: IClass.ALU,
+    Opcode.OR: IClass.ALU,
+    Opcode.XOR: IClass.ALU,
+    Opcode.SHL: IClass.ALU,
+    Opcode.SHR: IClass.ALU,
+    Opcode.MUL: IClass.MUL,
+    Opcode.MAC: IClass.MUL,
+    Opcode.VADD: IClass.VEC,
+    Opcode.VMUL: IClass.VMUL,
+    Opcode.VMAC: IClass.VMUL,
+    Opcode.LD: IClass.MEM,
+    Opcode.ST: IClass.MEM,
+    Opcode.VLD: IClass.VMEM,
+    Opcode.VST: IClass.VMEM,
+    Opcode.BEQ: IClass.BRANCH,
+    Opcode.BNE: IClass.BRANCH,
+}
+
+@dataclass(frozen=True)
+class InstructionOracle:
+    """One decoded instruction.
+
+    ``dst``/``src1``/``src2`` index the scalar or vector register file
+    depending on the opcode; ``imm`` is a signed immediate (branch offset,
+    address offset, or MOVI payload).
+    """
+
+    opcode: Opcode
+    dst: int = 0
+    src1: int = 0
+    src2: int = 0
+    imm: int = 0
+
+    def __post_init__(self) -> None:
+        for field_name, v in (
+            ("dst", self.dst),
+            ("src1", self.src1),
+            ("src2", self.src2),
+        ):
+            limit = N_VREGS if field_name in self.vector_fields else N_XREGS
+            if not (0 <= v < limit):
+                raise IsaError(
+                    f"{self.opcode.name}: register field {field_name}={v} "
+                    f"out of range (limit {limit})"
+                )
+        if not (-(1 << 11) <= self.imm < (1 << 11)):
+            raise IsaError(
+                f"{self.opcode.name}: immediate {self.imm} out of 12-bit "
+                "signed range"
+            )
+
+    @property
+    def iclass(self) -> IClass:
+        return CLASS_OF_ORACLE[self.opcode]
+
+    @property
+    def vector_fields(self) -> frozenset[str]:
+        """Names of register fields indexing the vector register file."""
+        op = self.opcode
+        if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
+            return frozenset(("dst", "src1", "src2"))
+        if op == Opcode.VLD:
+            return frozenset(("dst",))
+        if op == Opcode.VST:
+            return frozenset(("src2",))
+        return frozenset()
+
+    @property
+    def uses_vector_regs(self) -> bool:
+        return bool(self.vector_fields)
+
+    def encode(self) -> int:
+        """32-bit encoding: op[31:24] d[23:20] s1[19:16] s2[15:12] imm[11:0]."""
+        imm12 = self.imm & 0xFFF
+        return (
+            (int(self.opcode) << 24)
+            | ((self.dst & 0xF) << 20)
+            | ((self.src1 & 0xF) << 16)
+            | ((self.src2 & 0xF) << 12)
+            | imm12
+        )
+
+    @classmethod
+    def decode(cls, word: int) -> "InstructionOracle":
+        op_val = (word >> 24) & 0xFF
+        try:
+            op = Opcode(op_val)
+        except ValueError as exc:
+            raise IsaError(f"bad opcode byte {op_val:#x}") from exc
+        imm = word & 0xFFF
+        if imm >= (1 << 11):
+            imm -= 1 << 12
+        return cls(
+            opcode=op,
+            dst=(word >> 20) & 0xF,
+            src1=(word >> 16) & 0xF,
+            src2=(word >> 12) & 0xF,
+            imm=imm,
+        )
+
+    @property
+    def reads_scalar(self) -> list[int]:
+        """Scalar register reads (for dependence tracking)."""
+        op = self.opcode
+        if op in (Opcode.NOP, Opcode.MOVI):
+            return []
+        if op in (Opcode.LD, Opcode.VLD):
+            return [self.src1]
+        if op == Opcode.ST:
+            return [self.src1, self.src2]
+        if op == Opcode.VST:
+            return [self.src1]
+        if op in (Opcode.BEQ, Opcode.BNE):
+            return [self.src1, self.src2]
+        if op == Opcode.MAC:
+            return [self.dst, self.src1, self.src2]
+        if self.uses_vector_regs:
+            return []
+        return [self.src1, self.src2]
+
+    @property
+    def reads_vector(self) -> list[int]:
+        op = self.opcode
+        if op in (Opcode.VADD, Opcode.VMUL):
+            return [self.src1, self.src2]
+        if op == Opcode.VMAC:
+            return [self.dst, self.src1, self.src2]
+        if op == Opcode.VST:
+            return [self.src2]
+        return []
+
+    @property
+    def writes_scalar(self) -> int | None:
+        op = self.opcode
+        if op in (
+            Opcode.MOVI,
+            Opcode.ADD,
+            Opcode.SUB,
+            Opcode.AND,
+            Opcode.OR,
+            Opcode.XOR,
+            Opcode.SHL,
+            Opcode.SHR,
+            Opcode.MUL,
+            Opcode.MAC,
+            Opcode.LD,
+        ):
+            return self.dst if self.dst != 0 else None
+        return None
+
+    @property
+    def writes_vector(self) -> int | None:
+        if self.opcode in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC, Opcode.VLD):
+            return self.dst
+        return None
+
+    def __str__(self) -> str:
+        return disassemble_oracle(self)
+
+
+_ADDR_MASK_ORACLE = 0xFFFF
+
+
+def default_memory_value_oracle(addr: int) -> int:
+    """Deterministic pseudo-random contents of an untouched address."""
+    x = (addr * 2654435761) & 0xFFFFFFFF
+    x ^= x >> 13
+    return (x * 0x9E3779B1 >> 16) & WORD_MASK
+
+
+@dataclass
+class ExecResultOracle:
+    """Values produced by executing one instruction.
+
+    ``addresses`` lists the word addresses touched (loads and stores), used
+    by the pipeline's cache model; ``operands`` and ``results`` carry the
+    datapath values that later drive the RTL stimulus.
+    """
+
+    operands: tuple[int, ...] = ()
+    results: tuple[int, ...] = ()
+    addresses: tuple[int, ...] = ()
+    vector_operands: tuple[tuple[int, ...], ...] = ()
+    vector_results: tuple[int, ...] = ()
+    branch_taken: bool = False
+    next_pc: int | None = None
+
+
+@dataclass
+class ArchStateOracle:
+    """Architectural state: scalar regs, vector regs, sparse memory, PC."""
+
+    lanes: int = 4
+    pc: int = 0
+    xregs: list[int] = field(default_factory=lambda: [0] * N_XREGS)
+    vregs: list[list[int]] = field(default_factory=list)
+    memory: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.vregs:
+            self.vregs = [
+                [
+                    default_memory_value_oracle(97 * r + lane)
+                    for lane in range(self.lanes)
+                ]
+                for r in range(N_VREGS)
+            ]
+
+    # ------------------------------------------------------------------ #
+    def read_x(self, idx: int) -> int:
+        return 0 if idx == 0 else self.xregs[idx]
+
+    def write_x(self, idx: int, value: int) -> None:
+        if idx != 0:
+            self.xregs[idx] = value & WORD_MASK
+
+    def read_mem(self, addr: int) -> int:
+        addr &= _ADDR_MASK_ORACLE
+        return self.memory.get(addr, default_memory_value_oracle(addr))
+
+    def write_mem(self, addr: int, value: int) -> None:
+        self.memory[addr & _ADDR_MASK_ORACLE] = value & WORD_MASK
+
+    # ------------------------------------------------------------------ #
+    def execute(
+        self, inst: InstructionOracle, program_len: int
+    ) -> ExecResultOracle:
+        """Execute ``inst`` at the current PC, advancing the PC.
+
+        Branch targets and fall-through wrap modulo ``program_len`` so any
+        instruction sequence runs indefinitely (benchmarks are replayed for
+        a fixed cycle budget, as in the paper's micro-benchmark traces).
+        """
+        if program_len <= 0:
+            raise IsaError("program_len must be positive")
+        op = inst.opcode
+        res = ExecResultOracle()
+        nxt = (self.pc + 1) % program_len
+
+        if op == Opcode.NOP:
+            pass
+        elif op == Opcode.MOVI:
+            v = inst.imm & WORD_MASK
+            res = ExecResultOracle(operands=(inst.imm,), results=(v,))
+            self.write_x(inst.dst, v)
+        elif op in (
+            Opcode.ADD,
+            Opcode.SUB,
+            Opcode.AND,
+            Opcode.OR,
+            Opcode.XOR,
+            Opcode.SHL,
+            Opcode.SHR,
+        ):
+            a = self.read_x(inst.src1)
+            b = self.read_x(inst.src2)
+            v = _scalar_alu_oracle(op, a, b)
+            res = ExecResultOracle(operands=(a, b), results=(v,))
+            self.write_x(inst.dst, v)
+        elif op == Opcode.MUL:
+            a = self.read_x(inst.src1)
+            b = self.read_x(inst.src2)
+            v = (a * b) & WORD_MASK
+            res = ExecResultOracle(operands=(a, b), results=(v,))
+            self.write_x(inst.dst, v)
+        elif op == Opcode.MAC:
+            a = self.read_x(inst.src1)
+            b = self.read_x(inst.src2)
+            acc = self.read_x(inst.dst)
+            v = (acc + a * b) & WORD_MASK
+            res = ExecResultOracle(operands=(a, b, acc), results=(v,))
+            self.write_x(inst.dst, v)
+        elif op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
+            va = self.vregs[inst.src1]
+            vb = self.vregs[inst.src2]
+            vd = self.vregs[inst.dst]
+            out = []
+            for lane in range(self.lanes):
+                if op == Opcode.VADD:
+                    out.append((va[lane] + vb[lane]) & WORD_MASK)
+                elif op == Opcode.VMUL:
+                    out.append((va[lane] * vb[lane]) & WORD_MASK)
+                else:
+                    out.append(
+                        (vd[lane] + va[lane] * vb[lane]) & WORD_MASK
+                    )
+            res = ExecResultOracle(
+                vector_operands=(tuple(va), tuple(vb)),
+                vector_results=tuple(out),
+            )
+            self.vregs[inst.dst] = out
+        elif op == Opcode.LD:
+            addr = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK_ORACLE
+            v = self.read_mem(addr)
+            res = ExecResultOracle(
+                operands=(addr,), results=(v,), addresses=(addr,)
+            )
+            self.write_x(inst.dst, v)
+        elif op == Opcode.ST:
+            addr = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK_ORACLE
+            v = self.read_x(inst.src2)
+            res = ExecResultOracle(
+                operands=(addr, v), results=(), addresses=(addr,)
+            )
+            self.write_mem(addr, v)
+        elif op == Opcode.VLD:
+            base = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK_ORACLE
+            vals = [
+                self.read_mem(base + lane) for lane in range(self.lanes)
+            ]
+            res = ExecResultOracle(
+                operands=(base,),
+                addresses=tuple(
+                    (base + lane) & _ADDR_MASK_ORACLE
+                    for lane in range(self.lanes)
+                ),
+                vector_results=tuple(vals),
+            )
+            self.vregs[inst.dst] = vals
+        elif op == Opcode.VST:
+            base = (self.read_x(inst.src1) + inst.imm) & _ADDR_MASK_ORACLE
+            vals = self.vregs[inst.src2]
+            for lane in range(self.lanes):
+                self.write_mem(base + lane, vals[lane])
+            res = ExecResultOracle(
+                operands=(base,),
+                addresses=tuple(
+                    (base + lane) & _ADDR_MASK_ORACLE
+                    for lane in range(self.lanes)
+                ),
+                vector_operands=(tuple(vals),),
+            )
+        elif op in (Opcode.BEQ, Opcode.BNE):
+            a = self.read_x(inst.src1)
+            b = self.read_x(inst.src2)
+            taken = (a == b) if op == Opcode.BEQ else (a != b)
+            if taken:
+                nxt = (self.pc + inst.imm) % program_len
+            res = ExecResultOracle(operands=(a, b), branch_taken=taken)
+        else:  # pragma: no cover - exhaustive over Opcode
+            raise IsaError(f"unimplemented opcode {op!r}")
+
+        self.pc = nxt
+        if res.next_pc is None:
+            res.next_pc = nxt
+        return res
+
+
+def _scalar_alu_oracle(op: Opcode, a: int, b: int) -> int:
+    if op == Opcode.ADD:
+        return (a + b) & WORD_MASK
+    if op == Opcode.SUB:
+        return (a - b) & WORD_MASK
+    if op == Opcode.AND:
+        return a & b
+    if op == Opcode.OR:
+        return a | b
+    if op == Opcode.XOR:
+        return a ^ b
+    if op == Opcode.SHL:
+        return (a << (b & 0xF)) & WORD_MASK
+    if op == Opcode.SHR:
+        return (a >> (b & 0xF)) & WORD_MASK
+    raise IsaError(f"{op!r} is not a scalar ALU op")
+
+
+_REG_ORACLE = re.compile(r"^([xv])(\d+)$")
+_MEM_ORACLE = re.compile(r"^(-?\d+)\((x\d+)\)$")
+
+
+def _parse_reg_oracle(token: str, want: str) -> int:
+    m = _REG_ORACLE.match(token)
+    if not m or m.group(1) != want:
+        raise IsaError(f"expected {want}-register, got {token!r}")
+    return int(m.group(2))
+
+
+def _parse_imm_oracle(token: str) -> int:
+    try:
+        return int(token, 0)
+    except ValueError as exc:
+        raise IsaError(f"bad immediate {token!r}") from exc
+
+
+def assemble_line_oracle(line: str) -> InstructionOracle | None:
+    """Assemble one line; returns ``None`` for blank/comment lines."""
+    text = line.split("#", 1)[0].strip()
+    if not text:
+        return None
+    parts = re.split(r"[,\s]+", text)
+    mnemonic, args = parts[0].lower(), parts[1:]
+    try:
+        op = Opcode[mnemonic.upper()]
+    except KeyError as exc:
+        raise IsaError(f"unknown mnemonic {mnemonic!r}") from exc
+
+    if op == Opcode.NOP:
+        return InstructionOracle(op)
+    if op == Opcode.MOVI:
+        _expect_oracle(args, 2, text)
+        return InstructionOracle(op, dst=_parse_reg_oracle(args[0], "x"),
+                                 imm=_parse_imm_oracle(args[1]))
+    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
+        _expect_oracle(args, 3, text)
+        return InstructionOracle(
+            op,
+            dst=_parse_reg_oracle(args[0], "x"),
+            src1=_parse_reg_oracle(args[1], "x"),
+            src2=_parse_reg_oracle(args[2], "x"),
+        )
+    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
+        _expect_oracle(args, 3, text)
+        return InstructionOracle(
+            op,
+            dst=_parse_reg_oracle(args[0], "v"),
+            src1=_parse_reg_oracle(args[1], "v"),
+            src2=_parse_reg_oracle(args[2], "v"),
+        )
+    if op in (Opcode.LD, Opcode.VLD):
+        _expect_oracle(args, 2, text)
+        imm, base = _parse_mem_oracle(args[1])
+        kind = "x" if op == Opcode.LD else "v"
+        return InstructionOracle(
+            op, dst=_parse_reg_oracle(args[0], kind), src1=base, imm=imm
+        )
+    if op in (Opcode.ST, Opcode.VST):
+        _expect_oracle(args, 2, text)
+        imm, base = _parse_mem_oracle(args[1])
+        kind = "x" if op == Opcode.ST else "v"
+        return InstructionOracle(
+            op, src2=_parse_reg_oracle(args[0], kind), src1=base, imm=imm
+        )
+    if op in (Opcode.BEQ, Opcode.BNE):
+        _expect_oracle(args, 3, text)
+        return InstructionOracle(
+            op,
+            src1=_parse_reg_oracle(args[0], "x"),
+            src2=_parse_reg_oracle(args[1], "x"),
+            imm=_parse_imm_oracle(args[2]),
+        )
+    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+
+
+def _expect_oracle(args: list[str], n: int, text: str) -> None:
+    if len(args) != n:
+        raise IsaError(f"{text!r}: expected {n} operands, got {len(args)}")
+
+
+def _parse_mem_oracle(token: str) -> tuple[int, int]:
+    m = _MEM_ORACLE.match(token)
+    if not m:
+        raise IsaError(f"bad memory operand {token!r} (want imm(xN))")
+    return int(m.group(1)), _parse_reg_oracle(m.group(2), "x")
+
+
+def assemble_oracle(source: str) -> list[InstructionOracle]:
+    """Assemble multi-line source into an instruction list."""
+    out = []
+    for lineno, line in enumerate(source.splitlines(), start=1):
+        try:
+            inst = assemble_line_oracle(line)
+        except IsaError as exc:
+            raise IsaError(f"line {lineno}: {exc}") from exc
+        if inst is not None:
+            out.append(inst)
+    return out
+
+
+def disassemble_oracle(inst: InstructionOracle) -> str:
+    """Render an instruction back to assembly text."""
+    op = inst.opcode
+    name = op.name.lower()
+    if op == Opcode.NOP:
+        return "nop"
+    if op == Opcode.MOVI:
+        return f"movi x{inst.dst}, {inst.imm}"
+    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
+        return f"{name} x{inst.dst}, x{inst.src1}, x{inst.src2}"
+    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
+        return f"{name} v{inst.dst}, v{inst.src1}, v{inst.src2}"
+    if op == Opcode.LD:
+        return f"ld x{inst.dst}, {inst.imm}(x{inst.src1})"
+    if op == Opcode.VLD:
+        return f"vld v{inst.dst}, {inst.imm}(x{inst.src1})"
+    if op == Opcode.ST:
+        return f"st x{inst.src2}, {inst.imm}(x{inst.src1})"
+    if op == Opcode.VST:
+        return f"vst v{inst.src2}, {inst.imm}(x{inst.src1})"
+    if op in (Opcode.BEQ, Opcode.BNE):
+        return f"{name} x{inst.src1}, x{inst.src2}, {inst.imm}"
+    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+
+
+_CLASS_OPCODES_ORACLE: dict[IClass, tuple[Opcode, ...]] = {
+    IClass.NOP: (Opcode.NOP,),
+    IClass.ALU: (
+        Opcode.ADD,
+        Opcode.SUB,
+        Opcode.AND,
+        Opcode.OR,
+        Opcode.XOR,
+        Opcode.SHL,
+        Opcode.SHR,
+        Opcode.MOVI,
+    ),
+    IClass.MUL: (Opcode.MUL, Opcode.MAC),
+    IClass.VEC: (Opcode.VADD,),
+    IClass.VMUL: (Opcode.VMUL, Opcode.VMAC),
+    IClass.MEM: (Opcode.LD, Opcode.ST),
+    IClass.VMEM: (Opcode.VLD, Opcode.VST),
+    IClass.BRANCH: (Opcode.BEQ, Opcode.BNE),
+}
+
+
+def random_program_oracle(
+    rng: np.random.Generator,
+    length: int,
+    mix: InstructionMix = DEFAULT_MIX,
+    name: str = "random",
+) -> Program:
+    """Generate a random (valid, looping) program from a mix.
+
+    A short MOVI preamble seeds base registers with addresses inside the
+    mix's memory region so loads/stores have controlled locality.
+    """
+    if length < 4:
+        raise IsaError("random programs need length >= 4")
+    classes, probs = mix.normalized()
+    insts: list[InstructionOracle] = []
+
+    base_regs = (13, 14, 15)
+    region = max(8, mix.mem_region_words)
+    for i, reg in enumerate(base_regs):
+        insts.append(
+            InstructionOracle(
+                Opcode.MOVI,
+                dst=reg,
+                imm=int(rng.integers(0, min(region, 2048))),
+            )
+        )
+
+    mem_offset = 0
+    while len(insts) < length:
+        iclass = classes[int(rng.choice(len(classes), p=probs))]
+        op = _CLASS_OPCODES_ORACLE[iclass][
+            int(rng.integers(0, len(_CLASS_OPCODES_ORACLE[iclass])))
+        ]
+        insts.append(random_instruction_oracle(rng, op, mix, mem_offset))
+        if iclass in (IClass.MEM, IClass.VMEM):
+            mem_offset = (mem_offset + mix.mem_stride) % max(
+                1, mix.mem_region_words
+            )
+    return Program(name=name, instructions=tuple(insts[:length]))
+
+
+def random_instruction_oracle(
+    rng: np.random.Generator,
+    op: Opcode,
+    mix: InstructionMix,
+    mem_offset: int,
+) -> InstructionOracle:
+    xr = lambda: int(rng.integers(0, N_XREGS))  # noqa: E731
+    vr = lambda: int(rng.integers(0, N_VREGS))  # noqa: E731
+    if op == Opcode.NOP:
+        return InstructionOracle(op)
+    if op == Opcode.MOVI:
+        return InstructionOracle(
+            op, dst=xr(), imm=int(rng.integers(-2048, 2048))
+        )
+    if op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
+              Opcode.SHL, Opcode.SHR, Opcode.MUL, Opcode.MAC):
+        return InstructionOracle(op, dst=xr(), src1=xr(), src2=xr())
+    if op in (Opcode.VADD, Opcode.VMUL, Opcode.VMAC):
+        return InstructionOracle(op, dst=vr(), src1=vr(), src2=vr())
+    if op in (Opcode.LD, Opcode.ST, Opcode.VLD, Opcode.VST):
+        base = int(rng.choice((13, 14, 15)))
+        imm = min(2047, mem_offset)
+        if op in (Opcode.LD, Opcode.VLD):
+            dst = xr() if op == Opcode.LD else vr()
+            return InstructionOracle(op, dst=dst, src1=base, imm=imm)
+        data = xr() if op == Opcode.ST else vr()
+        return InstructionOracle(op, src1=base, src2=data, imm=imm)
+    if op in (Opcode.BEQ, Opcode.BNE):
+        backward = rng.random() < mix.branch_backward_frac
+        dist = int(rng.integers(1, 6))
+        return InstructionOracle(
+            op, src1=xr(), src2=xr(), imm=-dist if backward else dist
+        )
+    raise IsaError(f"unhandled opcode {op!r}")  # pragma: no cover
+
+
+# ---------------------------------------------------------------------- #
 # Pipeline oracle: the per-channel ``trace.set`` model that
 # ``repro.uarch.pipeline.Pipeline`` replaced, kept verbatim (renamed
 # class) together with its helpers and the per-channel stimulus encoder.
+# It fetches, executes and decodes through the ISA oracle above, never
+# through the library's ISA.
 # ---------------------------------------------------------------------- #
 
 _ALU_OPCODE_CODE = {
@@ -344,8 +957,8 @@ class _DynInst:
 
     seq: int
     pc: int
-    inst: Instruction
-    result: ExecResult
+    inst: InstructionOracle
+    result: ExecResultOracle
     mispredicted: bool = False
 
 
@@ -392,7 +1005,11 @@ class PipelineOracle:
         p = self.params
         trace = ActivityTrace(self.schema, n_cycles)
         stats = PipelineStats()
-        arch = ArchState(lanes=p.vec_lanes)
+        arch = ArchStateOracle(lanes=p.vec_lanes)
+        insts = [
+            InstructionOracle(i.opcode, i.dst, i.src1, i.src2, i.imm)
+            for i in program.instructions
+        ]
         predictor = _BranchPredictor(p.bp_entries)
         l1i = Cache(p.l1i_sets, p.l1i_assoc, p.l1i_line)
         l1d = Cache(p.l1d_sets, p.l1d_assoc, p.l1d_line)
@@ -542,7 +1159,7 @@ class PipelineOracle:
                         )
                         fetch_stall_until = cycle + miss_latency
                         break
-                    inst = program[pc]
+                    inst = insts[pc]
                     result = arch.execute(inst, len(program))
                     di = _DynInst(
                         seq=seq_counter, pc=pc, inst=inst, result=result
@@ -597,13 +1214,13 @@ class PipelineOracle:
         return None, 1  # NOP
 
     @staticmethod
-    def _source_tags(inst: Instruction) -> list[str]:
+    def _source_tags(inst: InstructionOracle) -> list[str]:
         tags = [f"x{r}" for r in inst.reads_scalar if r != 0]
         tags += [f"v{r}" for r in inst.reads_vector]
         return tags
 
     @staticmethod
-    def _dest_tag(inst: Instruction) -> str | None:
+    def _dest_tag(inst: InstructionOracle) -> str | None:
         if inst.writes_scalar is not None:
             return f"x{inst.writes_scalar}"
         if inst.writes_vector is not None:
@@ -726,7 +1343,7 @@ class PipelineOracle:
         self,
         idx: int,
         cycle: int,
-        inst: Instruction,
+        inst: InstructionOracle,
         va,
         vb,
         trace: ActivityTrace,

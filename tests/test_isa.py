@@ -14,6 +14,7 @@ from repro.isa import (
     Program,
     assemble,
     disassemble,
+    random_instruction,
     random_program,
 )
 from repro.isa.instructions import WORD_MASK
@@ -24,10 +25,8 @@ from repro.isa.semantics import default_memory_value
 # encoding
 # --------------------------------------------------------------------- #
 def _random_instruction(rng):
-    from repro.isa.program import DEFAULT_MIX, _random_instruction
-
     op = Opcode(int(rng.integers(0, len(Opcode))))
-    return _random_instruction(rng, op, DEFAULT_MIX, mem_offset=5)
+    return random_instruction(rng, op, mem_offset=5)
 
 
 def test_encode_decode_roundtrip_all_opcodes():

@@ -1,5 +1,5 @@
 """Tests for overload resilience: admission control, deadline budgets,
-circuit breakers, and loss-free session failover.
+and loss-free session failover.
 
 The load-bearing properties:
 
@@ -9,26 +9,18 @@ The load-bearing properties:
 * faults never change the answer — a shard killed between gather and
   apply replays its in-flight blocks and the session's windows stay
   bit-identical to an offline :class:`OpmMeter` with zero sequence
-  gaps;
-* a breaker that opens fails fast and recovers through a half-open
-  probe, on a call-counted (wall-clock-free) cooldown schedule.
+  gaps.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import (
-    AdmissionError,
-    BreakerOpenError,
-    ServeError,
-    TransientFault,
-)
+from repro.errors import AdmissionError, ServeError
 from repro.obs.metrics import MetricsRegistry
 from repro.opm import OpmMeter, QuantizedModel
 from repro.parallel.pool import WorkerPool
-from repro.resilience import CircuitBreaker, FaultInjector, FaultPlan
+from repro.resilience import FaultInjector, FaultPlan
 from repro.resilience.faults import FaultSpec
-from repro.resilience.retry import RetryPolicy
 from repro.serve import (
     AdmissionConfig,
     AdmissionController,
@@ -67,99 +59,6 @@ def _chunks(n, cycles=32, seed=0):
         (rng.random((cycles, _Q)) < 0.3).astype(np.uint8)
         for _ in range(n)
     ]
-
-
-# ------------------------------------------------------------------ #
-# Circuit breaker
-# ------------------------------------------------------------------ #
-class TestCircuitBreaker:
-    def test_trips_after_threshold_and_fails_fast(self):
-        br = CircuitBreaker(name="t", failure_threshold=2)
-
-        def boom():
-            raise TransientFault("down")
-
-        for _ in range(2):
-            with pytest.raises(TransientFault):
-                br.call(boom)
-        assert br.state == "open"
-        with pytest.raises(BreakerOpenError):
-            br.call(lambda: "never runs")
-
-    def test_half_open_probe_closes_on_success(self):
-        cooldown = RetryPolicy(max_attempts=3, base_delay=2.0,
-                               multiplier=2.0, max_delay=8.0)
-        br = CircuitBreaker(name="t", failure_threshold=1,
-                            cooldown=cooldown)
-        with pytest.raises(TransientFault):
-            br.call(self._boom)
-        assert br.state == "open"
-        # Cooldown is call-counted: a cooldown of 2 rejects one call,
-        # then the second allowed call is the half-open probe.
-        with pytest.raises(BreakerOpenError):
-            br.call(lambda: 1)
-        assert br.call(lambda: "ok") == "ok"
-        assert br.state == "closed"
-        assert br.failures == 0
-
-    def test_probe_failure_reopens_with_escalated_cooldown(self):
-        cooldown = RetryPolicy(max_attempts=3, base_delay=2.0,
-                               multiplier=2.0, max_delay=8.0)
-        br = CircuitBreaker(name="t", failure_threshold=1,
-                            cooldown=cooldown)
-        with pytest.raises(TransientFault):
-            br.call(self._boom)
-        with pytest.raises(BreakerOpenError):  # burn cooldown episode 0
-            br.call(lambda: 1)
-        with pytest.raises(TransientFault):  # half-open probe fails
-            br.call(self._boom)
-        assert br.state == "open"
-        # Episode 1 cooldown escalates to 4: three rejected calls
-        # before the next probe is admitted.
-        for _ in range(3):
-            with pytest.raises(BreakerOpenError):
-                br.call(lambda: 1)
-        assert br.call(lambda: "ok") == "ok"
-        assert br.state == "closed"
-
-    def test_untracked_exceptions_pass_through_uncounted(self):
-        br = CircuitBreaker(name="t", failure_threshold=1)
-        with pytest.raises(ValueError):
-            br.call(self._value_error)
-        assert br.state == "closed"
-        assert br.failures == 0
-
-    def test_metrics_and_reset(self):
-        metrics = MetricsRegistry()
-        br = CircuitBreaker(name="t", failure_threshold=1,
-                            metrics=metrics)
-        with pytest.raises(TransientFault):
-            br.call(self._boom)
-        snap = metrics.snapshot()["counters"]
-
-        def val(name):
-            entry = snap.get(name, 0)
-            return entry["value"] if isinstance(entry, dict) else entry
-
-        assert val("resilience.breaker.t.trips") == 1
-        assert val("resilience.breaker.t.failures") == 1
-        br.reset()
-        assert br.state == "closed"
-        assert br.call(lambda: 3) == 3
-
-    def test_as_dict_is_json_ready(self):
-        br = CircuitBreaker(name="t")
-        d = br.as_dict()
-        assert d["state"] == "closed"
-        assert d["name"] == "t"
-
-    @staticmethod
-    def _boom():
-        raise TransientFault("down")
-
-    @staticmethod
-    def _value_error():
-        raise ValueError("a logic bug, not an outage")
 
 
 # ------------------------------------------------------------------ #
@@ -572,31 +471,6 @@ class TestIdleReaping:
         for _ in range(3):
             gw.tick()
         assert not handle.push.closed
-
-
-# ------------------------------------------------------------------ #
-# Registry disk breaker
-# ------------------------------------------------------------------ #
-class TestRegistryBreaker:
-    def test_open_breaker_fast_fails_disk_io(self, tmp_path):
-        br = CircuitBreaker(name="disk", failure_threshold=1)
-        reg = ModelRegistry(tmp_path, breaker=br)
-        reg.publish("v1", _qmodel(), activate=True)
-        br.record_failure(OSError("disk on fire"))
-        assert br.state == "open"
-        with pytest.raises(BreakerOpenError):
-            reg.publish("v2", _qmodel(1))
-        # In-memory serving is unaffected by the sick disk.
-        assert reg.get("v1") is not None
-        assert reg.active_version == "v1"
-
-    def test_registry_reopen_through_breaker(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        reg.publish("v1", _qmodel(), activate=True)
-        br = CircuitBreaker(name="disk")
-        again = ModelRegistry.open(tmp_path, breaker=br)
-        assert again.versions() == ["v1"]
-        assert again.active_version == "v1"
 
 
 # ------------------------------------------------------------------ #

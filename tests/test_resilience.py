@@ -688,6 +688,55 @@ class TestGaResumeIdentity:
             assert _ga_signature(ev.run(resume=True)) == baseline
 
 
+def _garble_population(ck, how: str):
+    """``ck``'s arrays with a population that does not decode."""
+    arrays = dict(ck.arrays)
+    names = list(ck.meta["pop_names"])
+    fields = np.array(arrays["pop_fields"], dtype=np.int64)
+    if how == "offsets":  # 16 rows cut into programs of 5 and 95
+        fields, offsets, names = fields[:16], [0, 5, 100], names[:2]
+    else:
+        offsets = arrays["pop_offsets"]
+        if how == "opcode":
+            fields[3, 0] = 99
+        elif how == "register":
+            fields[3, 1] = 40
+        else:  # "columns"
+            fields = fields[:, :4]
+    arrays["pop_fields"] = fields
+    arrays["pop_offsets"] = np.asarray(offsets, dtype=np.int64)
+    return arrays, dict(ck.meta, pop_names=names)
+
+
+class TestGaCheckpointPrograms:
+    @pytest.mark.parametrize(
+        "how", ["offsets", "opcode", "register", "columns"]
+    )
+    def test_undecodable_programs_are_a_checkpoint_error(
+        self, small_core, tmp_path, how
+    ):
+        """A hash-valid checkpoint of this run whose population does not
+        decode is refused with a ``CheckpointError``."""
+        store = CheckpointStore(tmp_path / "ck", metrics=MetricsRegistry())
+        with BenchmarkEvolver(
+            small_core,
+            _ga_cfg(),
+            checkpoints=store,
+            faults=_interrupt_plan("ga.generation", 1),
+        ) as ev:
+            with pytest.raises(TransientFault):
+                ev.run()
+        ck = store.latest("ga")
+        arrays, meta = _garble_population(ck, how)
+        store.save("ga", ck.step + 1, arrays, meta)
+        assert store.latest("ga").step == ck.step + 1
+        with BenchmarkEvolver(
+            small_core, _ga_cfg(), checkpoints=store
+        ) as ev:
+            with pytest.raises(CheckpointError):
+                ev.run(resume=True)
+
+
 # --------------------------------------------------------------------- #
 # dataset builders: per-wave checkpoints
 # --------------------------------------------------------------------- #
