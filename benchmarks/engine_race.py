@@ -8,6 +8,12 @@ the small two-wide core (the same ``CoreParams`` as the test suite's
 both paths return bit-identical results.  The NumPy loop is forced the
 way the tests force it: by patching the kernel loader to ``None``.
 
+The ``nothing`` mode records nothing (``RecordSpec()``), so it times
+gate evaluation alone; the other modes' differences from it are the
+cost of toggle recording plus the accumulator, the trace or the
+columns.  ``ns/net-cyc`` is the kernel's time over nets x cycles, which
+compares cores and cycle counts.  The exit status is 1 on any MISMATCH.
+
 Run::
 
     PYTHONPATH=src python benchmarks/engine_race.py
@@ -89,6 +95,7 @@ def main() -> int:
     rng = np.random.default_rng(0)
     cols = np.sort(rng.choice(nl.n_nets, size=64, replace=False))
     modes = {
+        "nothing": RecordSpec(),
         "accumulate": RecordSpec(accumulators={"p": weights}),
         "full trace": RecordSpec(full_trace=True),
         "columns+init": RecordSpec(columns=cols),
@@ -98,8 +105,8 @@ def main() -> int:
         f"best of {REPEATS}; python {platform.python_version()}, "
         f"numpy {np.__version__}, {platform.machine()}"
     )
-    print(f"{'mode':<14}{'batch':>6}{'kernel ms':>11}{'numpy ms':>10}"
-          f"{'speedup':>9}")
+    print(f"{'mode':<14}{'batch':>6}{'kernel ms':>11}{'ns/net-cyc':>12}"
+          f"{'numpy ms':>10}{'speedup':>9}")
     for batch in BATCHES:
         stim = rng.integers(
             0, 2, size=(batch, CYCLES, len(nl.input_ids)), dtype=np.uint8
@@ -112,7 +119,8 @@ def main() -> int:
             if not _same(r_fast, r_slow):
                 print(f"MISMATCH: {mode} batch {batch}")
                 return 1
-            print(f"{mode:<14}{batch:>6}{t_fast * 1e3:>11.1f}"
+            ns = t_fast * 1e9 / (nl.n_nets * CYCLES)
+            print(f"{mode:<14}{batch:>6}{t_fast * 1e3:>11.1f}{ns:>12.2f}"
                   f"{t_slow * 1e3:>10.1f}{t_slow / t_fast:>8.1f}x")
     return 0
 

@@ -1,12 +1,14 @@
 """Benchmarks of the resilience layer (repro.resilience).
 
-The headline number is **checkpoint overhead**: the same GA run timed
-bare and with per-generation checkpointing, alternating inside one test
-so host drift hits both sides alike, with the relative slowdown of the
-fastest runs reported in ``extra_info`` and asserted under the 5%
-budget the design doc promises.  A second benchmark tracks raw
-``CheckpointStore`` save+load+verify throughput so a regression in the
-atomic-write/hash path is visible even before it moves the GA number.
+The headline number is **checkpoint overhead**: the time a GA run spends
+in its per-generation checkpoints (the ``ga.checkpoint`` spans around
+each save) over the fastest bare run of the same GA, reported in
+``extra_info`` and asserted under the 5% budget the design doc promises
+for every checkpointed run.  Bare and checkpointed runs alternate
+inside one test so host drift hits both sides alike.  A second
+benchmark tracks raw ``CheckpointStore`` save+load+verify throughput so
+a regression in the atomic-write/hash path is visible even before it
+moves the GA number.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 
 from repro.genbench import BenchmarkEvolver, GaConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.parallel import program_fingerprint
 from repro.resilience import CheckpointStore
 
@@ -64,55 +67,63 @@ def test_perf_ga_checkpoint_overhead(benchmark, core, cfg, tmp_path):
     Every generation saves population, elite traces, counters, and RNG
     state through the hash-verified atomic-write path; the result must
     still be bit-identical to the bare run.  Bare and checkpointed runs
-    alternate ``OVERHEAD_ROUNDS`` times each, and the overhead is the
-    fastest checkpointed run over the fastest bare one (the benchmark's
-    own timing covers the whole alternating set).
+    alternate ``OVERHEAD_ROUNDS`` times each.  A checkpointed run's
+    overhead is the summed time of its ``ga.checkpoint`` spans over the
+    fastest bare run: timed on the save path itself, not as the
+    difference of two whole-run wall times, which host drift swamps.
     """
 
     def bare():
         with BenchmarkEvolver(core, cfg) as ev:
-            return ev.run(), None
+            return ev.run(), None, None
 
     def checkpointed():
         store = CheckpointStore(
             tmp_path / f"ck-{time.monotonic_ns()}",
             metrics=MetricsRegistry(),
         )
-        with BenchmarkEvolver(core, cfg, checkpoints=store) as ev:
+        tracer = Tracer()
+        with BenchmarkEvolver(
+            core, cfg, checkpoints=store, tracer=tracer
+        ) as ev:
             result = ev.run()
-        return result, store.metrics.counter(
-            "resilience.checkpoint.saves"
-        ).value
+        saves = store.metrics.counter("resilience.checkpoint.saves").value
+        return result, saves, tracer.total_seconds("ga.checkpoint")
 
     def alternate():
         runs = {bare: [], checkpointed: []}
         for _ in range(OVERHEAD_ROUNDS):
             for side in (bare, checkpointed):
                 t0 = time.perf_counter()
-                result, saves = side()
-                runs[side].append(
-                    (time.perf_counter() - t0, _signature(result), saves)
-                )
+                result, saves, save_s = side()
+                runs[side].append((
+                    time.perf_counter() - t0, _signature(result), saves,
+                    save_s,
+                ))
         return runs[bare], runs[checkpointed]
 
     bare_runs, ck_runs = benchmark.pedantic(
         alternate, rounds=1, iterations=1
     )
     bare_sig = bare_runs[0][1]
-    assert all(sig == bare_sig for _t, sig, _s in bare_runs + ck_runs)
-    assert all(saves == cfg.generations for _t, _sig, saves in ck_runs)
+    assert all(sig == bare_sig for _t, sig, _n, _s in bare_runs + ck_runs)
+    assert all(saves == cfg.generations for _t, _sig, saves, _s in ck_runs)
 
-    bare_s = min(t for t, _sig, _s in bare_runs)
-    ck_s = min(t for t, _sig, _s in ck_runs)
-    overhead = ck_s / bare_s - 1.0
+    bare_s = min(t for t, _sig, _n, _s in bare_runs)
+    overheads = [save_s / bare_s for _t, _sig, _n, save_s in ck_runs]
     benchmark.extra_info["bare_s"] = f"{bare_s:.4f}"
-    benchmark.extra_info["checkpointed_s"] = f"{ck_s:.4f}"
-    benchmark.extra_info["checkpoint_overhead_frac"] = f"{overhead:.4f}"
+    benchmark.extra_info["checkpoint_s"] = ",".join(
+        f"{save_s:.4f}" for _t, _sig, _n, save_s in ck_runs
+    )
+    benchmark.extra_info["checkpoint_overhead_frac"] = (
+        f"{max(overheads):.4f}"
+    )
     benchmark.extra_info["checkpoints_per_run"] = str(cfg.generations)
-    assert overhead < OVERHEAD_BUDGET, (
-        f"checkpoint overhead {overhead:.1%} exceeds "
-        f"{OVERHEAD_BUDGET:.0%} budget (fastest of {OVERHEAD_ROUNDS}: "
-        f"bare {bare_s:.3f} s, checkpointed {ck_s:.3f} s)"
+    assert max(overheads) < OVERHEAD_BUDGET, (
+        f"checkpoint overhead {max(overheads):.1%} exceeds "
+        f"{OVERHEAD_BUDGET:.0%} budget (per run: "
+        + ", ".join(f"{o:.1%}" for o in overheads)
+        + f"; fastest bare run {bare_s:.3f} s)"
     )
 
 

@@ -216,6 +216,9 @@ class BenchmarkEvolver:
         self._state_key = state_key_for(core, engine)
         self.checkpoints = checkpoints
         self.faults = faults
+        #: Individuals packed for this run's checkpoints so far:
+        #: (count, arrays, names).
+        self._ind_packed: tuple = (0, None, [])
         self.pool = WorkerPool(
             workers,
             initializer=core_state,
@@ -441,6 +444,44 @@ class BenchmarkEvolver:
             "netlist": self._netlist_fp,
         }
 
+    def _individual_arrays(
+        self, all_individuals: list[GaIndividual]
+    ) -> tuple[dict[str, np.ndarray], list[str]]:
+        """Checkpoint arrays of ``all_individuals``, packing only the
+        ones added since the run's previous save.
+
+        ``all_individuals`` only grows during a run, so each save packs
+        one generation, not the whole history.
+        """
+        done, arrays, names = self._ind_packed
+        new = all_individuals[done:]
+        if arrays is not None and not new:
+            return arrays, names
+        arrs, new_names = programs_to_arrays([ind.program for ind in new])
+        part = {
+            "ind_fields": arrs["prog_fields"],
+            "ind_offsets": arrs["prog_offsets"],
+            "ind_power": np.asarray(
+                [ind.power for ind in new], dtype=np.float64
+            ),
+            "ind_fitness": np.asarray(
+                [ind.fitness for ind in new], dtype=np.float64
+            ),
+            "ind_generation": np.asarray(
+                [ind.generation for ind in new], dtype=np.int64
+            ),
+        }
+        if arrays is not None:
+            # Offsets continue from the packed rows' end.
+            part["ind_offsets"] = (
+                part["ind_offsets"][1:] + arrays["ind_offsets"][-1]
+            )
+            part = {
+                k: np.concatenate([arrays[k], v]) for k, v in part.items()
+            }
+        self._ind_packed = (len(all_individuals), part, names + new_names)
+        return part, names + new_names
+
     def _save_generation(
         self,
         gen: int,
@@ -450,23 +491,11 @@ class BenchmarkEvolver:
     ) -> None:
         """Checkpoint the exact state the top of generation ``gen`` sees."""
         pop_arrs, pop_names = programs_to_arrays(population)
-        ind_arrs, ind_names = programs_to_arrays(
-            [ind.program for ind in all_individuals]
-        )
+        ind_arrays, ind_names = self._individual_arrays(all_individuals)
         arrays = {
             "pop_fields": pop_arrs["prog_fields"],
             "pop_offsets": pop_arrs["prog_offsets"],
-            "ind_fields": ind_arrs["prog_fields"],
-            "ind_offsets": ind_arrs["prog_offsets"],
-            "ind_power": np.asarray(
-                [ind.power for ind in all_individuals], dtype=np.float64
-            ),
-            "ind_fitness": np.asarray(
-                [ind.fitness for ind in all_individuals], dtype=np.float64
-            ),
-            "ind_generation": np.asarray(
-                [ind.generation for ind in all_individuals], dtype=np.int64
-            ),
+            **ind_arrays,
         }
         if known:
             positions = sorted(known)
@@ -555,6 +584,9 @@ class BenchmarkEvolver:
             start_gen = 0
             population: list[Program] | None = None
             all_individuals: list[GaIndividual] = []
+            # A resumed run packs its restored history once, at its
+            # first save.
+            self._ind_packed = (0, None, [])
             known: dict[int, np.ndarray] | None = None
             if resume and self.checkpoints is not None:
                 ck = self.checkpoints.latest("ga")
@@ -575,9 +607,10 @@ class BenchmarkEvolver:
 
             for gen in range(start_gen, cfg.generations):
                 if self.checkpoints is not None:
-                    self._save_generation(
-                        gen, population, all_individuals, known
-                    )
+                    with self.tracer.span("ga.checkpoint", generation=gen):
+                        self._save_generation(
+                            gen, population, all_individuals, known
+                        )
                 if self.faults is not None:
                     # A scheduled "interrupt" models a crash right after
                     # the checkpoint: run(resume=True) re-enters here.

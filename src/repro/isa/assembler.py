@@ -51,8 +51,7 @@ def assemble_line(line: str) -> Instruction | None:
     except KeyError as exc:
         raise IsaError(f"unknown mnemonic {mnemonic!r}") from exc
     operands = OPCODE_TABLE[op].operands
-    if operands:  # ``nop`` ignores whatever follows it
-        _expect(args, len(operands), text)
+    _expect(args, len(operands), text)
     fields = {}
     for token, (kind, field) in zip(args, operands):
         if kind == "imm":

@@ -8,8 +8,9 @@ Useful both for the Fig. 15(b) accuracy/area sweep (fast) and as the
 reference the gate-level OPM netlist is verified against.
 
 This module is the only code that turns proxy toggles into OPM
-integers: :func:`binary_toggles` (the 0/1 check), :func:`opm_dot` (the
-per-cycle dot product) and :meth:`OpmStream.push_per_cycle` (the
+integers: :func:`binary_toggles` (the 0/1 check, shared with the
+simulator's stimulus check in :mod:`repro.rtl.trace`), :func:`opm_dot`
+(the per-cycle dot product) and :meth:`OpmStream.push_per_cycle` (the
 T-window sum).  Streams and the serve tick call them too.
 """
 
@@ -22,31 +23,13 @@ import numpy as np
 
 from repro.errors import OpmError
 from repro.opm.quantize import QuantizedModel
+from repro.rtl.trace import binary_toggles
 
 __all__ = ["OpmMeter", "OpmStream", "binary_toggles", "opm_dot"]
 
 
 def _is_pow2(t: int) -> bool:
     return t >= 1 and (t & (t - 1)) == 0
-
-
-def binary_toggles(x_proxies, error: type[Exception] = OpmError) -> np.ndarray:
-    """``x_proxies`` as a uint8 array of 0/1 toggle bits, or ``error``.
-
-    Any real dtype but uint8 and bool must compare equal to 0 or 1
-    before the cast (a bare cast wraps 256 to 0 and -1 to 255).
-    """
-    X = np.asarray(x_proxies)
-    if X.dtype == np.uint8:
-        # Guarded ``max()``: ``max(initial=0)`` costs ~1 µs more a chunk.
-        if X.size and X.max() > 1:
-            raise error("OPM toggles must be 0 or 1")
-        return X
-    if X.dtype == np.bool_:
-        return X.view(np.uint8)
-    if X.dtype.kind not in "iuf" or ((X != 0) & (X != 1)).any():
-        raise error("OPM toggles must be 0 or 1")
-    return X.astype(np.uint8)
 
 
 def opm_dot(toggles, int_weights, int_intercept: int) -> np.ndarray:
@@ -90,7 +73,7 @@ class OpmMeter:
         empty ``(0, Q)`` chunk (returns an empty array), so streaming
         callers can pass short or empty final chunks through unchanged.
         """
-        X = binary_toggles(x_proxies)
+        X = binary_toggles(x_proxies, OpmError, "OPM toggles")
         if X.ndim != 2 or X.shape[1] != self.qmodel.q:
             raise OpmError(
                 f"expected (N, {self.qmodel.q}) proxy toggles, got {X.shape}"

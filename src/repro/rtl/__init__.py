@@ -16,7 +16,12 @@ from repro.rtl.levelize import (
     PackedSchedule,
     compile_packed,
 )
-from repro.rtl.trace import ToggleTrace, pack_lanes, unpack_lanes
+from repro.rtl.trace import (
+    ToggleTrace,
+    binary_toggles,
+    pack_lanes,
+    unpack_lanes,
+)
 from repro.rtl.simulator import Simulator, SimResult, RecordSpec, ENGINES
 
 __all__ = [
@@ -30,6 +35,7 @@ __all__ = [
     "PackedSchedule",
     "compile_packed",
     "ToggleTrace",
+    "binary_toggles",
     "pack_lanes",
     "unpack_lanes",
     "Simulator",

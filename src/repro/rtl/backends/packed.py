@@ -12,10 +12,12 @@ the same polarity.
 The micro-program runs one of two ways, chosen once per simulator by
 whether the C kernel loads — never by an option:
 
-* **C kernel** (any host with a working C compiler): the program is
-  lowered to flat op tables (:mod:`repro.rtl.backends.tables`) and the
-  whole cycle loop — toggle recording and the accumulator reduction
-  included — runs natively in :mod:`repro.rtl.backends.cc`;
+* **C kernel** (any host with a working C compiler): the schedule is
+  lowered to fused op tables (:mod:`repro.rtl.backends.tables`) whose
+  runs read each gate's fanin rows directly, and the whole cycle loop —
+  stimulus lane packing, toggle recording and the accumulator reduction
+  over the toggled nets included — runs natively in
+  :mod:`repro.rtl.backends.cc`;
 * **NumPy loop** (fallback): one ufunc call per program entry over
   prebound array views.  Toggle words are gathered back into net-id
   order and appended to a block buffer, so the lane unpacking runs once
@@ -69,6 +71,8 @@ class PackedBackend(Backend):
             if self.kernel is not None else None
         )
         self._plans: dict[int, _PackedPlan] = {}
+        #: Stored bits of the reset state, by storage row (first use).
+        self._reset_rows: np.ndarray | None = None
 
     def run(
         self,
@@ -90,10 +94,11 @@ class PackedBackend(Backend):
         batch, cycles, n_in = stim.shape
         W = (batch + 63) // 64
         nr = tab.n_rows
-        init_w, stim_w = self._lane_words(stim, init_values)
-        arena = np.zeros((tab.arena_rows, W), dtype=np.uint64)
-        arena[nr:2 * nr] = init_w  # v_prev of cycle 0
-        arena[:nr][psch.sl_const] = init_w[psch.sl_const]
+        lane_mask = pack_lanes(np.ones(batch, dtype=np.uint8))
+        init_w = self._init_words(lane_mask, init_values)
+        arena = np.zeros((2 * nr, W), dtype=np.uint64)
+        arena[nr:] = init_w  # v_prev of cycle 0
+        arena[psch.sl_const] = init_w[psch.sl_const]
         acc_names = list(acc_weights)
         n_acc = len(acc_names)
         if n_acc:
@@ -126,11 +131,12 @@ class PackedBackend(Backend):
         if cycles:
             _cc.run_cycles(
                 self.kernel, par, arena.ravel(),
-                np.zeros(nr * W, dtype=np.uint64),  # toggle words
-                tab.prog0, tab.prog1, tab.idx_pool, tab.mask_pool,
-                stim_w.ravel(), tab.net_rows, tab.alias_src,
-                acc_mat.ravel(), acc_res.ravel(),
-                np.zeros(W * 64, dtype=np.float64),  # per-lane sums
+                np.empty(nr * W, dtype=np.uint64),  # toggle words
+                np.empty(psch.n_nets if n_acc else 0, dtype=np.int64),
+                tab.prog0, tab.prog1, tab.operands,
+                np.ascontiguousarray(stim).ravel(), tab.net_rows,
+                tab.alias_src, lane_mask, acc_mat.ravel(), acc_res.ravel(),
+                np.empty(W * 64, dtype=np.float64),  # per-lane sums
                 col_rows, cols_buf.ravel(), trace_buf.ravel(),
             )
         for a_i, name in enumerate(acc_names):
@@ -138,25 +144,43 @@ class PackedBackend(Backend):
         p_last = (cycles - 1) & 1 if cycles else 1
         return self._final_values(arena[p_last * nr:(p_last + 1) * nr], batch)
 
+    def _init_words(
+        self, lane_mask: np.ndarray, init_values: np.ndarray | None
+    ) -> np.ndarray:
+        """Initial stored words (storage-row order) for the lanes set
+        in ``lane_mask``.
+
+        The reset state is the same in every lane, so its stored bits
+        are built once per backend, from the one evaluated reset lane,
+        and spread over the lanes by a multiply.  Virtual MUX product
+        rows and alias rows are recomputed before use, so zeros are
+        fine there.
+        """
+        psch = self.packed_schedule
+        if init_values is not None:
+            stored = np.zeros(
+                (psch.n_rows, init_values.shape[1]), dtype=np.uint8
+            )
+            stored[psch.row_of_net] = (
+                np.asarray(init_values, dtype=np.uint8) ^ psch.pol[:, None]
+            )
+            return pack_lanes(stored)
+        if self._reset_rows is None:
+            rows = np.zeros(psch.n_rows, dtype=np.uint64)
+            rows[psch.row_of_net] = self.initial_values(1)[:, 0] ^ psch.pol
+            self._reset_rows = rows
+        return self._reset_rows[:, None] * lane_mask
+
     def _lane_words(
         self, stim: np.ndarray, init_values: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Initial stored words (storage-row order) and the stimulus as
-        cycle-major lane words ``(cycles, n_in, W)``."""
-        psch = self.packed_schedule
-        batch = stim.shape[0]
-        if init_values is not None:
-            v0 = np.asarray(init_values, dtype=np.uint8)
-        else:
-            v0 = self.initial_values(batch)
-        # Virtual MUX product rows and alias rows are recomputed before
-        # use, so zeros are fine there.
-        stored = np.zeros((psch.n_rows, batch), dtype=np.uint8)
-        stored[psch.row_of_net] = v0 ^ psch.pol[:, None]
+        """The NumPy loop's inputs: initial stored words and the
+        stimulus as cycle-major lane words ``(cycles, n_in, W)``."""
+        lane_mask = pack_lanes(np.ones(stim.shape[0], dtype=np.uint8))
         stim_w = pack_lanes(
             np.ascontiguousarray(np.transpose(stim, (1, 2, 0)))
         )
-        return pack_lanes(stored), stim_w
+        return self._init_words(lane_mask, init_values), stim_w
 
     def _final_values(self, fv: np.ndarray, batch: int) -> np.ndarray:
         """Net-ordered true values from the last cycle's stored words."""

@@ -1,35 +1,54 @@
-"""Flat op tables for the packed engine's C kernel.
+"""Fused op tables for the packed engine's C kernel.
 
 The packed engine's NumPy loop binds array views; the C kernel
 (:mod:`repro.rtl.backends.cc`) wants plain integers instead.  This
 module lowers a :class:`~repro.rtl.levelize.PackedSchedule` into flat
-``int64``/``uint64`` arrays that the kernel's interpreter loop executes
-over a single uint64 *arena*:
+*runs* that the kernel executes over a single uint64 *arena* holding
+the two value buffers and nothing else:
 
 ``arena`` row layout (each row is ``W`` lane words)::
 
-    [ vals parity 0 | vals parity 1 | gather scratch | en buf | d buf ]
-      0 .. nr         nr .. 2nr       2nr .. +mg       +ng      +ng
+    [ vals parity 0 | vals parity 1 ]
+      0 .. nr         nr .. 2nr
 
-One op-table row is ``(code, out, a, b, n)`` operating on ``n``
-consecutive arena rows:
+One run is an ``int64`` row ``(code, out, n, off)``: it writes the
+``n`` consecutive arena rows from ``out``, reading its operands from
+``operands[off:]``, one block of ``n`` per operand (``A`` at ``off``,
+``B`` at ``off + n``, ``C`` at ``off + 2n``).  An operand is one
+``uint32`` ``row << 1 | inv`` naming an arena row and whether its word
+is complemented, so every gate reads its fanin rows directly:
 
-====  =========  ====================================================
-code  name       semantics
-====  =========  ====================================================
-0     XOR        ``arena[out+j] = arena[a+j] ^ arena[b+j]``
-1     AND        ``arena[out+j] = arena[a+j] & arena[b+j]``
-2     TAKE       ``arena[out+j] = arena[idx_pool[b+j]]`` (gather)
-3     COPY       ``arena[out+j] = arena[a+j]``
-4     XORMASK    ``arena[out+j] = arena[a+j] ^ mask_pool[b+j]``
-5     FILL1      ``arena[out+j] = ~0``
-====  =========  ====================================================
+====  =====  ==========================================================
+code  name   ``arena[out + j]`` becomes
+====  =====  ==========================================================
+0     COPY   ``A[j]``
+1     AND    ``A[j] & B[j]``
+2     XOR    ``A[j] ^ B[j]``
+3     HOLD   ``C[j] ^ (A[j] & (B[j] ^ C[j]))`` (enable, D, Q)
+4     FILL1  ``~0`` (no operands)
+====  =====  ==========================================================
+
+where ``A[j]`` is the word of row ``operands[off + j] >> 1``, complemented
+when ``operands[off + j] & 1``.  Each parity has its own runs
+(``prog0``/``prog1``) over its own half of ``operands``: the same rows,
+shifted by ``n_rows`` for the buffer they read and write.
+
+A cycle runs register capture (a COPY run of the free registers' D
+inputs and one HOLD run for the gated registers), the CLK copy that
+lets comb logic see the previous-cycle clock, then per logic level an
+AND, XOR and copy run plus an XOR run over the MUXes' two product rows,
+and finally the clock nets (FILL1 for free clocks, a COPY of each gated
+clock's enable).
 
 Everything is independent of the word width ``W`` (rows are scaled by
-``W`` at execution time), so the tables are built once per netlist.
-The op sequence mirrors ``_PackedPlan._build`` exactly — same order,
-same operands — which is what keeps the kernel bit-identical to the
-NumPy loop (and therefore to the uint8 reference).
+``W`` at execution time), so the tables are built once per netlist, in
+array code: one concatenation of the levels' fanin rows, with no loop
+per row.  Bit-identity with the NumPy loop does not rest on mirroring
+its op order: every run writes rows whose operands were all written
+earlier in the cycle (a gate's fanins sit at lower levels, a MUX's
+products earlier in its own level, register and CLK sources in the
+previous buffer), and each row is a bitwise function of its operands,
+so any such order computes the same words.
 """
 
 from __future__ import annotations
@@ -40,21 +59,19 @@ import numpy as np
 
 from repro.rtl.levelize import PackedSchedule
 
-__all__ = ["CompiledTables", "OP_XOR", "OP_AND", "OP_TAKE", "OP_COPY",
-           "OP_XORMASK", "OP_FILL1", "build_tables"]
+__all__ = ["CompiledTables", "OP_COPY", "OP_AND", "OP_XOR", "OP_HOLD",
+           "OP_FILL1", "build_tables"]
 
-OP_XOR, OP_AND, OP_TAKE, OP_COPY, OP_XORMASK, OP_FILL1 = range(6)
+OP_COPY, OP_AND, OP_XOR, OP_HOLD, OP_FILL1 = range(5)
 
 
 @dataclass(frozen=True)
 class CompiledTables:
     """W-independent kernel tables for one netlist."""
 
-    prog0: np.ndarray  # (n_ops, 5) int64, parity-0 micro-program
-    prog1: np.ndarray  # (n_ops, 5) int64, parity-1 micro-program
-    idx_pool: np.ndarray  # int64 gather indices (arena rows)
-    mask_pool: np.ndarray  # uint64 complement masks
-    arena_rows: int  # total arena height
+    prog0: np.ndarray  # (n_runs, 4) int64, parity-0 runs
+    prog1: np.ndarray  # (n_runs, 4) int64, parity-1 runs
+    operands: np.ndarray  # uint32 ``row << 1 | inv``, both parities
     n_rows: int  # storage rows per value buffer (psch.n_rows)
     in_row: int  # first input row (inside a value buffer)
     net_rows: np.ndarray  # (n_nets,) int64: net id -> storage row
@@ -66,117 +83,87 @@ class CompiledTables:
     n_clk_g: int
 
 
-class _Pool:
-    """An operand pool grown by whole arrays; ``add`` returns the offset."""
-
-    def __init__(self, dtype) -> None:
-        self.dtype = dtype
-        self.parts: list[np.ndarray] = []
-        self.size = 0
-
-    def add(self, values: np.ndarray) -> int:
-        off = self.size
-        self.parts.append(values)
-        self.size += values.size
-        return off
-
-    def array(self) -> np.ndarray:
-        if not self.parts:
-            return np.zeros(0, dtype=self.dtype)
-        return np.concatenate(self.parts, dtype=self.dtype)
-
-
-def _emit(psch: PackedSchedule, parity: int,
-          idx_pool: _Pool, mask_pool: _Pool) -> np.ndarray:
-    nr = psch.n_rows
-    vb = parity * nr  # vals base
-    pb = (1 - parity) * nr  # prev base
-    scr = 2 * nr
-    n_gated = psch.sl_gated.stop - psch.sl_gated.start
-    en = scr + psch.max_gather
-    db = en + n_gated
-    ops: list[tuple[int, int, int, int, int]] = []
-
-    def take(dst: int, rows: np.ndarray) -> None:
-        ops.append((OP_TAKE, dst, 0, idx_pool.add(rows), rows.size))
-
-    def xormask(dst: int, inv_col: np.ndarray) -> None:
-        ops.append(
-            (OP_XORMASK, dst, dst, mask_pool.add(inv_col[:, 0]),
-             inv_col.shape[0])
-        )
-
-    # 1. register capture (previous-cycle D and enables).
-    if psch.free_d.size:
-        dst = vb + psch.sl_free.start
-        take(dst, pb + psch.free_d)
-        if psch.free_has_inv:
-            xormask(dst, psch.free_d_inv)
-    if psch.gated_d.size:
-        take(en, pb + psch.gated_en)
-        if psch.gated_en_has_inv:
-            xormask(en, psch.gated_en_inv)
-        take(db, pb + psch.gated_d)
-        if psch.gated_d_has_inv:
-            xormask(db, psch.gated_d_inv)
-        q = pb + psch.sl_gated.start
-        # hold-or-capture without a select: q ^ (en & (d ^ q))
-        ops.append((OP_XOR, db, db, q, n_gated))
-        ops.append((OP_AND, db, db, en, n_gated))
-        ops.append((OP_XOR, db, db, q, n_gated))
-        ops.append((OP_COPY, vb + psch.sl_gated.start, db, 0, n_gated))
-    # 2. comb readers of a CLK net observe its previous-cycle value.
-    ca = psch.sl_clk_all
-    if ca.stop > ca.start:
-        ops.append(
-            (OP_COPY, vb + ca.start, pb + ca.start, 0, ca.stop - ca.start)
-        )
-    # 3. fused combinational evaluation, one level at a time.
-    for L in psch.levels:
-        take(scr, vb + L.gather.astype(np.int64))
-        if L.has_inv:
-            xormask(scr, L.inv)
-        if L.n_and:
-            ops.append((OP_AND, vb + L.out_and.start,
-                        scr + L.sl_and_a.start, scr + L.sl_and_b.start,
-                        L.n_and))
-        if L.n_xor:
-            ops.append((OP_XOR, vb + L.out_xor.start,
-                        scr + L.sl_xor_a.start, scr + L.sl_xor_b.start,
-                        L.n_xor))
-        if L.n_copy:
-            ops.append((OP_COPY, vb + L.out_copy.start,
-                        scr + L.sl_copy.start, 0, L.n_copy))
-        if L.n_mux:
-            ops.append((OP_XOR, vb + L.out_mux.start,
-                        vb + L.sl_u.start, vb + L.sl_v.start, L.n_mux))
-    # 4. clock nets.
-    cf = psch.sl_clk_free
-    if cf.stop > cf.start:
-        ops.append((OP_FILL1, vb + cf.start, 0, 0, cf.stop - cf.start))
-    if psch.clk_g_en.size:
-        dst = vb + psch.sl_clk_gated.start
-        take(dst, pb + psch.clk_g_en)
-        if psch.clk_g_has_inv:
-            xormask(dst, psch.clk_g_en_inv)
-    if not ops:
-        return np.zeros((0, 5), dtype=np.int64)
-    return np.asarray(ops, dtype=np.int64)
+def _rows(sl: slice) -> np.ndarray:
+    return np.arange(sl.start, sl.stop, dtype=np.int64)
 
 
 def build_tables(psch: PackedSchedule) -> CompiledTables:
     """Lower ``psch`` into flat kernel tables (once per netlist)."""
-    idx_pool, mask_pool = _Pool(np.int64), _Pool(np.uint64)
-    prog0 = _emit(psch, 0, idx_pool, mask_pool)
-    prog1 = _emit(psch, 1, idx_pool, mask_pool)
     nr = psch.n_rows
-    n_gated = psch.sl_gated.stop - psch.sl_gated.start
+    runs: list[tuple[int, int, int, int]] = []
+    # Operand blocks: storage rows, complement column (or None) and
+    # whether they read the previous cycle's buffer.
+    parts: list[tuple[np.ndarray, np.ndarray | None, bool]] = []
+    size = 0
+
+    def run(code: int, out: int, n: int, *operands) -> None:
+        nonlocal size
+        if not n:
+            return
+        runs.append((code, out, n, size))
+        for rows, inv, prev in operands:
+            parts.append((rows, inv, prev))
+            size += rows.size
+
+    # 1. register capture (previous-cycle D and enables).
+    sf, sg = psch.sl_free, psch.sl_gated
+    run(OP_COPY, sf.start, sf.stop - sf.start,
+        (psch.free_d, psch.free_d_inv, True))
+    run(OP_HOLD, sg.start, sg.stop - sg.start,
+        (psch.gated_en, psch.gated_en_inv, True),
+        (psch.gated_d, psch.gated_d_inv, True),
+        (_rows(sg), None, True))
+    # 2. comb readers of a CLK net observe its previous-cycle value.
+    ca = psch.sl_clk_all
+    run(OP_COPY, ca.start, ca.stop - ca.start, (_rows(ca), None, True))
+    # 3. fused combinational evaluation, one level at a time: the
+    # level's fanin rows are already run-major ([A | B] of the AND-run,
+    # [A | B] of the XOR-run, the copy-run), so each run points into
+    # them; a MUX XORs its adjacent u and v product rows.
+    for L in psch.levels:
+        base = size
+        parts.append((L.gather, L.inv if L.has_inv else None, False))
+        size += L.gather.size
+        for code, out, n, sl in (
+            (OP_AND, L.out_and, L.n_and, L.sl_and_a),
+            (OP_XOR, L.out_xor, L.n_xor, L.sl_xor_a),
+            (OP_COPY, L.out_copy, L.n_copy, L.sl_copy),
+        ):
+            if n:
+                runs.append((code, out.start, n, base + sl.start))
+        run(OP_XOR, L.out_mux.start, L.n_mux,
+            (np.arange(L.sl_u.start, L.sl_v.stop, dtype=np.int64), None,
+             False))
+    # 4. clock nets.
+    cf, cg = psch.sl_clk_free, psch.sl_clk_gated
+    run(OP_FILL1, cf.start, cf.stop - cf.start)
+    run(OP_COPY, cg.start, cg.stop - cg.start,
+        (psch.clk_g_en, psch.clk_g_en_inv, True))
+
+    prog0 = np.asarray(runs, dtype=np.int64).reshape(-1, 4)
+    prog1 = prog0 + np.asarray([0, nr, 0, size], dtype=np.int64)
+    if parts:
+        rows = np.concatenate([p[0] for p in parts], dtype=np.int64)
+        inv = np.zeros(size, dtype=np.uint64)
+        prev = np.repeat(
+            np.asarray([p[2] for p in parts]),
+            [p[0].size for p in parts],
+        ).astype(np.int64)
+        off = 0
+        for p_rows, p_inv, _prev in parts:
+            if p_inv is not None:
+                inv[off:off + p_rows.size] = p_inv[:, 0]
+            off += p_rows.size
+        enc = rows << 1 | (inv & np.uint64(1)).astype(np.int64)
+        operands = np.concatenate(
+            [enc + 2 * nr * prev, enc + 2 * nr * (1 - prev)]
+        ).astype(np.uint32)
+    else:
+        operands = np.zeros(0, dtype=np.uint32)
     return CompiledTables(
         prog0=prog0,
         prog1=prog1,
-        idx_pool=idx_pool.array(),
-        mask_pool=mask_pool.array(),
-        arena_rows=2 * nr + psch.max_gather + 2 * n_gated,
+        operands=operands,
         n_rows=nr,
         in_row=psch.sl_inputs.start,
         net_rows=psch.row_of_net.astype(np.int64),

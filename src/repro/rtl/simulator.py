@@ -49,7 +49,7 @@ from repro.rtl import backends as _backends
 from repro.rtl.backends.base import acc_reduce as _acc_reduce  # noqa: F401
 from repro.rtl.levelize import LevelSchedule, PackedSchedule, levelize
 from repro.rtl.netlist import Netlist
-from repro.rtl.trace import ToggleTrace
+from repro.rtl.trace import ToggleTrace, binary_toggles
 
 __all__ = ["RecordSpec", "SimResult", "Simulator", "ENGINES"]
 
@@ -175,22 +175,28 @@ class Simulator:
         Parameters
         ----------
         stimulus:
-            uint8 array of shape ``(cycles, n_inputs)`` for a single run or
+            0/1 array of shape ``(cycles, n_inputs)`` for a single run or
             ``(batch, cycles, n_inputs)`` for a batched run.  ``n_inputs``
             must equal the number of ``INPUT`` nets, in creation order.
+            Any other value raises :class:`~repro.errors.StimulusError`
+            (checked before any cast, by
+            :func:`~repro.rtl.trace.binary_toggles`).
         record:
             What to record; defaults to a full packed trace.
+            Accumulator weights must be finite once cast to float32, or
+            :class:`~repro.errors.SimulationError` is raised.
         init_values:
             Full value vector from a previous run's ``final_values`` to
             continue a long simulation in chunks with identical results;
-            ``None`` starts from reset.
+            ``None`` starts from reset.  Values other than 0/1 raise
+            :class:`~repro.errors.StimulusError`.
         tracer:
             Optional :class:`~repro.obs.trace.Tracer`; the cycle loop
             becomes an ``rtl.sim.run`` span (engine, cycles, batch,
             throughput).  Default is the zero-overhead no-op tracer.
         """
         record = record or RecordSpec(full_trace=True)
-        stim = np.asarray(stimulus, dtype=np.uint8)
+        stim = binary_toggles(stimulus, StimulusError, "stimulus")
         if stim.ndim == 2:
             stim = stim[None]
         if stim.ndim != 3:
@@ -218,6 +224,13 @@ class Simulator:
                     f"accumulator {name!r} has shape {w.shape}, expected "
                     f"({self._n},)"
                 )
+            # After the cast, so a weight past float32's range is
+            # caught too; ``inf * 0`` is NaN, and the engines may skip
+            # the ``w * 0`` adds of nets that did not toggle.
+            if not np.isfinite(w).all():
+                raise SimulationError(
+                    f"accumulator {name!r} has non-finite weights"
+                )
             # Accumulate in float64: exact upcast of the canonical
             # float32 weights, and acc_reduce keeps each lane's sum
             # independent of the batch width.
@@ -237,11 +250,15 @@ class Simulator:
             for name in acc_weights
         }
 
-        if init_values is not None and init_values.shape != (self._n, batch):
-            raise SimulationError(
-                f"init_values shape {init_values.shape} != "
-                f"({self._n}, {batch})"
+        if init_values is not None:
+            init_values = binary_toggles(
+                init_values, StimulusError, "init_values"
             )
+            if init_values.shape != (self._n, batch):
+                raise SimulationError(
+                    f"init_values shape {init_values.shape} != "
+                    f"({self._n}, {batch})"
+                )
 
         with (tracer or NULL_TRACER).span(
             "rtl.sim.run",

@@ -5,6 +5,10 @@ element) with bit-packing along the net axis — the Python analogue of the
 VCD/FSDB dumps in the paper's flow, but 8x denser than a byte per bit.
 Column extraction is done without unpacking the full matrix, so selecting
 the Q proxy columns out of tens of thousands of nets stays cheap.
+
+:func:`binary_toggles` is the one 0/1 check for bit arrays that cross
+into the program: simulator stimulus and ``init_values``, and the OPM's
+proxy toggles.
 """
 
 from __future__ import annotations
@@ -16,7 +20,27 @@ import numpy as np
 
 from repro.errors import SimulationError
 
-__all__ = ["ToggleTrace", "pack_lanes", "unpack_lanes"]
+__all__ = ["ToggleTrace", "binary_toggles", "pack_lanes", "unpack_lanes"]
+
+
+def binary_toggles(bits, error: type[Exception], what: str) -> np.ndarray:
+    """``bits`` as a uint8 array of 0/1 values, or ``error``.
+
+    Any real dtype but uint8 and bool must compare equal to 0 or 1
+    before the cast (a bare cast wraps 256 to 0 and -1 to 255).  The
+    message names ``what``.
+    """
+    X = np.asarray(bits)
+    if X.dtype == np.uint8:
+        # Guarded ``max()``: ``max(initial=0)`` costs ~1 µs more a chunk.
+        if X.size and X.max() > 1:
+            raise error(f"{what} must be 0 or 1")
+        return X
+    if X.dtype == np.bool_:
+        return X.view(np.uint8)
+    if X.dtype.kind not in "iuf" or ((X != 0) & (X != 1)).any():
+        raise error(f"{what} must be 0 or 1")
+    return X.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------- #

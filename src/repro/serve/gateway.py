@@ -128,9 +128,9 @@ class PushSource:
 
     def check(self, toggles) -> np.ndarray:
         """``toggles`` as a ``(cycles, q)`` uint8 chunk of 0/1 values
-        (the meter's :func:`~repro.opm.meter.binary_toggles` check plus
+        (the :func:`~repro.rtl.trace.binary_toggles` check plus
         the wire's shape rules), or :class:`~repro.errors.ServeError`."""
-        arr = binary_toggles(toggles, ServeError)
+        arr = binary_toggles(toggles, ServeError, "OPM toggles")
         if arr.ndim != 2 or arr.shape[1] != self.q:
             raise ServeError(
                 f"expected (cycles, {self.q}) toggles, got {arr.shape}"
@@ -1131,7 +1131,9 @@ class InprocClient:
         return handle.name
 
     def push(self, name: str, toggles, last: bool = False, ctx=None) -> None:
-        fields, payload = encode_array(binary_toggles(toggles, ServeError))
+        fields, payload = encode_array(
+            binary_toggles(toggles, ServeError, "OPM toggles")
+        )
         seq = self._seq.get(name, 0)
         head = {"op": "data", "session": name, "last": bool(last),
                 "seq": seq, **fields}
@@ -1454,7 +1456,9 @@ class AsyncTelemetryClient:
         return header["session"]
 
     async def send(self, session: str, toggles, last: bool = False) -> None:
-        fields, payload = encode_array(binary_toggles(toggles, ServeError))
+        fields, payload = encode_array(
+            binary_toggles(toggles, ServeError, "OPM toggles")
+        )
         seq = self._seq.get(session, 0)
         self.writer.write(encode_frame(
             {"op": "data", "session": session, "last": bool(last),

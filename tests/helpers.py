@@ -725,6 +725,7 @@ def assemble_line_oracle(line: str) -> InstructionOracle | None:
         raise IsaError(f"unknown mnemonic {mnemonic!r}") from exc
 
     if op == Opcode.NOP:
+        _expect_oracle(args, 0, text)
         return InstructionOracle(op)
     if op == Opcode.MOVI:
         _expect_oracle(args, 2, text)

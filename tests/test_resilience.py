@@ -37,6 +37,7 @@ from repro.isa.instructions import Instruction, Opcode
 from repro.isa.program import DEFAULT_MIX, Program, random_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import RunManifest
+from repro.obs.trace import Tracer
 from repro.parallel import EvalCache, WorkerPool, program_fingerprint
 from repro.resilience import (
     CheckpointStore,
@@ -628,6 +629,78 @@ class TestGaResumeIdentity:
         ) as ev:
             resumed = ev.run(resume=True)
         assert _ga_signature(resumed) == baseline
+
+    def test_saves_pack_each_generation_once_and_match_a_full_pack(
+        self, small_core, tmp_path
+    ):
+        """Each save's individual arrays equal a pack of the whole
+        history, dtypes included, on a fresh and on a resumed run; each
+        save is one ``ga.checkpoint`` span."""
+        cfg = GaConfig(
+            population=4, generations=4, eval_cycles=60,
+            program_length=12, seed=9,
+        )
+
+        def saved(store):
+            return {
+                step: store.load("ga", step)
+                for step in store.steps("ga")
+            }
+
+        tracer = Tracer()
+        fresh = CheckpointStore(
+            tmp_path / "fresh", keep=0, metrics=MetricsRegistry()
+        )
+        with BenchmarkEvolver(
+            small_core, cfg, checkpoints=fresh, tracer=tracer
+        ) as ev:
+            result = ev.run()
+        assert [s.attrs["generation"] for s in tracer.find(
+            "ga.checkpoint"
+        )] == list(range(cfg.generations))
+        for step, ck in saved(fresh).items():
+            history = result.individuals[: step * cfg.population]
+            arrs, names = programs_to_arrays(
+                [ind.program for ind in history]
+            )
+            want = {
+                "ind_fields": arrs["prog_fields"],
+                "ind_offsets": arrs["prog_offsets"],
+                "ind_power": np.asarray(
+                    [i.power for i in history], dtype=np.float64
+                ),
+                "ind_fitness": np.asarray(
+                    [i.fitness for i in history], dtype=np.float64
+                ),
+                "ind_generation": np.asarray(
+                    [i.generation for i in history], dtype=np.int64
+                ),
+            }
+            for key, arr in want.items():
+                assert ck.arrays[key].dtype == arr.dtype, (step, key)
+                np.testing.assert_array_equal(ck.arrays[key], arr)
+            assert ck.meta["ind_names"] == names
+
+        resumed = CheckpointStore(
+            tmp_path / "resumed", keep=0, metrics=MetricsRegistry()
+        )
+        with BenchmarkEvolver(
+            small_core, cfg, checkpoints=resumed,
+            faults=_interrupt_plan("ga.generation", 2),
+        ) as ev:
+            with pytest.raises(TransientFault):
+                ev.run()
+        with BenchmarkEvolver(small_core, cfg, checkpoints=resumed) as ev:
+            ev.run(resume=True)
+        want_cks, got_cks = saved(fresh), saved(resumed)
+        assert list(got_cks) == list(want_cks)
+        for step, ck in got_cks.items():
+            assert ck.arrays.keys() == want_cks[step].arrays.keys()
+            for key, arr in ck.arrays.items():
+                np.testing.assert_array_equal(
+                    arr, want_cks[step].arrays[key]
+                )
+            assert ck.meta["ind_names"] == want_cks[step].meta["ind_names"]
 
     def test_resume_without_checkpoint_starts_fresh(
         self, small_core, tmp_path

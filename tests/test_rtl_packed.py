@@ -62,7 +62,7 @@ def _assert_identical(r8, rp):
 @pytest.mark.parametrize("engine", PACKED_PATHS, indirect=True)
 @given(
     seed=st.integers(0, 100_000),
-    batch=st.sampled_from([1, 3, 16, 64, 70]),
+    batch=st.sampled_from([1, 3, 16, 64, 70, 130]),
     cycles=st.integers(1, 40),
 )
 # The engine fixture only sets the kernel state, which is the same for

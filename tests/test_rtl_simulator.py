@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError, StimulusError
-from repro.rtl import Netlist, RecordSpec, Simulator
+from repro.rtl import ENGINES, Netlist, RecordSpec, Simulator
 from repro.rtl.datapath import (
     connect_register_bus,
     incrementer,
     register_bus_uninit,
 )
 
-from helpers import simple_counter_design
+from helpers import random_netlist, simple_counter_design
 
 
 def _counter_values(trace_dense, regs):
@@ -138,6 +138,64 @@ def test_bad_accumulator_shape_rejected():
             np.zeros((3, 0), dtype=np.uint8),
             RecordSpec(accumulators={"w": np.zeros(3, dtype=np.float32)}),
         )
+
+
+def _random_run_args(seed=3):
+    nl = random_netlist(seed, n_gates=60)
+    rng = np.random.default_rng(seed)
+    stim = rng.integers(0, 2, size=(4, 12, len(nl.input_ids)))
+    return nl, stim
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "value, dtype",
+    [(2, np.uint8), (255, np.uint8), (256, np.int64), (-1, np.int64),
+     (0.5, np.float64)],
+    ids=["uint8-2", "uint8-255", "int64-256", "int64-minus-1", "float-half"],
+)
+def test_run_rejects_non_binary_stimulus(engine, value, dtype):
+    # A uint8 cast would wrap 256 to 0 and -1 to 255, and the engines
+    # disagree on any value but 0 or 1, so the check runs before it.
+    nl, stim = _random_run_args()
+    stim = stim.astype(dtype)
+    stim[1, 5, 0] = value
+    with pytest.raises(StimulusError, match="stimulus must be 0 or 1"):
+        Simulator(nl, engine=engine).run(stim)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_run_rejects_non_binary_init_values(engine):
+    nl, stim = _random_run_args()
+    sim = Simulator(nl, engine=engine)
+    init = sim.run(stim[:, :4]).final_values.copy()
+    init[0, 1] = 2
+    with pytest.raises(StimulusError, match="init_values must be 0 or 1"):
+        sim.run(stim, init_values=init)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e39],
+                         ids=["inf", "-inf", "nan", "1e39"])
+def test_run_rejects_non_finite_accumulator_weights(engine, bad):
+    # 1e39 is finite as float64 but overflows the float32 cast.
+    nl, stim = _random_run_args()
+    w = np.ones(nl.n_nets, dtype=np.float64)
+    w[nl.n_nets // 2] = bad
+    with pytest.raises(SimulationError, match="non-finite"):
+        Simulator(nl, engine=engine).run(
+            stim, RecordSpec(accumulators={"p": w})
+        )
+
+
+def test_run_accepts_bool_and_wide_binary_stimulus():
+    nl, stim = _random_run_args()
+    sim = Simulator(nl)
+    want = sim.run(stim.astype(np.uint8))
+    for arr in (stim.astype(bool), stim.astype(np.int64),
+                stim.astype(np.float32)):
+        got = sim.run(arr)
+        np.testing.assert_array_equal(got.trace.packed, want.trace.packed)
 
 
 def test_comb_eval_applies_inputs():
