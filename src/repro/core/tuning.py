@@ -19,10 +19,8 @@ from repro.core.metrics import nrmse
 from repro.core.model import train_apollo
 from repro.core.multicycle import train_apollo_tau, window_average
 from repro.core.selection import ProxySelector
-from repro.parallel.cache import array_fingerprint, make_key
 from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import drop_state, get_state, seed_state
-from repro.resilience.checkpoint import CheckpointStore
 
 __all__ = ["TuningResult", "tune_tau", "tune_q", "tune_ridge"]
 
@@ -30,89 +28,26 @@ __all__ = ["TuningResult", "tune_tau", "tune_q", "tune_ridge"]
 _TUNE_TOKEN = itertools.count()
 
 
-def _fingerprint_part(value) -> str:
-    if isinstance(value, np.ndarray):
-        return array_fingerprint(value)
-    return repr(value)
-
-
-def _grid_map(
-    kind: str,
-    payload: dict,
-    task,
-    values: list,
-    workers: int,
-    checkpoints: CheckpointStore | None = None,
-    faults=None,
-    resume: bool = False,
-):
+def _grid_map(kind: str, payload: dict, task, values: list, workers: int):
     """Score every grid value via a WorkerPool (serial when workers<=1).
 
     The shared payload (split arrays, selections) ships to each worker
     once through the pool initializer; the parent seeds the same state
     so the serial path and any degraded fallback reuse its arrays.
     Scores come back in grid order — identical to the sequential loop.
-
-    With ``checkpoints``, completed cell scores persist under stage
-    ``"tune.<kind>"`` after every wave of ``workers`` cells, and
-    ``resume=True`` re-scores only the remaining cells (scores are
-    per-cell deterministic, so the result is identical either way).
     """
     key = ("tune", kind, next(_TUNE_TOKEN))
     seed_state(key, payload)
-    n = len(values)
-    results: list[float | None] = [None] * n
-    stage = f"tune.{kind}"
-    identity = None
-    if checkpoints is not None:
-        identity = make_key(
-            "tune-grid",
-            kind,
-            *(f"{k}={_fingerprint_part(payload[k])}" for k in sorted(payload)),
-            *(_fingerprint_part(v) for v in values),
-        )
-        if resume:
-            ck = checkpoints.latest(stage)
-            if ck is not None and ck.meta.get("identity") == identity:
-                for i in ck.arrays["done"]:
-                    results[int(i)] = float(ck.arrays["scores"][int(i)])
     try:
         with WorkerPool(
-            workers,
-            initializer=seed_state,
-            initargs=(key, payload),
-            faults=faults,
+            workers, initializer=seed_state, initargs=(key, payload)
         ) as pool:
-            todo = [i for i in range(n) if results[i] is None]
-            wave = len(todo) if checkpoints is None else max(1, pool.workers)
-            for w0 in range(0, len(todo), wave):
-                idxs = todo[w0:w0 + wave]
-                vals = pool.map(
-                    task,
-                    [(key, values[i]) for i in idxs],
-                    label=f"tune.{kind}",
-                )
-                for i, v in zip(idxs, vals):
-                    results[i] = float(v)
-                if checkpoints is not None:
-                    done = [i for i in range(n) if results[i] is not None]
-                    scores = np.full(n, np.nan, dtype=np.float64)
-                    for i in done:
-                        scores[i] = results[i]
-                    checkpoints.save(
-                        stage,
-                        len(done),
-                        {
-                            "done": np.asarray(done, dtype=np.int64),
-                            "scores": scores,
-                        },
-                        meta={"identity": identity},
-                    )
-                if faults is not None:
-                    faults.raise_if("tune.wave")
+            vals = pool.map(
+                task, [(key, v) for v in values], label=f"tune.{kind}"
+            )
     finally:
         drop_state(key)
-    return results
+    return [float(v) for v in vals]
 
 
 @dataclass
@@ -201,9 +136,6 @@ def tune_tau(
     val_frac: float = 0.2,
     seed: int = 0,
     workers: int = 1,
-    checkpoints: CheckpointStore | None = None,
-    faults=None,
-    resume: bool = False,
 ) -> TuningResult:
     """Pick the interval size tau by validation NRMSE at window ``t_eval``.
 
@@ -228,10 +160,7 @@ def tune_tau(
         "Xtr": X[train_idx], "ytr": y[train_idx], "Xva": Xva, "yw": yw,
         "q": q, "t_eval": t_eval, "candidate_ids": candidate_ids,
     }
-    vals = _grid_map(
-        "tau", payload, _tau_task, tau_grid, workers,
-        checkpoints=checkpoints, faults=faults, resume=resume,
-    )
+    vals = _grid_map("tau", payload, _tau_task, tau_grid, workers)
     scores = list(zip(tau_grid, vals))
     best = min(scores, key=lambda t: t[1])[0]
     return TuningResult(parameter="tau", best=best, scores=scores)
@@ -266,9 +195,6 @@ def tune_q(
     seed: int = 0,
     knee_tolerance: float = 0.02,
     workers: int = 1,
-    checkpoints: CheckpointStore | None = None,
-    faults=None,
-    resume: bool = False,
 ) -> TuningResult:
     """Pick the smallest Q whose validation NRMSE is within
     ``knee_tolerance`` (absolute) of the best — the accuracy/cost knee
@@ -297,10 +223,7 @@ def tune_q(
             cols = np.asarray([lookup[int(p)] for p in sel.proxies])
         cols_per_q.append(cols)
     payload = {"Xtr": Xtr, "ytr": ytr, "Xva": Xva, "yva": yva}
-    vals = _grid_map(
-        "q", payload, _q_task, cols_per_q, workers,
-        checkpoints=checkpoints, faults=faults, resume=resume,
-    )
+    vals = _grid_map("q", payload, _q_task, cols_per_q, workers)
     scores = list(zip(q_vals, vals))
     best_score = min(s for _q, s in scores)
     best = next(
@@ -326,9 +249,6 @@ def tune_ridge(
     val_frac: float = 0.2,
     seed: int = 0,
     workers: int = 1,
-    checkpoints: CheckpointStore | None = None,
-    faults=None,
-    resume: bool = False,
 ) -> TuningResult:
     """Pick the relaxation ridge strength by validation NRMSE.
 
@@ -352,10 +272,7 @@ def tune_ridge(
     payload = {
         "Xtr": Xtr, "ytr": ytr, "Xva": Xva, "yva": yva, "cols": cols,
     }
-    vals = _grid_map(
-        "ridge", payload, _ridge_task, lam_grid, workers,
-        checkpoints=checkpoints, faults=faults, resume=resume,
-    )
+    vals = _grid_map("ridge", payload, _ridge_task, lam_grid, workers)
     scores = list(zip(lam_grid, vals))
     best = min(scores, key=lambda t: t[1])[0]
     return TuningResult(parameter="ridge_lam", best=best, scores=scores)

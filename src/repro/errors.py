@@ -25,7 +25,6 @@ __all__ = [
     "ParallelError",
     "ResilienceError",
     "CheckpointError",
-    "CacheCorruptionError",
     "TransientFault",
 ]
 
@@ -110,10 +109,6 @@ class ResilienceError(ReproError):
 
 class CheckpointError(ResilienceError):
     """Raised for missing, corrupt, or incompatible checkpoints."""
-
-
-class CacheCorruptionError(ResilienceError):
-    """Raised (in strict mode) when a disk cache entry fails to decode."""
 
 
 class TransientFault(ResilienceError):

@@ -11,6 +11,11 @@ Use :func:`repro.experiments.runner.run_experiment` (or the
 ``table4``, ``table5``, ``fig03``, ``fig09``, ``fig10``, ``fig11``,
 ``fig12``, ``fig13``, ``fig14``, ``fig15a``, ``fig15b``, ``fig16``,
 ``fig17``, ``sec7_5``, ``sec8_1``, ``ablations``.
+
+A context given an ``eval_cache`` (the CLI's ``--cache-dir``) reuses
+finished simulation runs, and an interrupted dataset build resumes from
+it: the runs it finished come back as cache hits (across processes only
+with a disk tier).
 """
 
 from repro.experiments.context import ExperimentContext
@@ -18,7 +23,6 @@ from repro.experiments.runner import (
     EXPERIMENTS,
     ExperimentResult,
     run_experiment,
-    run_experiments,
 )
 
 __all__ = [
@@ -26,5 +30,4 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
     "run_experiment",
-    "run_experiments",
 ]

@@ -10,8 +10,8 @@ design preset ("n1" or "a77") at one scale:
   sweeps and method comparisons pay the unpack/screen cost once;
 * trained models per (method, Q, tau), cached in memory.
 
-Cache keys embed design, scale, and the root seed; changing any knob
-regenerates cleanly.
+Cache keys embed design, scale, the root seed and the netlist's content
+hash; changing any of them regenerates cleanly.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ class ExperimentContext:
 
     # ------------------------------------------------------------------ #
     def _key(self, kind: str) -> Path:
-        # The design fingerprint (net/reg/domain counts) and the dataset
-        # generator version are part of the key, so structural changes to
-        # either invalidate caches.
+        # The netlist's content hash and the dataset generator version
+        # are part of the key, so a structural change to the design (an
+        # AND made an OR, a rewired fanin) or to the generator
+        # invalidates caches.
         from repro.genbench.dataset import DATASET_VERSION
 
-        s = self.core.netlist.summary()
-        fp = f"n{s['nets']}r{s['regs']}c{s['clk']}v{DATASET_VERSION}"
+        fp = f"{self.core.netlist.fingerprint()[:16]}v{DATASET_VERSION}"
         tag = f"{self.design}-{self.scale.name}-{self.seed}-{fp}-{kind}"
         digest = hashlib.sha1(tag.encode()).hexdigest()[:10]
         return self.cache_dir / f"{tag}-{digest}.npz"

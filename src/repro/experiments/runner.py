@@ -2,11 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable
-
-import numpy as np
 
 from repro.errors import ExperimentError
 from repro.experiments.context import ExperimentContext
@@ -15,7 +12,6 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
     "run_experiment",
-    "run_experiments",
 ]
 
 
@@ -108,139 +104,3 @@ def run_experiment(
         result.id = "fig12"
         result.title = result.title.replace("(n1", "(a77")
     return result
-
-
-#: Per-process context cache for the fan-out task: experiments sharing a
-#: (design, scale) in one worker reuse its datasets and models.
-_TASK_CONTEXTS: dict[tuple, ExperimentContext] = {}
-
-
-def _experiment_task(args):
-    """Run one experiment in a worker; never raises (errors are data).
-
-    ``args = (exp_id, design, scale)``; returns
-    ``(exp_id, ExperimentResult | None, error_str | None)``.
-    """
-    exp_id, design, scale = args
-    try:
-        key = (design, scale)
-        ctx = _TASK_CONTEXTS.get(key)
-        if ctx is None:
-            ctx = _TASK_CONTEXTS[key] = ExperimentContext(
-                design=design, scale=scale
-            )
-        return exp_id, run_experiment(exp_id, ctx=ctx), None
-    except Exception as exc:  # noqa: BLE001 - reported to the caller
-        return exp_id, None, f"{type(exc).__name__}: {exc}"
-
-
-def _json_default(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(
-        f"experiment result not JSON-serializable: {type(value).__name__}"
-    )
-
-
-def _entry_to_json(entry: tuple) -> bytes:
-    exp_id, result, error = entry
-    payload = {"exp_id": exp_id, "error": error, "result": None}
-    if result is not None:
-        payload["result"] = {
-            "id": result.id,
-            "title": result.title,
-            "paper_claim": result.paper_claim,
-            "text": result.text,
-            "summary": result.summary,
-            "rows": result.rows,
-        }
-    return json.dumps(payload, default=_json_default).encode()
-
-
-def _entry_from_json(raw: bytes) -> tuple:
-    payload = json.loads(raw.decode())
-    result = None
-    if payload["result"] is not None:
-        result = ExperimentResult(**payload["result"])
-    return payload["exp_id"], result, payload["error"]
-
-
-def run_experiments(
-    exp_ids: list[str],
-    design: str | None = None,
-    scale: str | None = None,
-    workers: int = 1,
-    tracer=None,
-    checkpoints=None,
-    faults=None,
-    resume: bool = False,
-) -> list[tuple]:
-    """Run several experiments, optionally fanned out across processes.
-
-    Returns one ``(exp_id, result_or_None, error_or_None)`` tuple per
-    id, in input order.  Each worker builds (and then reuses) one
-    :class:`ExperimentContext` per (design, scale) it encounters; a
-    failed experiment yields an error string instead of aborting the
-    batch — mirroring the CLI's keep-going behavior.
-
-    With a :class:`~repro.resilience.CheckpointStore`, finished
-    experiments persist (JSON-encoded) under stage ``"experiments"``
-    after every wave of ``workers``, and ``resume=True`` reruns only
-    the unfinished ones.  JSON round-tripping turns tuples inside
-    ``summary``/``rows`` into lists; experiments treat both alike.
-    """
-    from repro.parallel.pool import WorkerPool
-
-    unknown = [e for e in exp_ids if e not in EXPERIMENTS]
-    if unknown:
-        raise ExperimentError(
-            f"unknown experiments {unknown!r}; choose from "
-            f"{sorted(EXPERIMENTS)}"
-        )
-    items = [
-        (exp_id, design or EXPERIMENTS[exp_id][1], scale)
-        for exp_id in exp_ids
-    ]
-    n = len(items)
-    results: list[tuple | None] = [None] * n
-    identity = [list(it) for it in items]
-    if checkpoints is not None and resume:
-        ck = checkpoints.latest("experiments")
-        if ck is not None and ck.meta.get("identity") == identity:
-            for i in ck.arrays["done"]:
-                i = int(i)
-                results[i] = _entry_from_json(
-                    ck.arrays[f"exp{i}_json"].tobytes()
-                )
-    with WorkerPool(workers=workers, tracer=tracer, faults=faults) as pool:
-        todo = [i for i in range(n) if results[i] is None]
-        wave = max(
-            1, len(todo) if checkpoints is None else pool.workers
-        )
-        for w0 in range(0, len(todo), wave):
-            idxs = todo[w0:w0 + wave]
-            outs = pool.map(
-                _experiment_task,
-                [items[i] for i in idxs],
-                label="experiments",
-            )
-            for i, out in zip(idxs, outs):
-                results[i] = out
-            if checkpoints is not None:
-                done = [i for i in range(n) if results[i] is not None]
-                arrays = {"done": np.asarray(done, dtype=np.int64)}
-                for i in done:
-                    arrays[f"exp{i}_json"] = np.frombuffer(
-                        _entry_to_json(results[i]), dtype=np.uint8
-                    )
-                checkpoints.save(
-                    "experiments",
-                    len(done),
-                    arrays,
-                    meta={"identity": identity},
-                )
-            if faults is not None:
-                faults.raise_if("experiments.wave")
-    return results

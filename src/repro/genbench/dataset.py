@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import DatasetError, SimulationError
 from repro.resilience.atomic import NPZ_DECODE_ERRORS, atomic_save_npz
-from repro.resilience.checkpoint import CheckpointStore
 from repro.genbench.ga import GaIndividual, GaResult
 from repro.genbench.handcrafted import testing_suite
 from repro.parallel.cache import (
@@ -209,10 +208,8 @@ def _simulate_benchmarks(
     engine: str = "packed",
     workers: int = 1,
     cache: EvalCache | None = None,
-    checkpoints: CheckpointStore | None = None,
     stage: str = "dataset",
     faults=None,
-    resume: bool = False,
 ) -> tuple[ToggleTrace, np.ndarray, list[tuple[str, int, int]]]:
     """Simulate (name, program, cycles, throttle) runs; concat results.
 
@@ -222,23 +219,26 @@ def _simulate_benchmarks(
     state — per-benchmark results depend only on the benchmark itself,
     never on its batch-mates (width-independent accumulator reduction).
 
-    With ``checkpoints`` set, completed per-run results are checkpointed
-    under ``stage`` after every wave of ``workers`` groups;
-    ``resume=True`` restores a matching checkpoint and simulates only
-    the remaining runs.  Re-grouping the survivors changes batch-mates
-    but (by the contract above) not a single output bit.
+    The cache is also how an interrupted build resumes.  Runs are cached
+    when the map that simulated them returns: one map for all groups,
+    or, under a fault plan, one per wave of ``workers`` groups, each
+    cached before the ``{stage}.wave`` fault site fires.  So a build
+    re-entered after that interrupt gets every run finished before it
+    back as a hit and simulates only the rest.  Re-grouping the
+    survivors changes batch-mates but (by the contract above) not a
+    single output bit.
     """
     weights = core_state(core, engine).label_weights
     state_key = state_key_for(core, engine)
-    netlist_fp = core.netlist.fingerprint()
-    weights_fp = array_fingerprint(weights) if cache is not None else ""
 
     n = len(runs)
     results: list[dict[str, np.ndarray] | None] = [None] * n
     keys: list[str | None] = [None] * n
     if cache is not None:
+        netlist_fp = core.netlist.fingerprint()
+        weights_fp = array_fingerprint(weights)
         # No engine in the key: backends are bit-identical by contract,
-        # so cached runs are shared (and resumable) across them.
+        # so cached runs are shared (and resumed) across them.
         for i, (_name, prog, cycles, throttle) in enumerate(runs):
             keys[i] = make_key(
                 "dataset-run",
@@ -249,33 +249,6 @@ def _simulate_benchmarks(
                 weights_fp,
             )
             results[i] = cache.get(keys[i])
-
-    # Checkpoint identity: any change to the run list or its inputs
-    # makes old checkpoints unusable (they are ignored, not trusted).
-    ckpt_identity = None
-    if checkpoints is not None:
-        # Engine-agnostic identity: a stage checkpointed under one
-        # backend resumes under any other with the same bits.
-        ckpt_identity = make_key(
-            "dataset-stage",
-            netlist_fp,
-            *(
-                make_key(
-                    name, cycles, throttle_fingerprint(throttle),
-                    program_fingerprint(prog),
-                )
-                for name, prog, cycles, throttle in runs
-            ),
-        )
-        if resume:
-            ck = checkpoints.latest(stage)
-            if ck is not None and ck.meta.get("identity") == ckpt_identity:
-                for i in ck.arrays["done"]:
-                    i = int(i)
-                    results[i] = {
-                        "packed": ck.arrays[f"run{i}_packed"],
-                        "label": ck.arrays[f"run{i}_label"],
-                    }
 
     # Group consecutive misses by (cycles, throttle identity).
     miss = [i for i in range(n) if results[i] is None]
@@ -301,10 +274,13 @@ def _simulate_benchmarks(
             initargs=(core, engine),
             faults=faults,
         )
-        # Without a checkpoint store every group goes out in one map;
-        # with one, groups go out in waves of ``workers`` so progress is
-        # persisted at pool-width granularity.
-        wave = len(groups) if checkpoints is None else max(1, pool.workers)
+        # Waves of ``workers`` groups only where a fault plan can
+        # interrupt a build that the cache can resume: each wave is
+        # cached before the wave site fires.  Every other build sends
+        # all groups in one map, which keeps the pool's load balance
+        # (a wave shorter than the pool runs serially in this process).
+        waves = cache is not None and faults is not None
+        wave = max(1, pool.workers) if waves else len(groups)
         try:
             for w0 in range(0, len(groups), wave):
                 wave_groups = groups[w0:w0 + wave]
@@ -326,22 +302,6 @@ def _simulate_benchmarks(
                         results[i] = payload
                         if keys[i] is not None:
                             cache.put(keys[i], payload)
-                if checkpoints is not None:
-                    done = [
-                        i for i in range(n) if results[i] is not None
-                    ]
-                    arrays = {"done": np.asarray(done, dtype=np.int64)}
-                    for i in done:
-                        arrays[f"run{i}_packed"] = results[i]["packed"]
-                        arrays[f"run{i}_label"] = results[i]["label"]
-                    # step = completed-run count: monotonic across
-                    # interrupted and resumed builds alike.
-                    checkpoints.save(
-                        stage,
-                        len(done),
-                        arrays,
-                        meta={"identity": ckpt_identity},
-                    )
                 if faults is not None:
                     faults.raise_if(f"{stage}.wave")
         finally:
@@ -375,16 +335,15 @@ def build_training_dataset(
     engine: str = "packed",
     workers: int = 1,
     cache: EvalCache | None = None,
-    checkpoints: CheckpointStore | None = None,
     faults=None,
-    resume: bool = False,
 ) -> PowerDataset:
     """Replay a uniform-power GA subset to collect ``target_cycles``.
 
     Each selected micro-benchmark contributes ``replay_cycles`` cycles.
-    With ``checkpoints``, progress persists under stage
-    ``"dataset.train"`` and ``resume=True`` skips already-simulated
-    benchmarks (bit-identical output either way).
+    With a ``cache``, a build interrupted at the ``dataset.train.wave``
+    fault site resumes when called again: finished benchmarks come back
+    as cache hits (across processes only with a disk tier), and the
+    output is bit-identical either way.
     """
     if target_cycles < replay_cycles:
         raise DatasetError("target_cycles smaller than one replay")
@@ -398,8 +357,7 @@ def build_training_dataset(
     ]
     trace, labels, segments = _simulate_benchmarks(
         core, runs, engine=engine, workers=workers, cache=cache,
-        checkpoints=checkpoints, stage="dataset.train",
-        faults=faults, resume=resume,
+        stage="dataset.train", faults=faults,
     )
     return PowerDataset(
         trace=trace,
@@ -415,21 +373,18 @@ def build_testing_dataset(
     engine: str = "packed",
     workers: int = 1,
     cache: EvalCache | None = None,
-    checkpoints: CheckpointStore | None = None,
     faults=None,
-    resume: bool = False,
 ) -> PowerDataset:
     """Simulate the 12 handcrafted Table-4 benchmarks.
 
-    With ``checkpoints``, progress persists under stage
-    ``"dataset.test"`` and ``resume=True`` skips completed benchmarks.
+    Resumes from ``cache`` like :func:`build_training_dataset`, with
+    the ``dataset.test.wave`` fault site.
     """
     suite = testing_suite(cycle_scale)
     runs = [(b.name, b.program, b.cycles, b.throttle) for b in suite]
     trace, labels, segments = _simulate_benchmarks(
         core, runs, engine=engine, workers=workers, cache=cache,
-        checkpoints=checkpoints, stage="dataset.test",
-        faults=faults, resume=resume,
+        stage="dataset.test", faults=faults,
     )
     return PowerDataset(
         trace=trace,

@@ -13,10 +13,8 @@ payloads.  Two tiers:
 
 Disk-tier I/O runs under a :class:`~repro.resilience.retry.RetryPolicy`
 (transient ``OSError`` heals in place).  A disk entry that fails to
-*decode* is corruption, not transience: by default it is deleted,
-counted in ``parallel.cache.corrupt``, and served as a miss; with
-``strict_corruption=True`` it raises
-:class:`~repro.errors.CacheCorruptionError` instead.
+*decode* is corruption, not transience: it is deleted, counted in
+``parallel.cache.corrupt``, and served as a miss.
 
 Because the simulator's accumulator reduction is batch-width
 independent, a cached per-program result is *bit-identical* to what any
@@ -36,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import CacheCorruptionError, ParallelError
+from repro.errors import ParallelError
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.resilience.atomic import NPZ_DECODE_ERRORS, atomic_save_npz
 from repro.resilience.retry import RetryPolicy
@@ -160,11 +158,6 @@ class EvalCache:
     metrics:
         Registry for ``parallel.cache.*`` counters/gauges; defaults to
         the process-global registry.
-    strict_corruption:
-        When ``True``, a disk entry that fails to decode raises
-        :class:`CacheCorruptionError` instead of being deleted and
-        served as a miss.  Either way it is counted in
-        ``parallel.cache.corrupt``.
     retry:
         :class:`~repro.resilience.retry.RetryPolicy` for disk-tier
         reads and writes; the default retries transient I/O errors
@@ -185,7 +178,6 @@ class EvalCache:
         max_bytes: int = 512 * 1024 * 1024,
         disk_dir: str | Path | None = None,
         metrics: MetricsRegistry | None = None,
-        strict_corruption: bool = False,
         retry: RetryPolicy | None = None,
         faults=None,
     ) -> None:
@@ -197,7 +189,6 @@ class EvalCache:
         self.max_bytes = max_bytes
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.metrics = metrics if metrics is not None else default_registry()
-        self.strict_corruption = strict_corruption
         self.retry = retry if retry is not None else RetryPolicy()
         self.faults = faults
         self._mem: OrderedDict[str, dict[str, np.ndarray]] = OrderedDict()
@@ -231,8 +222,7 @@ class EvalCache:
         """Look up ``key``; promotes disk hits into the memory tier.
 
         A disk entry that fails to decode is counted as corrupt and
-        deleted (so a later ``put`` can repair it); strict mode raises
-        :class:`CacheCorruptionError` instead.
+        deleted (so a later ``put`` can repair it).
         """
         value = self._mem.get(key)
         if value is not None:
@@ -254,16 +244,12 @@ class EvalCache:
                     label="cache.read",
                     metrics=self.metrics,
                 )
-            except (OSError, *NPZ_DECODE_ERRORS) as exc:
+            except (OSError, *NPZ_DECODE_ERRORS):
                 # Not transience (retries are exhausted): the entry is
                 # corrupt.  Drop it so a future put() repairs the slot.
                 value = None
                 self._count("corrupt")
                 path.unlink(missing_ok=True)
-                if self.strict_corruption:
-                    raise CacheCorruptionError(
-                        f"cache entry {path} failed to decode: {exc}"
-                    ) from exc
             if value is not None:
                 self._store_mem(key, value)
                 self._count("hits")

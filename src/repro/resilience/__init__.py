@@ -4,9 +4,12 @@ Three cooperating pieces make the pipeline survivable without giving up
 its bit-exact determinism contract:
 
 - :mod:`repro.resilience.checkpoint` — schema-versioned, hash-verified
-  checkpoints (:class:`CheckpointStore`) that let the GA, dataset
-  builders, tuning grids, and experiment runner resume an interrupted
-  run *bit-identically* to an uninterrupted one.
+  checkpoints (:class:`CheckpointStore`) that let the GA resume an
+  interrupted run *bit-identically* to an uninterrupted one.  The GA's
+  population, RNG state and elite traces are state, not content; the
+  finished runs of a dataset build are content, so an interrupted build
+  resumes from :class:`~repro.parallel.EvalCache` instead (across
+  processes only with a disk tier).
 - :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection (:class:`FaultPlan` / :class:`FaultInjector`) so every
   recovery path is exercised by reproducible chaos tests and the

@@ -10,8 +10,8 @@ evolution -> training-dataset collection -> APOLLO selection/relaxation
    kills workers, raises transients, tears checkpoint writes, corrupts
    cache entries, and interrupts stage boundaries.  Every interrupt is
    handled the way production would handle a crashed process: the stage
-   is re-entered with ``resume=True`` and continues from its newest
-   verifying checkpoint.
+   is re-entered.  The GA resumes from its newest verifying checkpoint;
+   the dataset build gets the runs it finished back from the cache.
 
 The harness then compares the two quantized models **bit for bit**.
 A match is the whole point of the resilience layer: faults may cost
@@ -154,16 +154,18 @@ def _models_equal(a, b) -> bool:
 
 
 def _restartable(fn, counters: dict, label: str, max_restarts: int):
-    """Crash-restart driver: re-enter ``fn(resume=True)`` on interrupts.
+    """Crash-restart driver: re-enter ``fn(True)`` on interrupts.
 
     ``fn(resume)`` is one pipeline stage; an escaped
     :class:`TransientFault` models the process dying at a stage
     boundary, and the re-entry models the operator (or supervisor)
-    restarting it — which resumes from the newest checkpoint.
+    restarting it.  ``resume`` is true on every re-entry; a stage
+    resumes from wherever it keeps finished work (the GA's checkpoints,
+    the dataset build's cache).
     """
     for attempt in range(max_restarts + 1):
         try:
-            return fn(resume=attempt > 0)
+            return fn(attempt > 0)
         except TransientFault:
             counters["restarts"] += 1
             counters.setdefault("by_stage", {}).setdefault(label, 0)
@@ -234,7 +236,7 @@ def _pipeline(
 
     done = timed("dataset")
     train = _restartable(
-        lambda resume: build_training_dataset(
+        lambda _resume: build_training_dataset(
             core,
             ga,
             target_cycles=scale.train_cycles,
@@ -243,9 +245,7 @@ def _pipeline(
             engine=engine,
             workers=workers,
             cache=cache,
-            checkpoints=checkpoints,
             faults=faults,
-            resume=resume,
         ),
         counters, "dataset", max_restarts,
     )

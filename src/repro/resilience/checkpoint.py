@@ -256,28 +256,18 @@ class CheckpointStore:
             stage=stage, step=saved_step, arrays=arrays, meta=meta, path=npz
         )
 
-    def latest(self, stage: str, strict: bool = False) -> Checkpoint | None:
+    def latest(self, stage: str) -> Checkpoint | None:
         """Newest checkpoint that verifies, or ``None``.
 
         Corrupt steps are skipped (newest first) and counted in
-        ``resilience.checkpoint.corrupt``; ``strict=True`` raises on the
-        first corrupt step instead of falling back to an older one.
+        ``resilience.checkpoint.corrupt``.
         """
         for step in reversed(self.steps(stage)):
             try:
                 return self.load(stage, step)
             except CheckpointError:
                 self.metrics.counter("resilience.checkpoint.corrupt").inc()
-                if strict:
-                    raise
         return None
-
-    def clear(self, stage: str) -> None:
-        """Delete every checkpoint of one stage."""
-        for step in self.steps(stage):
-            npz, sidecar = self._paths(stage, step)
-            npz.unlink(missing_ok=True)
-            sidecar.unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------- #

@@ -11,23 +11,22 @@ test is a reproducible experiment, not a flake generator.
 
 Sites and kinds currently wired through the pipeline:
 
-====================  ==========================================================
-``pool.map``          ``kill_worker`` (SIGKILL one live worker),
-                      ``transient`` (raise before dispatch)
-``cache.read``        ``corrupt`` (truncate the disk entry first)
-``cache.write``       ``transient`` (I/O error; retried by policy)
-``checkpoint.write``  ``truncate`` (torn payload), ``transient``
-``stream.source``     ``stall`` (``duration`` empty pulls), ``transient``
-``ga.generation``     ``interrupt`` (simulated crash at a stage boundary)
+======================  ======================================================
+``pool.map``            ``kill_worker`` (SIGKILL one live worker),
+                        ``transient`` (raise before dispatch)
+``cache.read``          ``corrupt`` (truncate the disk entry first)
+``cache.write``         ``transient`` (I/O error; retried by policy)
+``checkpoint.write``    ``truncate`` (torn payload), ``transient``
+``stream.source``       ``stall`` (``duration`` empty pulls), ``transient``
+``ga.generation``       ``interrupt`` (simulated crash at a stage boundary)
 ``dataset.train.wave``  ``interrupt`` (likewise ``dataset.test.wave``)
-``tune.wave``         ``interrupt``
-``experiments.wave``  ``interrupt``
-====================  ==========================================================
+======================  ======================================================
 
 ``transient`` and ``interrupt`` both raise
 :class:`~repro.errors.TransientFault`; the distinction is semantic —
 transients are retried in place, interrupts model a killed process that
-a later run resumes from checkpoint.
+a later run resumes: the GA from its newest checkpoint, a dataset build
+from the runs its :class:`~repro.parallel.EvalCache` already holds.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ DEFAULT_SITES: dict[str, tuple[str, ...]] = {
     "ga.generation": ("interrupt",),
     "dataset.train.wave": ("interrupt",),
     "dataset.test.wave": ("interrupt",),
-    "tune.wave": ("interrupt",),
 }
 
 

@@ -141,14 +141,16 @@ class Simulator:
         Parameters
         ----------
         input_bits:
-            uint8 array of shape ``(n_inputs,)`` or ``(n_inputs, batch)``.
+            0/1 array of shape ``(n_inputs,)`` or ``(n_inputs, batch)``.
+            Any other value raises :class:`~repro.errors.StimulusError`
+            (checked before any cast, as in :meth:`run`).
 
         Returns
         -------
         numpy.ndarray
             Net values, shape ``(n_nets, batch)``.
         """
-        bits = np.asarray(input_bits, dtype=np.uint8)
+        bits = binary_toggles(input_bits, StimulusError, "input_bits")
         if bits.ndim == 1:
             bits = bits[:, None]
         if bits.shape[0] != self.schedule.input_ids.size:

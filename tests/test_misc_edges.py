@@ -106,3 +106,23 @@ def test_cache_key_includes_dataset_version(tmp_path, monkeypatch):
     monkeypatch.setattr(ds, "DATASET_VERSION", ds.DATASET_VERSION + 1)
     key_v2 = ctx._key("train")
     assert key_v != key_v2
+
+
+def test_cache_key_includes_netlist_content(tmp_path):
+    # Same summary (nets, regs, domains...), different gates: an AND
+    # made an OR must not load the other design's datasets.
+    from types import SimpleNamespace
+
+    from repro.experiments import ExperimentContext
+
+    keys = []
+    for gate in ("and_", "or_"):
+        nl = Netlist("t")
+        a, b = nl.input_bit("a"), nl.input_bit("b")
+        getattr(nl, gate)(a, b)
+        ctx = ExperimentContext(design="n1", scale="tiny", cache_dir=tmp_path)
+        ctx._core = SimpleNamespace(netlist=nl)
+        keys.append((nl.summary(), nl.fingerprint(), ctx._key("train")))
+    (s_and, fp_and, key_and), (s_or, fp_or, key_or) = keys
+    assert s_and == s_or and fp_and != fp_or
+    assert key_and != key_or

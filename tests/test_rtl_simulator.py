@@ -210,6 +210,20 @@ def test_comb_eval_applies_inputs():
     assert vals[g, 0] == 0
 
 
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "bits",
+    [np.array([256, 1]), np.array([2, 3], dtype=np.uint8)],
+    ids=["int-256-wraps-to-0", "uint8-above-1"],
+)
+def test_comb_eval_rejects_non_binary_inputs(engine, bits):
+    # A bare uint8 cast would read 256 as 0 and pass 2 and 3 through.
+    nl = Netlist("t")
+    nl.and_(nl.input_bit("a"), nl.input_bit("b"))
+    with pytest.raises(StimulusError, match="input_bits"):
+        Simulator(nl, engine=engine).comb_eval(bits)
+
+
 def test_determinism():
     nl, nets = simple_counter_design(width=4, gated=True)
     sim = Simulator(nl)
