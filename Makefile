@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test bench bench-substrate bench-stream bench-parallel \
-	bench-resilience bench-serve bench-obs chaos chaos-serve \
+	bench-serve bench-obs chaos chaos-serve \
 	trace-demo serve-demo obs-demo results examples clean
 
 install:
@@ -40,13 +40,6 @@ bench-parallel:
 		--benchmark-only \
 		--benchmark-json=BENCH_parallel.raw.json
 
-# Resilience benchmarks: per-generation checkpoint overhead vs a bare GA
-# run (asserted < 5%) and raw CheckpointStore save/load throughput.
-bench-resilience:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_resilience_perf.py \
-		--benchmark-only \
-		--benchmark-json=BENCH_resilience.raw.json
-
 # Serving-layer benchmarks: the same seeded load through a direct
 # StreamService vs the gateway (1 shard and 4 shards), plus an
 # inline-vs-shm-pool placement race on a large-block fleet (the pool
@@ -67,9 +60,11 @@ bench-obs:
 		--benchmark-json=BENCH_obs.raw.json
 
 # Seeded chaos run: inject a deterministic fault plan (worker kills,
-# torn checkpoints, corrupt cache entries, mid-stage interrupts) into a
-# full train+quantize pipeline and verify the recovered model is
-# bit-identical to a fault-free baseline.  Exit 1 on mismatch.
+# corrupt cache entries, mid-stage interrupts) into a full
+# train+quantize pipeline and verify the recovered model is
+# bit-identical to a fault-free baseline.  Each run empties
+# results/chaos/cache first, so the whole plan fires.  Exit 1 on
+# mismatch.
 chaos:
 	PYTHONPATH=src $(PYTHON) -m repro.cli chaos --seed 5 --workers 2 \
 		--out results/chaos

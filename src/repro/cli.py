@@ -483,21 +483,26 @@ def _cmd_fleet_report(args) -> int:
 
 
 def _cmd_chaos(args) -> int:
+    from repro.errors import ResilienceError
     from repro.resilience import FaultPlan, run_chaos
 
     plan = None
     if args.plan:
         plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    report = run_chaos(
-        seed=args.seed,
-        design=args.design or "m0",
-        scale=args.scale or "tiny",
-        engine=args.engine,
-        workers=args.workers,
-        out_dir=args.out,
-        plan=plan,
-        n_faults=args.faults,
-    )
+    try:
+        report = run_chaos(
+            seed=args.seed,
+            design=args.design or "m0",
+            scale=args.scale or "tiny",
+            engine=args.engine,
+            workers=args.workers,
+            out_dir=args.out,
+            plan=plan,
+            n_faults=args.faults,
+        )
+    except ResilienceError as exc:
+        print(f"cannot run chaos: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -505,19 +510,24 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_chaos_serve(args) -> int:
+    from repro.errors import ResilienceError
     from repro.resilience import FaultPlan, run_chaos_serve
 
     plan = None
     if args.plan:
         plan = FaultPlan.from_dict(json.loads(Path(args.plan).read_text()))
-    report = run_chaos_serve(
-        seed=args.seed,
-        shards=args.shards,
-        workers=args.workers,
-        out_dir=args.out,
-        plan=plan,
-        n_faults=args.faults,
-    )
+    try:
+        report = run_chaos_serve(
+            seed=args.seed,
+            shards=args.shards,
+            workers=args.workers,
+            out_dir=args.out,
+            plan=plan,
+            n_faults=args.faults,
+        )
+    except ResilienceError as exc:
+        print(f"cannot run chaos-serve: {exc}", file=sys.stderr)
+        return 2
     print(report.render())
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
@@ -805,7 +815,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_chaos.add_argument(
         "--out", default=None,
-        help="directory for checkpoints/cache/report (default: temp)",
+        help="directory for the report, manifest and the faulted run's "
+        "cache, which is emptied first (default: temp)",
     )
     p_chaos.add_argument(
         "--json", action="store_true",

@@ -24,7 +24,6 @@ __all__ = [
     "ExperimentError",
     "ParallelError",
     "ResilienceError",
-    "CheckpointError",
     "TransientFault",
 ]
 
@@ -104,11 +103,7 @@ class ParallelError(ReproError):
 
 
 class ResilienceError(ReproError):
-    """Raised by the resilience layer (checkpointing, retries, faults)."""
-
-
-class CheckpointError(ResilienceError):
-    """Raised for missing, corrupt, or incompatible checkpoints."""
+    """Raised by the resilience layer (retries, faults, chaos plans)."""
 
 
 class TransientFault(ResilienceError):

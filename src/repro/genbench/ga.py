@@ -14,19 +14,12 @@ Power evaluation is the expensive step; a whole generation is evaluated in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import CheckpointError, DatasetError
+from repro.errors import DatasetError
 from repro.obs.trace import NULL_TRACER
-from repro.resilience.checkpoint import (
-    CheckpointStore,
-    programs_from_arrays,
-    programs_to_arrays,
-    restore_rng_state,
-    rng_state_meta,
-)
 from repro.parallel.cache import (
     EvalCache,
     array_fingerprint,
@@ -172,20 +165,18 @@ class BenchmarkEvolver:
         traces are memoized by content hash, so re-encountered programs
         (duplicate children, cross-run repeats via a disk tier) skip
         simulation entirely.  Elites never need it: their measured
-        traces carry into the next generation.
-    checkpoints:
-        Optional :class:`~repro.resilience.CheckpointStore`.  When set,
-        the full GA state (population, RNG bit-generator state, every
-        evaluated individual, elite traces) is checkpointed under stage
-        ``"ga"`` at the top of each generation, and ``run(resume=True)``
-        continues an interrupted run **bit-identically** to an
-        uninterrupted one.
+        traces carry into the next generation.  The cache is also where
+        an interrupted run resumes from: :meth:`run` is a pure function
+        of the config and the netlist, so calling it again gets every
+        program the interrupted run finished back as a hit — in the
+        same process from the memory tier, in a new process only from
+        the disk tier.
     faults:
         Optional :class:`~repro.resilience.FaultInjector`, forwarded to
         the worker pool (``pool.map`` site) and fired at the
-        ``ga.generation`` site just after each checkpoint is saved — a
+        ``ga.generation`` site at the top of each generation — a
         scheduled ``interrupt`` there models a crash at the stage
-        boundary that a later ``run(resume=True)`` recovers from.
+        boundary that calling :meth:`run` again recovers from.
     """
 
     def __init__(
@@ -196,7 +187,6 @@ class BenchmarkEvolver:
         tracer=None,
         workers: int = 1,
         cache: EvalCache | None = None,
-        checkpoints: CheckpointStore | None = None,
         faults=None,
     ) -> None:
         self.core = core
@@ -207,18 +197,13 @@ class BenchmarkEvolver:
         state = core_state(core, engine)
         self.simulator = state.simulator
         weights = state.label_weights
-        self._rng = np.random.default_rng(self.config.seed)
         self.cache = cache
         self._netlist_fp = core.netlist.fingerprint()
         self._weights_fp = (
             array_fingerprint(weights) if cache is not None else ""
         )
         self._state_key = state_key_for(core, engine)
-        self.checkpoints = checkpoints
         self.faults = faults
-        #: Individuals packed for this run's checkpoints so far:
-        #: (count, arrays, names).
-        self._ind_packed: tuple = (0, None, [])
         self.pool = WorkerPool(
             workers,
             initializer=core_state,
@@ -422,157 +407,18 @@ class BenchmarkEvolver:
         return Program(name, tuple(insts))
 
     # ------------------------------------------------------------------ #
-    def _ckpt_identity(self) -> dict:
-        """What a checkpoint must match to be resumable by this evolver."""
-        cfg = self.config
-        return {
-            "population": cfg.population,
-            "generations": cfg.generations,
-            "program_length": cfg.program_length,
-            "eval_cycles": cfg.eval_cycles,
-            "elite": cfg.elite,
-            "parent_frac": cfg.parent_frac,
-            "mutation_rate": cfg.mutation_rate,
-            "seed": cfg.seed,
-            "fitness": cfg.fitness,
-            "didt_window": cfg.didt_window,
-            # Deliberately no engine field: backends are bit-identical,
-            # so a checkpoint written under one resumes under any other
-            # with the same results.  (Checkpoints from the era when the
-            # engine was part of the identity are refused, determinis-
-            # tically, by the dict mismatch.)
-            "netlist": self._netlist_fp,
-        }
-
-    def _individual_arrays(
-        self, all_individuals: list[GaIndividual]
-    ) -> tuple[dict[str, np.ndarray], list[str]]:
-        """Checkpoint arrays of ``all_individuals``, packing only the
-        ones added since the run's previous save.
-
-        ``all_individuals`` only grows during a run, so each save packs
-        one generation, not the whole history.
-        """
-        done, arrays, names = self._ind_packed
-        new = all_individuals[done:]
-        if arrays is not None and not new:
-            return arrays, names
-        arrs, new_names = programs_to_arrays([ind.program for ind in new])
-        part = {
-            "ind_fields": arrs["prog_fields"],
-            "ind_offsets": arrs["prog_offsets"],
-            "ind_power": np.asarray(
-                [ind.power for ind in new], dtype=np.float64
-            ),
-            "ind_fitness": np.asarray(
-                [ind.fitness for ind in new], dtype=np.float64
-            ),
-            "ind_generation": np.asarray(
-                [ind.generation for ind in new], dtype=np.int64
-            ),
-        }
-        if arrays is not None:
-            # Offsets continue from the packed rows' end.
-            part["ind_offsets"] = (
-                part["ind_offsets"][1:] + arrays["ind_offsets"][-1]
-            )
-            part = {
-                k: np.concatenate([arrays[k], v]) for k, v in part.items()
-            }
-        self._ind_packed = (len(all_individuals), part, names + new_names)
-        return part, names + new_names
-
-    def _save_generation(
-        self,
-        gen: int,
-        population: list[Program],
-        all_individuals: list[GaIndividual],
-        known: dict[int, np.ndarray] | None,
-    ) -> None:
-        """Checkpoint the exact state the top of generation ``gen`` sees."""
-        pop_arrs, pop_names = programs_to_arrays(population)
-        ind_arrays, ind_names = self._individual_arrays(all_individuals)
-        arrays = {
-            "pop_fields": pop_arrs["prog_fields"],
-            "pop_offsets": pop_arrs["prog_offsets"],
-            **ind_arrays,
-        }
-        if known:
-            positions = sorted(known)
-            arrays["known_positions"] = np.asarray(positions, dtype=np.int64)
-            arrays["known_traces"] = np.stack(
-                [np.asarray(known[p], dtype=np.float64) for p in positions]
-            )
-        meta = {
-            "rng_state": rng_state_meta(self._rng),
-            "pop_names": pop_names,
-            "ind_names": ind_names,
-            "identity": self._ckpt_identity(),
-            "counters": {
-                "n_simulated": self.n_simulated,
-                "n_cache_hits": self.n_cache_hits,
-                "n_elite_reuses": self.n_elite_reuses,
-            },
-        }
-        self.checkpoints.save("ga", gen, arrays, meta)
-
-    def _restore_generation(self, ck) -> tuple[
-        int, list[Program], list[GaIndividual], dict[int, np.ndarray] | None
-    ]:
-        """Inverse of :meth:`_save_generation` (validates identity)."""
-        identity = ck.meta.get("identity")
-        if identity != self._ckpt_identity():
-            raise CheckpointError(
-                "GA checkpoint belongs to a different run configuration "
-                f"(checkpoint {identity!r} vs current "
-                f"{self._ckpt_identity()!r})"
-            )
-        population = programs_from_arrays(
-            {
-                "prog_fields": ck.arrays["pop_fields"],
-                "prog_offsets": ck.arrays["pop_offsets"],
-            },
-            ck.meta["pop_names"],
-        )
-        ind_programs = programs_from_arrays(
-            {
-                "prog_fields": ck.arrays["ind_fields"],
-                "prog_offsets": ck.arrays["ind_offsets"],
-            },
-            ck.meta["ind_names"],
-        )
-        all_individuals = [
-            GaIndividual(
-                program=p,
-                power=float(pw),
-                generation=int(g),
-                fitness=float(fit),
-            )
-            for p, pw, fit, g in zip(
-                ind_programs,
-                ck.arrays["ind_power"],
-                ck.arrays["ind_fitness"],
-                ck.arrays["ind_generation"],
-            )
-        ]
-        known: dict[int, np.ndarray] | None = None
-        if "known_positions" in ck.arrays:
-            known = {
-                int(pos): ck.arrays["known_traces"][j]
-                for j, pos in enumerate(ck.arrays["known_positions"])
-            }
-        restore_rng_state(self._rng, ck.meta["rng_state"])
-        return ck.step, population, all_individuals, known
-
-    def run(self, resume: bool = False) -> GaResult:
+    def run(self) -> GaResult:
         """Run the full GA; returns every evaluated individual.
 
-        With a checkpoint store attached, ``resume=True`` continues from
-        the newest verifying ``"ga"`` checkpoint (falling back to a
-        fresh start when none exists); the resumed run's result is
-        bit-identical to an uninterrupted run of the same configuration.
+        Each call seeds the RNG from ``config.seed``, so a run is a pure
+        function of the configuration and the netlist: calling ``run()``
+        again returns the same individuals.  That is how an interrupted
+        run resumes: with a cache, the re-run gets every program the
+        interrupted one finished back as a hit and simulates only the
+        rest.
         """
         cfg = self.config
+        self._rng = np.random.default_rng(cfg.seed)
         with self.tracer.span(
             "ga.run",
             population=cfg.population,
@@ -581,39 +427,18 @@ class BenchmarkEvolver:
             engine=self.simulator.engine,
             seed=cfg.seed,
         ) as root:
-            start_gen = 0
-            population: list[Program] | None = None
+            population = self._initial_population()
             all_individuals: list[GaIndividual] = []
-            # A resumed run packs its restored history once, at its
-            # first save.
-            self._ind_packed = (0, None, [])
             known: dict[int, np.ndarray] | None = None
-            if resume and self.checkpoints is not None:
-                ck = self.checkpoints.latest("ga")
-                if ck is not None:
-                    (
-                        start_gen,
-                        population,
-                        all_individuals,
-                        known,
-                    ) = self._restore_generation(ck)
-                    if root:
-                        root.set(resumed_from=start_gen)
-            if population is None:
-                population = self._initial_population()
             sim0, hit0, reuse0 = (
                 self.n_simulated, self.n_cache_hits, self.n_elite_reuses
             )
 
-            for gen in range(start_gen, cfg.generations):
-                if self.checkpoints is not None:
-                    with self.tracer.span("ga.checkpoint", generation=gen):
-                        self._save_generation(
-                            gen, population, all_individuals, known
-                        )
+            for gen in range(cfg.generations):
                 if self.faults is not None:
-                    # A scheduled "interrupt" models a crash right after
-                    # the checkpoint: run(resume=True) re-enters here.
+                    # A scheduled "interrupt" models a crash at the top
+                    # of a generation; calling run() again replays the
+                    # finished generations from the cache.
                     self.faults.raise_if("ga.generation")
                 with self.tracer.span(
                     "ga.generation", generation=gen

@@ -127,25 +127,6 @@ class RunManifest:
                 "fired": [],
             }
 
-    def record_resume(
-        self, stage: str, step: int, checkpoint_path=None
-    ) -> None:
-        """Record that ``stage`` resumed from checkpoint ``step``.
-
-        Accumulates under ``extra["resumed_from"]`` — one entry per
-        resumed stage — so manifests show a run's full restart lineage.
-        """
-        lineage = self.extra.setdefault("resumed_from", [])
-        lineage.append(
-            {
-                "stage": stage,
-                "step": int(step),
-                "checkpoint": (
-                    None if checkpoint_path is None else str(checkpoint_path)
-                ),
-            }
-        )
-
     @property
     def total_wall_s(self) -> float:
         return sum(st["wall_s"] for st in self.stages.values())

@@ -1,15 +1,13 @@
-"""Resilience layer: checkpoint/resume, fault injection, retries.
+"""Resilience layer: fault injection, retries, atomic writes.
 
-Three cooperating pieces make the pipeline survivable without giving up
-its bit-exact determinism contract:
+The pipeline survives interrupts without giving up its bit-exact
+determinism contract, and without a store of its own: finished work
+lives in :class:`~repro.parallel.EvalCache`.  The GA and the dataset
+builds are pure functions of their configuration, so an interrupted one
+resumes by being called again with its cache, and gets every finished
+run back as a hit (across processes only with a disk tier).  The
+layer itself has two pieces:
 
-- :mod:`repro.resilience.checkpoint` — schema-versioned, hash-verified
-  checkpoints (:class:`CheckpointStore`) that let the GA resume an
-  interrupted run *bit-identically* to an uninterrupted one.  The GA's
-  population, RNG state and elite traces are state, not content; the
-  finished runs of a dataset build are content, so an interrupted build
-  resumes from :class:`~repro.parallel.EvalCache` instead (across
-  processes only with a disk tier).
 - :mod:`repro.resilience.faults` — seeded, deterministic fault
   injection (:class:`FaultPlan` / :class:`FaultInjector`) so every
   recovery path is exercised by reproducible chaos tests and the
@@ -27,15 +25,6 @@ from repro.resilience.atomic import (
     atomic_save_npz,
     atomic_write,
     atomic_write_bytes,
-)
-from repro.resilience.checkpoint import (
-    CHECKPOINT_SCHEMA_VERSION,
-    Checkpoint,
-    CheckpointStore,
-    programs_from_arrays,
-    programs_to_arrays,
-    restore_rng_state,
-    rng_state_meta,
 )
 from repro.resilience.faults import (
     FaultInjector,
@@ -61,13 +50,6 @@ __all__ = [
     "atomic_write",
     "atomic_write_bytes",
     "atomic_save_npz",
-    "CHECKPOINT_SCHEMA_VERSION",
-    "Checkpoint",
-    "CheckpointStore",
-    "rng_state_meta",
-    "restore_rng_state",
-    "programs_to_arrays",
-    "programs_from_arrays",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",

@@ -1,8 +1,8 @@
 """Atomic, durable file publication.
 
 Every artifact the pipeline persists — cache entries, datasets, model
-files, checkpoints — must never be observable half-written: a crashed
-writer, a concurrent reader, or a resumed run must see either the old
+files — must never be observable half-written: a crashed writer, a
+concurrent reader, or a resumed run must see either the old
 content or the new content, nothing in between.  The pattern is the
 classic one (write a temporary file *in the same directory*, fsync it,
 ``os.replace`` over the target, fsync the directory), centralized here
@@ -23,7 +23,6 @@ import zipfile
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -85,18 +84,13 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     return path
 
 
-def atomic_save_npz(
-    path: str | Path,
-    arrays: dict[str, np.ndarray],
-    compressed: bool = True,
-) -> Path:
-    """Atomically publish an ``.npz`` archive at ``path``.
+def atomic_save_npz(path: str | Path, arrays: dict[str, np.ndarray]) -> Path:
+    """Atomically publish a compressed ``.npz`` archive at ``path``.
 
-    The tmp name keeps the ``.npz`` suffix so ``np.savez`` doesn't
-    append another one.
+    The tmp name keeps the ``.npz`` suffix so ``np.savez_compressed``
+    doesn't append another one.
     """
     path = Path(path)
-    save: Callable = np.savez_compressed if compressed else np.savez
     with atomic_write(path, suffix=".npz") as tmp:
-        save(tmp, **arrays)
+        np.savez_compressed(tmp, **arrays)
     return path

@@ -4,14 +4,16 @@
 evolution -> training-dataset collection -> APOLLO selection/relaxation
 -> fixed-point quantization) twice:
 
-1. a **baseline** run — serial, no faults, no checkpoints;
-2. a **faulted** run — checkpointed, cached, worker-pooled, and driven
-   under a seeded :class:`~repro.resilience.faults.FaultPlan` that
-   kills workers, raises transients, tears checkpoint writes, corrupts
-   cache entries, and interrupts stage boundaries.  Every interrupt is
-   handled the way production would handle a crashed process: the stage
-   is re-entered.  The GA resumes from its newest verifying checkpoint;
-   the dataset build gets the runs it finished back from the cache.
+1. a **baseline** run — serial, uncached, no faults;
+2. a **faulted** run — cached, worker-pooled, and driven under a
+   seeded :class:`~repro.resilience.faults.FaultPlan` that kills
+   workers, raises transients, corrupts cache entries, and interrupts
+   stage boundaries.  Every interrupt is handled the way production
+   would handle a crashed process: the stage is called again.  The GA
+   and the dataset build are pure functions of their inputs, so each
+   gets the runs it finished back from the cache and simulates only
+   the rest.  The cache starts empty, so a re-run on the same output
+   directory fires the whole plan again.
 
 The harness then compares the two quantized models **bit for bit**.
 A match is the whole point of the resilience layer: faults may cost
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,7 +35,6 @@ import numpy as np
 
 from repro.errors import AdmissionError, ResilienceError, TransientFault
 from repro.obs.trace import NULL_TRACER
-from repro.resilience.checkpoint import CheckpointStore
 from repro.resilience.faults import FaultInjector, FaultPlan
 
 __all__ = [
@@ -50,7 +52,6 @@ CHAOS_SITES: dict[str, tuple[str, ...]] = {
     "pool.map": ("kill_worker", "transient"),
     "cache.read": ("corrupt",),
     "cache.write": ("transient",),
-    "checkpoint.write": ("truncate",),
     "ga.generation": ("interrupt",),
     "dataset.train.wave": ("interrupt",),
 }
@@ -153,19 +154,29 @@ def _models_equal(a, b) -> bool:
     )
 
 
-def _restartable(fn, counters: dict, label: str, max_restarts: int):
-    """Crash-restart driver: re-enter ``fn(True)`` on interrupts.
+def _check_sites(plan: FaultPlan, sites: dict, harness: str) -> None:
+    """Refuse a plan that schedules faults at a site ``harness`` never
+    fires: such a spec would do nothing, silently."""
+    unknown = sorted({spec.site for spec in plan.faults} - sites.keys())
+    if unknown:
+        raise ResilienceError(
+            f"the {harness} harness never fires fault site(s) "
+            f"{', '.join(unknown)} (it fires {', '.join(sorted(sites))})"
+        )
 
-    ``fn(resume)`` is one pipeline stage; an escaped
-    :class:`TransientFault` models the process dying at a stage
-    boundary, and the re-entry models the operator (or supervisor)
-    restarting it.  ``resume`` is true on every re-entry; a stage
-    resumes from wherever it keeps finished work (the GA's checkpoints,
-    the dataset build's cache).
+
+def _restartable(fn, counters: dict, label: str, max_restarts: int):
+    """Crash-restart driver: call ``fn()`` again on interrupts.
+
+    ``fn`` is one pipeline stage; an escaped :class:`TransientFault`
+    models the process dying at a stage boundary, and the next call
+    models the operator (or supervisor) restarting it.  Every stage is
+    a pure function of its inputs, so a restart resumes from the
+    finished work its cache holds.
     """
-    for attempt in range(max_restarts + 1):
+    for _attempt in range(max_restarts + 1):
         try:
-            return fn(attempt > 0)
+            return fn()
         except TransientFault:
             counters["restarts"] += 1
             counters.setdefault("by_stage", {}).setdefault(label, 0)
@@ -182,7 +193,6 @@ def _pipeline(
     engine: str,
     workers: int,
     cache,
-    checkpoints,
     faults,
     tracer,
     counters: dict,
@@ -222,21 +232,17 @@ def _pipeline(
         tracer=tracer,
         workers=workers,
         cache=cache,
-        checkpoints=checkpoints,
         faults=faults,
     )
     try:
-        ga = _restartable(
-            lambda resume: evolver.run(resume=resume),
-            counters, "ga", max_restarts,
-        )
+        ga = _restartable(evolver.run, counters, "ga", max_restarts)
     finally:
         evolver.close()
     done()
 
     done = timed("dataset")
     train = _restartable(
-        lambda _resume: build_training_dataset(
+        lambda: build_training_dataset(
             core,
             ga,
             target_cycles=scale.train_cycles,
@@ -300,13 +306,16 @@ def run_chaos(
     design, scale, engine, workers:
         Pipeline configuration for both runs.  The baseline runs
         serial/uncached regardless of ``workers``; the faulted run uses
-        the full parallel+cache+checkpoint machinery.
+        the worker pool and the cache.
     out_dir:
-        Where checkpoints, the cache tier, the report JSON, and the run
-        manifest land.  A temporary directory is used when omitted.
+        Where the faulted run's disk cache (``cache/``, emptied before
+        the run), the report JSON, and the run manifest land.  A
+        temporary directory is used when omitted.
     plan:
         Explicit :class:`FaultPlan`; default is
-        ``FaultPlan.random(seed, sites=CHAOS_SITES, ...)``.
+        ``FaultPlan.random(seed, sites=CHAOS_SITES, ...)``.  A plan that
+        names a site outside :data:`CHAOS_SITES` raises
+        :class:`ResilienceError` before any work.
     """
     import tempfile
 
@@ -319,12 +328,13 @@ def run_chaos(
     params = {"m0": M0_LIKE, "n1": N1_LIKE, "a77": A77_LIKE}.get(design)
     if params is None:
         raise ResilienceError(f"unknown design {design!r}")
-    scale_obj = get_scale(scale if isinstance(scale, str) else None)
-    tracer = tracer or NULL_TRACER
-    core = build_core(params)
     plan = plan or FaultPlan.random(
         seed, sites=CHAOS_SITES, n_faults=n_faults, max_at=max_at
     )
+    _check_sites(plan, CHAOS_SITES, "chaos")
+    scale_obj = get_scale(scale if isinstance(scale, str) else None)
+    tracer = tracer or NULL_TRACER
+    core = build_core(params)
     # Every scheduled fault can fire at most once, so interrupts (the
     # only kind that escapes a stage) bound the restart count.
     max_restarts = len(plan.faults) + 1
@@ -340,23 +350,25 @@ def run_chaos(
         t0 = time.perf_counter()
         baseline = _pipeline(
             core, scale_obj, seed, engine,
-            workers=1, cache=None, checkpoints=None, faults=None,
+            workers=1, cache=None, faults=None,
             tracer=tracer, counters={"restarts": 0}, max_restarts=0,
         )
         baseline_s = time.perf_counter() - t0
 
         injector = FaultInjector(plan)
-        checkpoints = CheckpointStore(
-            out / "checkpoints", tracer=tracer, faults=injector
-        )
-        cache = EvalCache(disk_dir=out / "cache", faults=injector)
+        # A cache left by an earlier run would answer every lookup, and
+        # the plan's cache and pool faults would never fire.
+        cache_dir = out / "cache"
+        if cache_dir.exists():
+            shutil.rmtree(cache_dir)
+        cache = EvalCache(disk_dir=cache_dir, faults=injector)
         counters: dict = {"restarts": 0}
         stages: dict = {}
         t0 = time.perf_counter()
         faulted = _pipeline(
             core, scale_obj, seed, engine,
-            workers=workers, cache=cache, checkpoints=checkpoints,
-            faults=injector, tracer=tracer, counters=counters,
+            workers=workers, cache=cache, faults=injector,
+            tracer=tracer, counters=counters,
             max_restarts=max_restarts, stages=stages,
         )
         faulted_s = time.perf_counter() - t0
@@ -665,7 +677,9 @@ def run_chaos_serve(
        :data:`SERVE_CHAOS_SITES`: shards killed *between* gather and
        apply (stranding in-flight blocks), pool workers SIGKILLed,
        pull sources stalled, shm slabs forced to overflow, and the
-       admission layer flooded with best-effort opens mid-load.
+       admission layer flooded with best-effort opens mid-load.  An
+       explicit ``plan`` that names any other site raises
+       :class:`ResilienceError` before any work.
 
     The gate then asserts, bit for bit:
 
@@ -689,6 +703,7 @@ def run_chaos_serve(
     plan = plan or FaultPlan.random(
         seed, sites=SERVE_CHAOS_SITES, n_faults=n_faults, max_at=max_at
     )
+    _check_sites(plan, SERVE_CHAOS_SITES, "chaos-serve")
     n_push, n_pull = 6, 2
     push_plans = load_plan(
         LoadGenConfig(

@@ -16,7 +16,6 @@ Sites and kinds currently wired through the pipeline:
                         ``transient`` (raise before dispatch)
 ``cache.read``          ``corrupt`` (truncate the disk entry first)
 ``cache.write``         ``transient`` (I/O error; retried by policy)
-``checkpoint.write``    ``truncate`` (torn payload), ``transient``
 ``stream.source``       ``stall`` (``duration`` empty pulls), ``transient``
 ``ga.generation``       ``interrupt`` (simulated crash at a stage boundary)
 ``dataset.train.wave``  ``interrupt`` (likewise ``dataset.test.wave``)
@@ -25,8 +24,8 @@ Sites and kinds currently wired through the pipeline:
 ``transient`` and ``interrupt`` both raise
 :class:`~repro.errors.TransientFault`; the distinction is semantic —
 transients are retried in place, interrupts model a killed process that
-a later run resumes: the GA from its newest checkpoint, a dataset build
-from the runs its :class:`~repro.parallel.EvalCache` already holds.
+a later run resumes.  The GA and a dataset build both resume from the
+runs their :class:`~repro.parallel.EvalCache` already holds.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ DEFAULT_SITES: dict[str, tuple[str, ...]] = {
     "pool.map": ("kill_worker", "transient"),
     "cache.read": ("corrupt",),
     "cache.write": ("transient",),
-    "checkpoint.write": ("truncate",),
     "stream.source": ("stall", "transient"),
     "ga.generation": ("interrupt",),
     "dataset.train.wave": ("interrupt",),

@@ -50,7 +50,6 @@ def test_top_level_exports_resolve():
         "repro.obs.provenance",
         "repro.resilience",
         "repro.resilience.atomic",
-        "repro.resilience.checkpoint",
         "repro.resilience.faults",
         "repro.resilience.retry",
         "repro.resilience.chaos",

@@ -3,44 +3,33 @@
 The load-bearing property mirrors the serial/parallel identity: a
 pipeline run interrupted at *any* stage boundary and resumed produces
 **bit-identical** output to an uninterrupted run — on both engines,
-with and without workers and caches.  The GA resumes from its
-checkpoint; a dataset build resumes from the runs its cache holds.
-Everything else here exercises the failure paths (torn checkpoints,
-corrupt cache entries, dead workers, stalled sources, retry exhaustion)
-that the fault injector makes deterministic.
+with and without workers.  The GA and a dataset build both resume from
+the runs their cache holds.  Everything else here exercises the failure
+paths (corrupt cache entries, dead workers, stalled sources, retry
+exhaustion, plans naming sites a harness never fires) that the fault
+injector makes deterministic.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import (
-    CheckpointError,
-    ResilienceError,
-    TransientFault,
-)
+from repro.errors import ResilienceError, TransientFault
 from repro.genbench import (
     BenchmarkEvolver,
     GaConfig,
     build_testing_dataset,
     build_training_dataset,
 )
-from repro.isa.instructions import Instruction, Opcode
-from repro.isa.program import DEFAULT_MIX, Program, random_program
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.provenance import RunManifest
-from repro.obs.trace import Tracer
 from repro.parallel import EvalCache, WorkerPool, program_fingerprint
-from repro.parallel.tasks import simulate_group
+from repro.parallel.tasks import eval_power_shard, simulate_group
 from repro.resilience import (
-    CheckpointStore,
     FaultInjector,
     FaultPlan,
     FaultSpec,
@@ -50,12 +39,9 @@ from repro.resilience import (
     atomic_save_npz,
     atomic_write,
     atomic_write_bytes,
-    programs_from_arrays,
-    programs_to_arrays,
-    restore_rng_state,
-    rng_state_meta,
+    run_chaos,
+    run_chaos_serve,
 )
-from repro.resilience.faults import truncate_file
 
 _PARENT_PID = os.getpid()
 
@@ -102,169 +88,6 @@ class TestAtomicWrite:
             np.testing.assert_array_equal(data["a"], a)
             np.testing.assert_array_equal(data["b"], b)
         assert list(tmp_path.iterdir()) == [target]
-
-
-# --------------------------------------------------------------------- #
-# checkpoint store
-# --------------------------------------------------------------------- #
-class TestCheckpointStore:
-    def _store(self, tmp_path, **kw):
-        kw.setdefault("metrics", MetricsRegistry())
-        return CheckpointStore(tmp_path / "ck", **kw)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        store = self._store(tmp_path)
-        arrays = {"x": np.arange(5.0), "y": np.eye(3)}
-        store.save("stage", 2, arrays, meta={"k": [1, 2]})
-        ck = store.load("stage", 2)
-        assert ck.step == 2 and ck.meta == {"k": [1, 2]}
-        np.testing.assert_array_equal(ck.arrays["x"], arrays["x"])
-        np.testing.assert_array_equal(ck.arrays["y"], arrays["y"])
-
-    def test_latest_empty_is_none(self, tmp_path):
-        assert self._store(tmp_path).latest("stage") is None
-
-    def test_corrupt_payload_detected_and_skipped(self, tmp_path):
-        metrics = MetricsRegistry()
-        store = self._store(tmp_path, metrics=metrics)
-        store.save("ga", 1, {"x": np.arange(3.0)})
-        newest = store.save("ga", 2, {"x": np.arange(4.0)})
-        truncate_file(newest)
-        with pytest.raises(CheckpointError, match="corrupt"):
-            store.load("ga", 2)
-        # latest() falls back past the torn step to one that verifies.
-        ck = store.latest("ga")
-        assert ck.step == 1
-        assert (
-            metrics.counter("resilience.checkpoint.corrupt").value == 1
-        )
-
-    def test_payload_without_sidecar_is_invisible(self, tmp_path):
-        store = self._store(tmp_path)
-        npz = store.save("s", 1, {"x": np.zeros(2)})
-        npz.with_suffix(".json").unlink()
-        assert store.steps("s") == []
-        assert store.latest("s") is None
-
-    def test_newer_schema_refused(self, tmp_path):
-        store = self._store(tmp_path)
-        npz = store.save("s", 1, {"x": np.zeros(2)})
-        sidecar = npz.with_suffix(".json")
-        record = json.loads(sidecar.read_text())
-        record["schema_version"] = 99
-        sidecar.write_text(json.dumps(record))
-        with pytest.raises(CheckpointError, match="newer"):
-            store.load("s", 1)
-
-    @pytest.mark.parametrize(
-        "record",
-        [
-            [],
-            "x",
-            None,
-            {"schema_version": "x"},
-            {"step": "x"},
-            {"step": 2.0},
-            {"schema_version": True},
-            {"meta": [1, 2]},
-        ],
-    )
-    def test_foreign_sidecar_is_a_checkpoint_error(self, tmp_path, record):
-        # A sidecar that is not a JSON object of int fields is corrupt:
-        # load() says so and latest() falls back to the older step.
-        store = self._store(tmp_path)
-        store.save("ga", 1, {"x": np.arange(3.0)})
-        sidecar = store.save("ga", 2, {"x": np.arange(4.0)}).with_suffix(
-            ".json"
-        )
-        if isinstance(record, dict):
-            record = {**json.loads(sidecar.read_text()), **record}
-        sidecar.write_text(json.dumps(record))
-        with pytest.raises(CheckpointError):
-            store.load("ga", 2)
-        ck = store.latest("ga")
-        assert ck.step == 1
-        np.testing.assert_array_equal(ck.arrays["x"], np.arange(3.0))
-
-    @given(
-        keep=st.one_of(st.none(), st.floats(0.0, 0.999)),
-        where=st.floats(0.0, 0.999),
-        mask=st.integers(1, 255),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_damaged_payload_with_matching_hash_is_a_checkpoint_error(
-        self, tmp_path_factory, keep, where, mask
-    ):
-        # The recorded hash is rewritten to match, so only decoding can
-        # notice: a truncated or byte-flipped payload either still loads
-        # or raises CheckpointError, and latest() falls back either way.
-        store = self._store(tmp_path_factory.mktemp("ck"))
-        arrays = {"a": np.arange(35).reshape(7, 5), "s": np.array("hello")}
-        store.save("ga", 1, arrays)
-        npz = store.save("ga", 2, arrays)
-        if keep is None:
-            raw = bytearray(npz.read_bytes())
-            raw[int(where * len(raw))] ^= mask
-            npz.write_bytes(bytes(raw))
-        else:
-            truncate_file(npz, keep)
-        sidecar = npz.with_suffix(".json")
-        record = json.loads(sidecar.read_text())
-        record["sha256"] = hashlib.sha256(npz.read_bytes()).hexdigest()
-        sidecar.write_text(json.dumps(record))
-        try:
-            store.load("ga", 2)
-        except CheckpointError:
-            pass
-        assert store.latest("ga").step in (1, 2)
-
-    def test_prune_keeps_newest(self, tmp_path):
-        store = self._store(tmp_path, keep=2)
-        for step in range(5):
-            store.save("s", step, {"x": np.full(2, step)})
-        assert store.steps("s") == [3, 4]
-
-    def test_rng_state_roundtrip_reproduces_stream(self):
-        rng = np.random.default_rng(7)
-        rng.integers(0, 100, size=10)
-        state = rng_state_meta(rng)
-        expected = rng.integers(0, 1 << 30, size=8)
-        fresh = np.random.default_rng(0)
-        restore_rng_state(fresh, state)
-        np.testing.assert_array_equal(
-            fresh.integers(0, 1 << 30, size=8), expected
-        )
-
-    def test_programs_roundtrip(self):
-        rng = np.random.default_rng(3)
-        programs = [
-            random_program(rng, 12, DEFAULT_MIX, name=f"p{i}")
-            for i in range(4)
-        ]
-        arrays, names = programs_to_arrays(programs)
-        back = programs_from_arrays(arrays, names)
-        assert [program_fingerprint(p) for p in back] == [
-            program_fingerprint(p) for p in programs
-        ]
-        assert [p.name for p in back] == [p.name for p in programs]
-
-    def test_program_fields_are_int16_and_int64_archives_load(self):
-        """Every field fits int16 (the widest is the 12-bit signed
-        immediate); archives written with int64 fields load the same."""
-        extremes = Program("x", tuple(
-            Instruction(op, dst=15, src1=15, src2=15, imm=imm)
-            for op in (Opcode.MOVI, Opcode.BNE)
-            for imm in (-(1 << 11), (1 << 11) - 1)
-        ))
-        programs = [extremes, random_program(np.random.default_rng(4), 16)]
-        arrays, names = programs_to_arrays(programs)
-        assert arrays["prog_fields"].dtype == np.int16
-        assert programs_from_arrays(arrays, names) == programs
-        wide = {k: v.astype(np.int64) for k, v in arrays.items()}
-        assert programs_from_arrays(wide, names) == programs
-        empty, none = programs_to_arrays([])
-        assert empty["prog_fields"].shape == (0, 5) and none == []
-        assert programs_from_arrays(empty, none) == []
 
 
 # --------------------------------------------------------------------- #
@@ -527,12 +350,12 @@ class TestEvalCacheResilience:
 
 
 # --------------------------------------------------------------------- #
-# GA: kill at every generation, resume bit-identically
+# GA: interrupt at every generation, resume from the cache
 # --------------------------------------------------------------------- #
-def _ga_cfg(seed=5) -> GaConfig:
+def _ga_cfg() -> GaConfig:
     return GaConfig(
         population=6, generations=3, eval_cycles=100,
-        program_length=16, seed=seed,
+        program_length=16, seed=5,
     )
 
 
@@ -551,40 +374,81 @@ def _interrupt_plan(site: str, at: int) -> FaultInjector:
 
 
 class TestGaResumeIdentity:
+    """A GA interrupted at a generation and called again returns the
+    uninterrupted run's individuals, gets every program it finished
+    back from the cache, and simulates only the rest.  Each interrupt
+    is re-entered twice: on the same evolver and cache (same process),
+    and with a fresh evolver on a fresh ``EvalCache`` over the same
+    disk directory (a restarted process)."""
+
+    def test_run_is_a_pure_function_of_the_config(self, small_core):
+        with BenchmarkEvolver(small_core, _ga_cfg()) as ev:
+            first = _ga_signature(ev.run())
+            second = _ga_signature(ev.run())
+        with BenchmarkEvolver(small_core, _ga_cfg()) as ev:
+            fresh = _ga_signature(ev.run())
+        assert first == second == fresh
+
     @pytest.mark.parametrize("engine", ["uint8", "packed"])
     def test_kill_at_every_generation_resumes_bit_identical(
-        self, small_core, engine, tmp_path
+        self, small_core, engine, tmp_path, monkeypatch
     ):
-        with BenchmarkEvolver(small_core, _ga_cfg(), engine=engine) as ev:
-            baseline = _ga_signature(ev.run())
-        for kill_at in (1, 2, 3):
-            store = CheckpointStore(
-                tmp_path / f"{engine}-{kill_at}",
-                metrics=MetricsRegistry(),
+        from repro.genbench import ga
+
+        simulated: list[int] = []
+
+        def counting(args):
+            simulated.append(len(args[2]))
+            return eval_power_shard(args)
+
+        monkeypatch.setattr(ga, "eval_power_shard", counting)
+
+        def evolver(cache, faults=None):
+            return BenchmarkEvolver(
+                small_core, _ga_cfg(), engine=engine, cache=cache,
+                faults=faults,
             )
-            with BenchmarkEvolver(
-                small_core,
-                _ga_cfg(),
-                engine=engine,
-                checkpoints=store,
-                faults=_interrupt_plan("ga.generation", kill_at),
-            ) as ev:
+
+        cold = EvalCache(metrics=MetricsRegistry())
+        with evolver(cold) as ev:
+            baseline = _ga_signature(ev.run())
+        cold_simulated = sum(simulated)
+        cold_hits = cold.stats()["hits"]
+        assert cold_simulated == cold.stats()["stores"]
+        stored = []
+        for kill_at in range(1, _ga_cfg().generations + 1):
+            for restart in ("same-cache", "new-process"):
+                disk = tmp_path / f"{restart}-{kill_at}"
+                cache = EvalCache(disk_dir=disk, metrics=MetricsRegistry())
+                simulated.clear()
+                ev = evolver(cache, _interrupt_plan("ga.generation", kill_at))
                 with pytest.raises(TransientFault):
                     ev.run()
-            # A *fresh* evolver models the restarted process.
-            with BenchmarkEvolver(
-                small_core, _ga_cfg(), engine=engine, checkpoints=store
-            ) as ev:
-                resumed = ev.run(resume=True)
-                assert ev.n_simulated > 0  # really did resume mid-run
-            assert _ga_signature(resumed) == baseline
+                finished = cache.stats()["stores"]
+                assert sum(simulated) == finished, restart
+                if restart == "new-process":
+                    ev.close()
+                    cache = EvalCache(disk_dir=disk, metrics=MetricsRegistry())
+                    ev = evolver(cache)
+                before = cache.stats()
+                simulated.clear()
+                with ev:
+                    assert _ga_signature(ev.run()) == baseline, restart
+                after = cache.stats()
+                assert after["hits"] - before["hits"] == (
+                    finished + cold_hits
+                ), restart
+                assert sum(simulated) == cold_simulated - finished, restart
+                assert after["disk_hits"] == (
+                    finished if restart == "new-process" else 0
+                ), restart
+            stored.append(finished)
+        # Each later interrupt finds more of the run finished.
+        assert stored[0] == 0 and stored == sorted(set(stored))
 
     def test_resume_with_workers_and_cache(self, small_core, tmp_path):
         with BenchmarkEvolver(small_core, _ga_cfg()) as ev:
             baseline = _ga_signature(ev.run())
-        store = CheckpointStore(
-            tmp_path / "ck", metrics=MetricsRegistry()
-        )
         cache = EvalCache(
             disk_dir=tmp_path / "cache", metrics=MetricsRegistry()
         )
@@ -593,199 +457,22 @@ class TestGaResumeIdentity:
             _ga_cfg(),
             workers=2,
             cache=cache,
-            checkpoints=store,
             faults=_interrupt_plan("ga.generation", 2),
         ) as ev:
             with pytest.raises(TransientFault):
                 ev.run()
+        finished = cache.stats()["stores"]
         with BenchmarkEvolver(
             small_core,
             _ga_cfg(),
             workers=2,
-            cache=cache,
-            checkpoints=store,
-        ) as ev:
-            resumed = ev.run(resume=True)
-        assert _ga_signature(resumed) == baseline
-
-    def test_saves_pack_each_generation_once_and_match_a_full_pack(
-        self, small_core, tmp_path
-    ):
-        """Each save's individual arrays equal a pack of the whole
-        history, dtypes included, on a fresh and on a resumed run; each
-        save is one ``ga.checkpoint`` span."""
-        cfg = GaConfig(
-            population=4, generations=4, eval_cycles=60,
-            program_length=12, seed=9,
-        )
-
-        def saved(store):
-            return {
-                step: store.load("ga", step)
-                for step in store.steps("ga")
-            }
-
-        tracer = Tracer()
-        fresh = CheckpointStore(
-            tmp_path / "fresh", keep=0, metrics=MetricsRegistry()
-        )
-        with BenchmarkEvolver(
-            small_core, cfg, checkpoints=fresh, tracer=tracer
-        ) as ev:
-            result = ev.run()
-        assert [s.attrs["generation"] for s in tracer.find(
-            "ga.checkpoint"
-        )] == list(range(cfg.generations))
-        for step, ck in saved(fresh).items():
-            history = result.individuals[: step * cfg.population]
-            arrs, names = programs_to_arrays(
-                [ind.program for ind in history]
-            )
-            want = {
-                "ind_fields": arrs["prog_fields"],
-                "ind_offsets": arrs["prog_offsets"],
-                "ind_power": np.asarray(
-                    [i.power for i in history], dtype=np.float64
-                ),
-                "ind_fitness": np.asarray(
-                    [i.fitness for i in history], dtype=np.float64
-                ),
-                "ind_generation": np.asarray(
-                    [i.generation for i in history], dtype=np.int64
-                ),
-            }
-            for key, arr in want.items():
-                assert ck.arrays[key].dtype == arr.dtype, (step, key)
-                np.testing.assert_array_equal(ck.arrays[key], arr)
-            assert ck.meta["ind_names"] == names
-
-        resumed = CheckpointStore(
-            tmp_path / "resumed", keep=0, metrics=MetricsRegistry()
-        )
-        with BenchmarkEvolver(
-            small_core, cfg, checkpoints=resumed,
-            faults=_interrupt_plan("ga.generation", 2),
-        ) as ev:
-            with pytest.raises(TransientFault):
-                ev.run()
-        with BenchmarkEvolver(small_core, cfg, checkpoints=resumed) as ev:
-            ev.run(resume=True)
-        want_cks, got_cks = saved(fresh), saved(resumed)
-        assert list(got_cks) == list(want_cks)
-        for step, ck in got_cks.items():
-            assert ck.arrays.keys() == want_cks[step].arrays.keys()
-            for key, arr in ck.arrays.items():
-                np.testing.assert_array_equal(
-                    arr, want_cks[step].arrays[key]
-                )
-            assert ck.meta["ind_names"] == want_cks[step].meta["ind_names"]
-
-    def test_resume_without_checkpoint_starts_fresh(
-        self, small_core, tmp_path
-    ):
-        store = CheckpointStore(
-            tmp_path / "ck", metrics=MetricsRegistry()
-        )
-        with BenchmarkEvolver(small_core, _ga_cfg()) as ev:
-            baseline = _ga_signature(ev.run())
-        with BenchmarkEvolver(
-            small_core, _ga_cfg(), checkpoints=store
-        ) as ev:
-            assert _ga_signature(ev.run(resume=True)) == baseline
-
-    def test_mismatched_config_is_refused(self, small_core, tmp_path):
-        store = CheckpointStore(
-            tmp_path / "ck", metrics=MetricsRegistry()
-        )
-        with BenchmarkEvolver(
-            small_core,
-            _ga_cfg(seed=5),
-            checkpoints=store,
-            faults=_interrupt_plan("ga.generation", 2),
-        ) as ev:
-            with pytest.raises(TransientFault):
-                ev.run()
-        with BenchmarkEvolver(
-            small_core, _ga_cfg(seed=6), checkpoints=store
-        ) as ev:
-            with pytest.raises(CheckpointError, match="configuration"):
-                ev.run(resume=True)
-
-    def test_torn_checkpoint_falls_back_and_still_matches(
-        self, small_core, tmp_path
-    ):
-        """A truncated checkpoint write must not poison the resume."""
-        with BenchmarkEvolver(small_core, _ga_cfg()) as ev:
-            baseline = _ga_signature(ev.run())
-        plan = FaultPlan(
-            seed=0,
-            faults=(
-                FaultSpec("checkpoint.write", "truncate", at=2),
-                FaultSpec("ga.generation", "interrupt", at=2),
+            cache=EvalCache(
+                disk_dir=tmp_path / "cache", metrics=MetricsRegistry()
             ),
-        )
-        inj = FaultInjector(plan, metrics=MetricsRegistry())
-        store = CheckpointStore(
-            tmp_path / "ck", metrics=MetricsRegistry(), faults=inj
-        )
-        with BenchmarkEvolver(
-            small_core, _ga_cfg(), checkpoints=store, faults=inj
         ) as ev:
-            with pytest.raises(TransientFault):
-                ev.run()
-        with BenchmarkEvolver(
-            small_core, _ga_cfg(), checkpoints=store
-        ) as ev:
-            assert _ga_signature(ev.run(resume=True)) == baseline
-
-
-def _garble_population(ck, how: str):
-    """``ck``'s arrays with a population that does not decode."""
-    arrays = dict(ck.arrays)
-    names = list(ck.meta["pop_names"])
-    fields = np.array(arrays["pop_fields"], dtype=np.int64)
-    if how == "offsets":  # 16 rows cut into programs of 5 and 95
-        fields, offsets, names = fields[:16], [0, 5, 100], names[:2]
-    else:
-        offsets = arrays["pop_offsets"]
-        if how == "opcode":
-            fields[3, 0] = 99
-        elif how == "register":
-            fields[3, 1] = 40
-        else:  # "columns"
-            fields = fields[:, :4]
-    arrays["pop_fields"] = fields
-    arrays["pop_offsets"] = np.asarray(offsets, dtype=np.int64)
-    return arrays, dict(ck.meta, pop_names=names)
-
-
-class TestGaCheckpointPrograms:
-    @pytest.mark.parametrize(
-        "how", ["offsets", "opcode", "register", "columns"]
-    )
-    def test_undecodable_programs_are_a_checkpoint_error(
-        self, small_core, tmp_path, how
-    ):
-        """A hash-valid checkpoint of this run whose population does not
-        decode is refused with a ``CheckpointError``."""
-        store = CheckpointStore(tmp_path / "ck", metrics=MetricsRegistry())
-        with BenchmarkEvolver(
-            small_core,
-            _ga_cfg(),
-            checkpoints=store,
-            faults=_interrupt_plan("ga.generation", 1),
-        ) as ev:
-            with pytest.raises(TransientFault):
-                ev.run()
-        ck = store.latest("ga")
-        arrays, meta = _garble_population(ck, how)
-        store.save("ga", ck.step + 1, arrays, meta)
-        assert store.latest("ga").step == ck.step + 1
-        with BenchmarkEvolver(
-            small_core, _ga_cfg(), checkpoints=store
-        ) as ev:
-            with pytest.raises(CheckpointError):
-                ev.run(resume=True)
+            resumed = ev.run()
+            assert ev.n_cache_hits >= finished > 0
+        assert _ga_signature(resumed) == baseline
 
 
 # --------------------------------------------------------------------- #
@@ -985,43 +672,113 @@ class TestStreamResilience:
 
 
 # --------------------------------------------------------------------- #
-# provenance: fault plans and resume lineage in manifests
+# provenance: fault plans in manifests
 # --------------------------------------------------------------------- #
 class TestProvenanceLineage:
-    def test_fault_plan_and_resume_roundtrip(self, tmp_path):
+    def test_fault_plan_roundtrip(self, tmp_path):
         plan = FaultPlan.random(9, n_faults=3)
         inj = FaultInjector(plan, metrics=MetricsRegistry())
         inj.fire("pool.map")
         manifest = RunManifest(run="chaos-test", seed=9)
         manifest.record_fault_plan(inj)
-        manifest.record_resume("ga", 2, tmp_path / "step-2.npz")
         path = manifest.save(tmp_path / "m.json")
         loaded = RunManifest.load(path)
         assert FaultPlan.from_dict(
             loaded.extra["fault_plan"]["plan"]
         ) == plan
-        assert loaded.extra["resumed_from"][0]["stage"] == "ga"
-        assert loaded.extra["resumed_from"][0]["step"] == 2
+        assert loaded.extra["fault_plan"]["fired"] == inj.summary()["fired"]
 
 
 # --------------------------------------------------------------------- #
 # chaos CLI: a faulted end-to-end run matches the fault-free baseline
 # --------------------------------------------------------------------- #
+def _plan_file(tmp_path, *specs) -> str:
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(FaultPlan(seed=0, faults=specs).to_dict()))
+    return str(path)
+
+
 class TestChaosEndToEnd:
     def test_cli_chaos_run_matches_baseline(self, tmp_path, capsys):
+        """Two runs on one ``--out`` fire the same faults: the second
+        does not find the first one's cache."""
         from repro.cli import main
 
-        rc = main(
-            [
-                "chaos", "--seed", "5", "--workers", "0",
-                "--out", str(tmp_path),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "MATCH" in out
-        report = json.loads((tmp_path / "chaos.report.json").read_text())
-        assert report["match"] is True
-        assert report["restarts"] >= 1  # seed 5 schedules interrupts
+        reports = []
+        for _ in range(2):
+            rc = main(
+                [
+                    "chaos", "--seed", "5", "--workers", "0",
+                    "--out", str(tmp_path),
+                ]
+            )
+            out = capsys.readouterr().out
+            assert rc == 0
+            assert "MATCH" in out
+            reports.append(
+                json.loads((tmp_path / "chaos.report.json").read_text())
+            )
+        first, second = reports
+        assert first["match"] is True and second["match"] is True
+        assert first["restarts"] >= 1  # seed 5 schedules interrupts
+        assert second["injected"] == first["injected"]
+        assert second["restarts"] == first["restarts"]
         manifest = RunManifest.load(tmp_path / "chaos.manifest.json")
         assert manifest.extra["fault_plan"]["plan"]["seed"] == 5
+
+    def test_chaos_refuses_a_site_it_never_fires(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.design
+        from repro.cli import main
+
+        def no_work(*_a, **_kw):
+            raise AssertionError("the plan was refused after work began")
+
+        monkeypatch.setattr(repro.design, "build_core", no_work)
+        specs = (
+            FaultSpec("checkpoint.write", "truncate", at=2),
+            FaultSpec("ga.generation", "interrupt", at=1),
+            FaultSpec("serve.tick", "kill_shard", at=1),
+        )
+        with pytest.raises(
+            ResilienceError,
+            match=r"never fires fault site\(s\) checkpoint\.write, "
+            r"serve\.tick \(",
+        ):
+            run_chaos(plan=FaultPlan(seed=0, faults=specs))
+        rc = main(
+            [
+                "chaos", "--plan", _plan_file(tmp_path, *specs),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "checkpoint.write, serve.tick" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_chaos_serve_refuses_a_site_it_never_fires(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import repro.serve.loadgen
+        from repro.cli import main
+
+        def no_work(*_a, **_kw):
+            raise AssertionError("the plan was refused after work began")
+
+        monkeypatch.setattr(repro.serve.loadgen, "plan", no_work)
+        spec = FaultSpec("ga.generation", "interrupt", at=1)
+        with pytest.raises(
+            ResilienceError, match=r"never fires fault site\(s\) "
+            r"ga\.generation \("
+        ):
+            run_chaos_serve(plan=FaultPlan(seed=0, faults=(spec,)))
+        rc = main(
+            [
+                "chaos-serve", "--plan", _plan_file(tmp_path, spec),
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 2
+        assert "ga.generation" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

@@ -4,7 +4,7 @@ The simulator's engines live behind :class:`repro.rtl.backends.Backend`.
 Everything here is about the seams of that abstraction: engine lookup
 errors, the packed engine's choice between its C kernel and its NumPy
 fallback loop (made only by whether the kernel loads), the CLI
-round-trip of ``--engine``, engine-agnostic checkpoint resume, the
+round-trip of ``--engine``, engine-agnostic GA resume from the cache, the
 :func:`acc_reduce` batch-width contract, and lane-sharding across a
 worker pool.
 """
@@ -18,14 +18,9 @@ from repro.core import solvers
 from repro.errors import SimulationError, TransientFault
 from repro.genbench import BenchmarkEvolver, GaConfig
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import WorkerPool, program_fingerprint, tasks
+from repro.parallel import EvalCache, WorkerPool, program_fingerprint, tasks
 from repro.parallel.sharding import lane_shards, run_sharded
-from repro.resilience import (
-    CheckpointStore,
-    FaultInjector,
-    FaultPlan,
-    FaultSpec,
-)
+from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.rtl import ENGINES, RecordSpec, Simulator
 from repro.design import build_core
 from repro.rtl.backends import PackedBackend, backend_names, cc, get_backend
@@ -211,7 +206,7 @@ class TestCliEngineFlag:
 
 
 # --------------------------------------------------------------------- #
-# engine-agnostic checkpoints
+# engine-agnostic GA resume
 # --------------------------------------------------------------------- #
 def _ga_cfg() -> GaConfig:
     return GaConfig(
@@ -227,16 +222,16 @@ def _ga_signature(result):
     ]
 
 
-def test_ga_resume_under_different_backend(
-    small_core, tmp_path, monkeypatch
-):
-    # All engines and kernel states are bit-identical, so checkpoint
-    # identity excludes them: a run interrupted under uint8 resumes on
-    # the packed NumPy loop, is interrupted again, resumes on the C
+def test_ga_resume_under_different_backend(small_core, monkeypatch):
+    # All engines and kernel states are bit-identical, so cache keys
+    # exclude them: a run interrupted under uint8 is called again on the
+    # packed NumPy loop, is interrupted again, is called again on the C
     # kernel, and still reproduces the uninterrupted result exactly.
+    # Each call gets every program finished before it back from the one
+    # shared cache.
     with BenchmarkEvolver(small_core, _ga_cfg(), engine="uint8") as ev:
         baseline = _ga_signature(ev.run())
-    store = CheckpointStore(tmp_path / "ck", metrics=MetricsRegistry())
+    cache = EvalCache(metrics=MetricsRegistry())
 
     def interrupt_at(n):
         return FaultInjector(
@@ -248,26 +243,30 @@ def test_ga_resume_under_different_backend(
         )
 
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="uint8",
-        checkpoints=store, faults=interrupt_at(2),
+        small_core, _ga_cfg(), engine="uint8", cache=cache,
+        faults=interrupt_at(2),
     ) as ev:
         with pytest.raises(TransientFault):
             ev.run()
+    stored = cache.stats()["stores"]
     with monkeypatch.context() as m:
         _no_kernel(m)
         with BenchmarkEvolver(
-            small_core, _ga_cfg(), engine="packed",
-            checkpoints=store, faults=interrupt_at(2),
+            small_core, _ga_cfg(), engine="packed", cache=cache,
+            faults=interrupt_at(3),
         ) as ev:
             assert ev.simulator.backend.kernel is None
             with pytest.raises(TransientFault):
-                ev.run(resume=True)
+                ev.run()
+            assert ev.n_cache_hits == stored > 0
             assert ev.n_simulated > 0  # really ran a generation
+    stored = cache.stats()["stores"]
     with BenchmarkEvolver(
-        small_core, _ga_cfg(), engine="packed", checkpoints=store
+        small_core, _ga_cfg(), engine="packed", cache=cache
     ) as ev:
-        resumed = ev.run(resume=True)
-        assert ev.n_simulated > 0  # really resumed mid-run
+        resumed = ev.run()
+        assert ev.n_cache_hits == stored
+        assert ev.n_simulated > 0  # really ran the last generation
     assert _ga_signature(resumed) == baseline
 
 
