@@ -86,11 +86,18 @@ class OpcodeInfo(NamedTuple):
     dispatch on.  ``operands`` lists the assembly operands in order as
     ``(kind, field)``: a register (``kind`` ``"x"`` or ``"v"``, its
     file), the immediate (``"imm"``) or a memory operand ``imm(xN)``
-    with its base in ``src1`` (``"mem"``).  ``fn`` computes the result
-    from operand values: ``(a, b)`` for ``rrr``, ``(a, b, acc)`` for
-    ``mac``, one lane's ``(d, a, b)`` for ``vvv``, and the taken flag
-    from ``(a, b)`` for ``branch``.  The last two fields follow from the
-    vector reads and write.
+    with its base in ``src1`` (``"mem"``).  ``expr`` is the opcode's
+    arithmetic, written once as an expression that means the same in
+    Python and in C over unsigned operands below ``2**16`` (so it
+    parenthesizes whatever the two languages' precedence orders
+    differently, such as ``&`` against ``==``): the result
+    from ``a`` and ``b`` for ``rrr``, also from ``acc`` (the
+    destination's old value) for ``mac`` and for one lane of ``vvv``,
+    and the taken flag for ``branch``.  ``fn`` is that expression as a
+    Python function of those operands, in that order; the pipeline
+    model's C kernel compiles the same text as one case of its value
+    function.  The last two fields follow from the vector reads and
+    write.
     """
 
     opcode: Opcode
@@ -102,13 +109,20 @@ class OpcodeInfo(NamedTuple):
     x_write: str | None  # register field written, scalar file
     v_write: str | None  # register field written, vector file
     unit_op: int  # ``alu{i}/op`` or ``vec{i}/op`` code
+    expr: str | None
     fn: Callable | None
     vector_fields: frozenset[str]  # fields indexing the vector file
     limits: tuple[int, int, int]  # register-file size of dst, src1, src2
 
 
+#: Operands of each format's ``expr``, in ``fn``'s argument order.
+_EXPR_OPERANDS = {
+    "rrr": "a, b", "branch": "a, b", "mac": "a, b, acc", "vvv": "a, b, acc",
+}
+
+
 def _op(opcode, iclass, fmt, operands, reads="", write="", unit_op=0,
-        fn=None) -> OpcodeInfo:
+        expr=None) -> OpcodeInfo:
     """One row, from space-separated ``file.field`` words: the assembly
     ``operands`` in order (``imm`` and ``mem`` are not registers), the
     fields ``reads`` reads in field order, and the one it ``write``s."""
@@ -127,7 +141,10 @@ def _op(opcode, iclass, fmt, operands, reads="", write="", unit_op=0,
         w_field if w_file == "x" else None,
         v_write,
         unit_op,
-        fn,
+        expr,
+        None if expr is None else eval(
+            f"lambda {_EXPR_OPERANDS[fmt]}: {expr}", {"WORD_MASK": WORD_MASK}
+        ),
         vector_fields,
         tuple(N_VREGS if f in vector_fields else N_XREGS
               for f in _REG_FIELDS),
@@ -147,30 +164,30 @@ _VAB = "v.src1 v.src2"
 OPCODE_TABLE: dict[Opcode, OpcodeInfo] = {row.opcode: row for row in (
     _op(Opcode.NOP, IClass.NOP, "nop", ""),
     _op(Opcode.ADD, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 0,
-        lambda a, b: (a + b) & WORD_MASK),
+        "(a + b) & WORD_MASK"),
     _op(Opcode.SUB, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 1,
-        lambda a, b: (a - b) & WORD_MASK),
+        "(a - b) & WORD_MASK"),
     _op(Opcode.AND, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 2,
-        lambda a, b: a & b),
+        "a & b"),
     _op(Opcode.OR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 3,
-        lambda a, b: a | b),
+        "a | b"),
     _op(Opcode.XOR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 4,
-        lambda a, b: a ^ b),
+        "a ^ b"),
     _op(Opcode.SHL, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 5,
-        lambda a, b: (a << (b & 0xF)) & WORD_MASK),
+        "(a << (b & 0xF)) & WORD_MASK"),
     _op(Opcode.SHR, IClass.ALU, "rrr", _X3, _XAB, "x.dst", 6,
-        lambda a, b: (a >> (b & 0xF)) & WORD_MASK),
+        "(a >> (b & 0xF)) & WORD_MASK"),
     _op(Opcode.MOVI, IClass.ALU, "movi", "x.dst imm", "", "x.dst", 7),
     _op(Opcode.MUL, IClass.MUL, "rrr", _X3, _XAB, "x.dst", 0,
-        lambda a, b: (a * b) & WORD_MASK),
+        "(a * b) & WORD_MASK"),
     _op(Opcode.MAC, IClass.MUL, "mac", _X3, "x.dst " + _XAB, "x.dst", 0,
-        lambda a, b, acc: (acc + a * b) & WORD_MASK),
+        "(acc + a * b) & WORD_MASK"),
     _op(Opcode.VADD, IClass.VEC, "vvv", _V3, _VAB, "v.dst", 0,
-        lambda d, a, b: (a + b) & WORD_MASK),
+        "(a + b) & WORD_MASK"),
     _op(Opcode.VMUL, IClass.VMUL, "vvv", _V3, _VAB, "v.dst", 1,
-        lambda d, a, b: (a * b) & WORD_MASK),
+        "(a * b) & WORD_MASK"),
     _op(Opcode.VMAC, IClass.VMUL, "vvv", _V3, "v.dst " + _VAB, "v.dst", 2,
-        lambda d, a, b: (d + a * b) & WORD_MASK),
+        "(acc + a * b) & WORD_MASK"),
     _op(Opcode.LD, IClass.MEM, "load", "x.dst mem", "x.src1", "x.dst"),
     _op(Opcode.ST, IClass.MEM, "store", "x.src2 mem", _XAB),
     _op(Opcode.VLD, IClass.VMEM, "vload", "v.dst mem", "x.src1", "v.dst",
@@ -178,9 +195,9 @@ OPCODE_TABLE: dict[Opcode, OpcodeInfo] = {row.opcode: row for row in (
     _op(Opcode.VST, IClass.VMEM, "vstore", "v.src2 mem",
         "x.src1 v.src2", "", 3),
     _op(Opcode.BEQ, IClass.BRANCH, "branch", "x.src1 x.src2 imm", _XAB,
-        "", 1, lambda a, b: a == b),
+        "", 1, "a == b"),
     _op(Opcode.BNE, IClass.BRANCH, "branch", "x.src1 x.src2 imm", _XAB,
-        "", 1, lambda a, b: a != b),
+        "", 1, "a != b"),
 )}
 
 CLASS_OF: dict[Opcode, IClass] = {

@@ -133,7 +133,7 @@ class ArchState:
         elif fmt == "vvv":
             va, vb = self.vregs[inst.src1], self.vregs[inst.src2]
             vd = self.vregs[inst.dst]
-            out = [fn(vd[i], va[i], vb[i]) for i in range(lanes)]
+            out = [fn(va[i], vb[i], vd[i]) for i in range(lanes)]
             res = ExecResult(
                 vector_operands=(tuple(va), tuple(vb)),
                 vector_results=tuple(out),

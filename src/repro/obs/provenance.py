@@ -26,6 +26,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.errors import ObsError
+from repro.resilience.atomic import atomic_write_bytes
 
 __all__ = ["RunManifest", "config_hash", "MANIFEST_SCHEMA_VERSION"]
 
@@ -153,10 +154,11 @@ class RunManifest:
         }
 
     def save(self, path: str | Path) -> Path:
-        """Write the sidecar; conventionally ``<results>.manifest.json``."""
-        path = Path(path)
-        path.write_text(json.dumps(self.to_dict(), indent=2) + "\n")
-        return path
+        """Write the sidecar atomically; conventionally
+        ``<results>.manifest.json``."""
+        return atomic_write_bytes(
+            path, (json.dumps(self.to_dict(), indent=2) + "\n").encode()
+        )
 
     @classmethod
     def sidecar_for(cls, results_path: str | Path) -> Path:

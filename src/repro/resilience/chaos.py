@@ -165,19 +165,24 @@ def _check_sites(plan: FaultPlan, sites: dict, harness: str) -> None:
         )
 
 
-def _restartable(fn, counters: dict, label: str, max_restarts: int):
+def _restartable(fn, counters: dict, label: str, max_restarts: int, cache):
     """Crash-restart driver: call ``fn()`` again on interrupts.
 
     ``fn`` is one pipeline stage; an escaped :class:`TransientFault`
     models the process dying at a stage boundary, and the next call
     models the operator (or supervisor) restarting it.  Every stage is
     a pure function of its inputs, so a restart resumes from the
-    finished work its cache holds.
+    finished work its cache holds.  A restarted process would have lost
+    the cache's memory tier, so it is dropped before the next call, and
+    the finished work comes back from disk (through the ``cache.read``
+    fault site).
     """
     for _attempt in range(max_restarts + 1):
         try:
             return fn()
         except TransientFault:
+            if cache is not None:
+                cache.clear_memory()
             counters["restarts"] += 1
             counters.setdefault("by_stage", {}).setdefault(label, 0)
             counters["by_stage"][label] += 1
@@ -235,7 +240,7 @@ def _pipeline(
         faults=faults,
     )
     try:
-        ga = _restartable(evolver.run, counters, "ga", max_restarts)
+        ga = _restartable(evolver.run, counters, "ga", max_restarts, cache)
     finally:
         evolver.close()
     done()
@@ -253,7 +258,7 @@ def _pipeline(
             cache=cache,
             faults=faults,
         ),
-        counters, "dataset", max_restarts,
+        counters, "dataset", max_restarts, cache,
     )
     done()
 

@@ -13,9 +13,22 @@ larger) is what Fig. 12 needs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
+from repro.errors import ReproError
+
 __all__ = ["ThrottleScheme", "CoreParams", "N1_LIKE", "A77_LIKE", "M0_LIKE"]
+
+
+def _check(params, name: str, low: int) -> None:
+    """Raise unless the field ``name`` is an integer ``>= low``."""
+    v = getattr(params, name)
+    if not isinstance(v, numbers.Integral) or v < low:
+        raise ReproError(
+            f"{type(params).__name__}.{name} must be an integer >= {low}, "
+            f"got {v!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -32,6 +45,15 @@ class ThrottleScheme:
     period: int = 1
     duty: float = 1.0
     block_vector: bool = False
+
+    def __post_init__(self) -> None:
+        if self.max_issue is not None:
+            _check(self, "max_issue", 1)
+        _check(self, "period", 1)
+        if not 0 <= self.duty <= 1:
+            raise ReproError(
+                f"ThrottleScheme.duty must be in [0, 1], got {self.duty!r}"
+            )
 
     def active(self, cycle: int) -> bool:
         if self.period <= 1:
@@ -87,6 +109,27 @@ class CoreParams:
     # Optional issue throttling (None = unthrottled).
     throttle: ThrottleScheme | None = None
 
+    def __post_init__(self) -> None:
+        for name in _AT_LEAST_ONE:
+            _check(self, name, 1)
+        for name in ("mispredict_penalty", "gate_hysteresis"):
+            _check(self, name, 0)
+        # decode/valid carries one bit per instruction dispatched in a
+        # cycle, in a channel of at most 64 bits.
+        if self.issue_width > 64:
+            raise ReproError(
+                f"CoreParams.issue_width must be <= 64, "
+                f"got {self.issue_width!r}"
+            )
+        for cache in ("l1i", "l1d", "l2"):
+            for geometry in ("sets", "line"):
+                name = f"{cache}_{geometry}"
+                n = getattr(self, name)
+                if n & (n - 1):
+                    raise ReproError(
+                        f"CoreParams.{name} must be a power of two, got {n!r}"
+                    )
+
     def with_throttle(self, scheme: ThrottleScheme | None) -> "CoreParams":
         return replace(self, throttle=scheme)
 
@@ -100,6 +143,22 @@ class CoreParams:
         units += [f"lsu{i}" for i in range(self.lsu_ports)]
         units += ["l2ctl"]
         return units
+
+
+#: Fields that count something every cycle needs at least one of:
+#: widths, units, lanes, window sizes, latencies, cache geometry,
+#: predictor entries and miss slots.
+_AT_LEAST_ONE = (
+    "fetch_width", "issue_width", "retire_width",
+    "n_alu", "n_mul", "n_vec", "vec_lanes", "lsu_ports",
+    "iq_size", "rob_size", "fetch_buffer",
+    "alu_latency", "mul_latency", "vec_latency", "vmul_latency",
+    "l1_hit_latency", "l2_hit_latency", "mem_latency",
+    "l1i_sets", "l1i_assoc", "l1i_line",
+    "l1d_sets", "l1d_assoc", "l1d_line",
+    "l2_sets", "l2_assoc", "l2_line",
+    "bp_entries", "max_outstanding_misses",
+)
 
 
 N1_LIKE = CoreParams(

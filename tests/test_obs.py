@@ -342,6 +342,35 @@ class TestManifest:
         ):
             assert str(needle) in text
 
+    def test_failed_save_keeps_the_previous_manifest(
+        self, tmp_path, monkeypatch
+    ):
+        """A save that dies mid-write leaves the last manifest whole and
+        no temporary file behind."""
+        from pathlib import Path
+
+        m = self._manifest()
+        path = m.save(tmp_path / "manifest.json")
+        before = path.read_bytes()
+
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", torn_write)
+        monkeypatch.setattr(
+            Path, "write_text", lambda self, text, *a, **kw: torn_write(
+                self, text.encode()
+            ),
+        )
+        m.extra["note"] = "second run"
+        with pytest.raises(OSError, match="disk full"):
+            m.save(path)
+        assert path.read_bytes() == before
+        assert RunManifest.load(path).extra == {"note": "test"}
+        assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
     def test_load_rejects_foreign_json(self, tmp_path):
         bad = tmp_path / "other.json"
         bad.write_text(json.dumps({"format": "something-else"}))

@@ -279,9 +279,9 @@ class TestFingerprints:
 
     def test_throttle_fingerprint(self):
         assert throttle_fingerprint(None) == "none"
-        t1 = ThrottleScheme(max_issue=1, period=8, duty=4)
-        t2 = ThrottleScheme(max_issue=1, period=8, duty=4)
-        t3 = ThrottleScheme(max_issue=2, period=8, duty=4)
+        t1 = ThrottleScheme(max_issue=1, period=8, duty=0.5)
+        t2 = ThrottleScheme(max_issue=1, period=8, duty=0.5)
+        t3 = ThrottleScheme(max_issue=2, period=8, duty=0.5)
         assert throttle_fingerprint(t1) == throttle_fingerprint(t2)
         assert throttle_fingerprint(t1) != throttle_fingerprint(t3)
 
@@ -310,9 +310,9 @@ class TestFingerprints:
         assert program_fingerprint(prog) == (
             "8a99122d23b7f18c291080e449c41d3aa1d8c6b26ad5598de49a64d4975abea2"
         )
-        thr = ThrottleScheme(max_issue=1, period=8, duty=4)
+        thr = ThrottleScheme(max_issue=1, period=8, duty=0.5)
         assert throttle_fingerprint(thr) == (
-            "e84ecb06f074c70e480c2af7eb4f3c84ea9950c21fbf4769a76b7eebc58ce170"
+            "fd91a0eac9ab64c485fb37c5cf2069d79b349a858970f9fd08a8ca37009c0a31"
         )
         assert make_key("ga-power", "abcd1234", 500, "fp") == (
             "3f200e92153e21ee75572c6b207369e262fe4d0f63b0d856e9529fcd7f5e81fb"

@@ -726,6 +726,22 @@ class TestChaosEndToEnd:
         manifest = RunManifest.load(tmp_path / "chaos.manifest.json")
         assert manifest.extra["fault_plan"]["plan"]["seed"] == 5
 
+    def test_restart_reads_the_cache_back_from_disk(self, tmp_path):
+        """A restarted stage has lost the cache's memory tier, as a new
+        process would, so it reads its finished work back from disk and
+        a ``cache.read`` fault after the interrupt fires."""
+        plan = FaultPlan(seed=5, faults=(
+            FaultSpec("ga.generation", "interrupt", at=2),
+            FaultSpec("cache.read", "corrupt", at=1),
+        ))
+        report = run_chaos(seed=5, workers=1, plan=plan, out_dir=tmp_path)
+        assert {(f["site"], f["kind"]) for f in report.injected} == {
+            ("ga.generation", "interrupt"), ("cache.read", "corrupt"),
+        }
+        assert report.restarts == 1
+        assert report.match
+        assert report.baseline_sha256.startswith("bde19a1dab9667f1")
+
     def test_chaos_refuses_a_site_it_never_fires(
         self, tmp_path, monkeypatch, capsys
     ):

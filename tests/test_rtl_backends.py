@@ -26,7 +26,7 @@ from repro.design import build_core
 from repro.rtl.backends import PackedBackend, backend_names, cc, get_backend
 from repro.rtl.backends import base
 from repro.rtl.backends.base import acc_reduce
-from repro.uarch import N1_LIKE
+from repro.uarch import N1_LIKE, pipeline
 
 from helpers import SIM_PATHS, random_netlist
 
@@ -157,6 +157,7 @@ def test_missing_compiler_means_no_kernel(monkeypatch, tmp_path):
     assert cc.compiler() is None
     assert cc.load_kernel() is None
     assert solvers.load_cd_kernel() is None
+    assert pipeline.load_pipeline_kernel() is None
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,8 @@
 """Tests for the pipeline timing model and activity traces."""
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,18 @@ from hypothesis import strategies as st
 
 from repro.design import build_core
 from repro.errors import ReproError, StimulusError
-from repro.isa import IClass, InstructionMix, assemble, random_program, Program
+from repro.isa import (
+    OPCODE_TABLE,
+    IClass,
+    Instruction,
+    InstructionMix,
+    Opcode,
+    Program,
+    assemble,
+    random_program,
+)
+from repro.isa.instructions import N_XREGS
+from repro.rtl.backends import cc
 from repro.uarch import (
     A77_LIKE,
     ActivityTrace,
@@ -18,6 +31,7 @@ from repro.uarch import (
     N1_LIKE,
     Pipeline,
     ThrottleScheme,
+    pipeline,
     stimulus_schema,
 )
 
@@ -212,6 +226,7 @@ THROTTLES = (
     ThrottleScheme(max_issue=2, period=8, duty=0.5),  # duty-cycled
     ThrottleScheme(block_vector=True),
     ThrottleScheme(max_issue=1, period=4, duty=0.25, block_vector=True),
+    ThrottleScheme(max_issue=1, period=5, duty=0.3),  # duty * period = 1.5
 )
 
 
@@ -231,16 +246,48 @@ def _random_mix_program(seed: int, length: int) -> Program:
     return random_program(rng, length, mix)
 
 
-def _assert_matches_oracle(params, prog, cycles, core):
-    got, got_stats = Pipeline(params).run(prog, cycles)
-    want, want_stats = PipelineOracle(params).run(prog, cycles)
+#: The two code paths of ``Pipeline.run``: the C kernel (where a compiler
+#: is found) and the Python loop.
+PATHS = (
+    pytest.param("kernel", marks=pytest.mark.skipif(
+        cc.compiler() is None, reason="no C compiler on this host"
+    )),
+    "loop",
+)
+
+
+def _paths_here():
+    """The paths that run on this host: the loop, and the kernel where a
+    compiler is found."""
+    return ["loop"] + (["kernel"] if cc.compiler() is not None else [])
+
+
+@contextmanager
+def _on_path(path: str):
+    """Run ``Pipeline.run`` on ``path`` inside the block."""
+    if path == "kernel":
+        assert pipeline.load_pipeline_kernel() is not None
+        yield
+    else:
+        with mock.patch.object(pipeline, "load_pipeline_kernel", lambda: None):
+            yield
+
+
+def _assert_matches_oracle(params, prog, cycles, core, path, want=None):
+    """Every channel (values and dtype), every stat and every stimulus
+    bit of ``path``'s run equal ``PipelineOracle``'s (or ``want``, an
+    oracle run already made); ``core`` encodes the stimulus, or
+    ``None`` for the trace's own encoder."""
+    with _on_path(path):
+        got, got_stats = Pipeline(params).run(prog, cycles)
+    want, want_stats = want or PipelineOracle(params).run(prog, cycles)
     assert got_stats == want_stats
     assert list(got.channels) == list(want.channels)
     for name, arr in want.channels.items():
         g = got.channels[name]
         assert g.dtype == arr.dtype and g.shape == arr.shape, name
         np.testing.assert_array_equal(g, arr, err_msg=name)
-    stim = core.stimulus_for(got)
+    stim = got.encode_stimulus() if core is None else core.stimulus_for(got)
     ref = encode_stimulus_oracle(want)
     assert stim.dtype == ref.dtype and stim.shape == ref.shape
     assert stim.flags.c_contiguous
@@ -259,14 +306,156 @@ def _assert_matches_oracle(params, prog, cycles, core):
 def test_pipeline_matches_oracle(oracle_cores, core, throttle, hysteresis,
                                  seed, length, cycles):
     """Every channel (values and dtype), every stat and every stimulus
-    bit equal the per-channel model's, on random-mix programs."""
+    bit equal the per-channel model's, on random-mix programs, on the
+    Python loop and (where a compiler is found) on the kernel."""
     params = replace(
         ORACLE_CORES[core], gate_hysteresis=hysteresis, throttle=throttle
     )
-    _assert_matches_oracle(
-        params, _random_mix_program(seed, length), cycles,
-        oracle_cores[core],
+    prog = _random_mix_program(seed, length)
+    want = PipelineOracle(params).run(prog, cycles)
+    for path in _paths_here():
+        _assert_matches_oracle(
+            params, prog, cycles, oracle_cores[core], path, want
+        )
+
+
+def _every_opcode_program(seed: int) -> Program:
+    """Three instructions of every ``OPCODE_TABLE`` row in random order,
+    each field drawn over its whole range, after MOVIs that give every
+    scalar register a random value (some near the top of memory, so
+    vector accesses wrap).  A branch lands on the next instruction
+    whether taken or not, half of them through a negative ``pc + imm``
+    that Python's floor modulo wraps; every instruction runs."""
+    rng = np.random.default_rng(seed)
+    body = [op for op in OPCODE_TABLE for _ in range(3)]
+    body = [body[i] for i in rng.permutation(len(body))]
+    n = (N_XREGS - 1) + len(body)
+    insts = [
+        Instruction(Opcode.MOVI, dst=r, imm=int(rng.integers(-2048, 2048)))
+        for r in range(1, N_XREGS)
+    ]
+    for op in body:
+        row = OPCODE_TABLE[op]
+        regs = [int(rng.integers(0, lim)) for lim in row.limits]
+        if row.fmt == "branch":
+            imm = 1 - n if rng.random() < 0.5 else 1
+        else:
+            imm = int(rng.integers(-2048, 2048))
+        insts.append(Instruction(op, *regs, imm=imm))
+    return Program(f"every-op-{seed}", tuple(insts))
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("lanes", range(1, 9))
+def test_every_opcode_matches_oracle(path, lanes):
+    """A program that runs every opcode, at 1 to 8 vector lanes."""
+    params = replace(N1_LIKE, name=f"lanes{lanes}", vec_lanes=lanes)
+    for seed in range(2):
+        _assert_matches_oracle(
+            params, _every_opcode_program(100 * lanes + seed), 400, None,
+            path,
+        )
+
+
+#: Loads into one N1 L1D set (16 sets x 4 ways of 8 words): four fill
+#: it, a hit on the oldest line makes it the most recent, and the next
+#: miss evicts by recency (keeping line 0 for the last load) where
+#: first-in-first-out would evict line 0.
+LRU_LOOP = _prog(
+    """
+    movi x13, 0
+    ld x1, 0(x13)
+    ld x2, 128(x13)
+    ld x3, 256(x13)
+    ld x4, 384(x13)
+    ld x5, 0(x13)
+    ld x6, 512(x13)
+    ld x7, 0(x13)
+    """
+)
+
+
+@pytest.mark.parametrize("path", PATHS)
+def test_cache_replacement_matches_oracle(path):
+    """Hits and misses follow LRU order, on each path."""
+    _assert_matches_oracle(N1_LIKE, LRU_LOOP, 300, None, path)
+
+
+def test_long_run_matches_oracle():
+    """20,000 cycles under a duty-cycled throttle, on both paths: the
+    kernel's rings, caches and miss slots wrap many times."""
+    params = replace(
+        A77_LIKE, throttle=ThrottleScheme(max_issue=2, period=8, duty=0.5)
     )
+    prog = _random_mix_program(11, 48)
+    want = PipelineOracle(params).run(prog, 20_000)
+    for path in _paths_here():
+        _assert_matches_oracle(params, prog, 20_000, None, path, want)
+
+
+def test_constructing_a_pipeline_loads_no_kernel(monkeypatch):
+    """The kernel is compiled and loaded by the first ``run``, never by
+    ``Pipeline(params)``."""
+    loads = []
+
+    def load(source, symbol, argtypes, restype=None):
+        loads.append(symbol)
+
+    monkeypatch.setattr(cc, "load", load)
+    pipe = Pipeline(N1_LIKE)
+    assert loads == []
+    pipe.run(ALU_LOOP, 8)  # no kernel loads: the Python loop runs
+    assert loads == ["repro_pipeline_run"]
+
+
+#: A value each ``CoreParams`` field rejects.
+BAD_CORE_FIELDS = [
+    (name, 0) for name in (
+        "fetch_width", "issue_width", "retire_width", "n_alu", "n_mul",
+        "n_vec", "vec_lanes", "lsu_ports", "iq_size", "rob_size",
+        "fetch_buffer", "alu_latency", "mul_latency", "vec_latency",
+        "vmul_latency", "l1_hit_latency", "l2_hit_latency", "mem_latency",
+        "l1i_sets", "l1i_assoc", "l1i_line", "l1d_sets", "l1d_assoc",
+        "l1d_line", "l2_sets", "l2_assoc", "l2_line", "bp_entries",
+        "max_outstanding_misses",
+    )
+] + [
+    ("iq_size", -1),
+    ("mispredict_penalty", -1),
+    ("gate_hysteresis", -1),
+    ("issue_width", 65),
+    ("fetch_width", 2.5),
+    ("l1i_sets", 12),
+    ("l1i_line", 6),
+    ("l1d_sets", 3),
+    ("l1d_line", 12),
+    ("l2_sets", 96),
+    ("l2_line", 10),
+]
+
+
+@pytest.mark.parametrize("field,value", BAD_CORE_FIELDS)
+def test_core_params_reject_field(field, value):
+    with pytest.raises(ReproError, match=rf"CoreParams\.{field} must"):
+        replace(N1_LIKE, **{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("max_issue", 0), ("max_issue", -2), ("period", 0), ("duty", -0.1),
+    ("duty", 1.5), ("duty", float("nan")),
+])
+def test_throttle_scheme_rejects_field(field, value):
+    with pytest.raises(ReproError, match=rf"ThrottleScheme\.{field} must"):
+        ThrottleScheme(**{field: value})
+
+
+def test_presets_and_edge_values_are_valid():
+    for params in (N1_LIKE, A77_LIKE, M0_LIKE, *ORACLE_CORES.values()):
+        assert replace(params) == params
+    replace(N1_LIKE, mispredict_penalty=0, gate_hysteresis=0,
+            issue_width=64, l2_assoc=3)
+    ThrottleScheme(max_issue=None, period=1, duty=0.0)
+    ThrottleScheme(max_issue=1, period=7, duty=1.0, block_vector=True)
 
 
 def test_overwide_channel_error_matches_oracle():
